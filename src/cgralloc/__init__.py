@@ -25,10 +25,8 @@ from .allocation import (
 from .dse import (
     PRESETS,
     EmptyScenarioError,
-    Scenario,
     ScenarioResult,
-    compare_policies,
-    run_scenario,
+    run_scenario_with_map,
     sweep,
 )
 from .fabric import (

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import aging, dse, metrics
-from .allocation import AllocationPolicy, ORIGIN, Pivot
+from .allocation import AllocationPolicy, PivotScheduler, pivot_for_execution
 from .fabric import plan_table, reconfig_plan
 from .mapper import DoesNotFitError, FabricDims, map_dfg
 from .workload import (
@@ -45,7 +45,7 @@ def _resolve_dims(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if args.preset is not None:
         if args.cols is not None or args.rows is not None:
             parser.error("--preset and explicit -L/-W are mutually exclusive")
-        base = dse.PRESETS[args.preset].dims
+        base = dse.PRESETS[args.preset]
         cols, rows = base.num_cols, base.num_rows
     else:
         if args.cols is None or args.rows is None:
@@ -128,15 +128,9 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     dims = _resolve_dims(args, parser)
     aging_params = _resolve_aging(args, parser)
     workload = _read_workload(args.workload)
-    scenario = dse.Scenario(
-        label=f"L{dims.num_cols}W{dims.num_rows}",
-        dims=dims,
-        policy=AllocationPolicy(args.policy),
-        workload=workload,
-        aging_params=aging_params,
-    )
+    policy = AllocationPolicy(args.policy)
     try:
-        result, umap = dse.run_scenario_with_map(scenario)
+        result, umap = dse.run_scenario_with_map(dims, workload, aging_params, (policy,))
     except dse.EmptyScenarioError as e:
         print(str(e), file=sys.stderr)
         return EXIT_NO_FIT
@@ -161,12 +155,8 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.dump_plan:
         # plan of the run's final execution: fixed policy always loads at the
         # origin; rotating ends wherever the trace left the scheduler
-        if scenario.policy is AllocationPolicy.ROTATING and result.total_executions > 0:
-            k = result.total_executions - 1
-            pivot = Pivot(row=(k // dims.num_cols) % dims.num_rows,
-                          col=k % dims.num_cols)
-        else:
-            pivot = ORIGIN
+        last = PivotScheduler(dims, start=result.total_executions - 1)
+        pivot = pivot_for_execution(policy, last)
         print(f"pivot=({pivot.row}, {pivot.col})")
         print(plan_table(reconfig_plan(pivot, dims)), end="")
     print(
@@ -181,7 +171,7 @@ def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.preset is not None:
         if args.cols or args.rows:
             parser.error("--preset and explicit -L/-W are mutually exclusive")
-        base = dse.PRESETS[args.preset].dims
+        base = dse.PRESETS[args.preset]
         col_values, row_values = [base.num_cols], [base.num_rows]
     else:
         if not args.cols or not args.rows:
@@ -189,7 +179,10 @@ def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         col_values, row_values = args.cols, args.rows
     aging_params = _resolve_aging(args, parser)
     workload = _read_workload(args.workload)
-    results = dse.sweep(col_values, row_values, workload, aging_params, jobs=args.jobs)
+    try:
+        results = dse.sweep(col_values, row_values, workload, aging_params, jobs=args.jobs)
+    except ValueError as e:
+        parser.error(str(e))
     print(dse.results_table(results), end="")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
@@ -203,7 +196,14 @@ def cmd_age(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     u = args.u
     if u is None and args.summary is not None:
         with open(args.summary, encoding="utf-8") as f:
-            u = json.load(f)["max"]
+            try:
+                u = json.load(f)["max"]
+            except (ValueError, RecursionError, KeyError, TypeError):
+                u = None
+        if isinstance(u, bool) or not isinstance(u, (int, float)):
+            print(f"{args.summary}: not a summary JSON with a numeric \"max\"",
+                  file=sys.stderr)
+            return EXIT_IO
     if u is None:
         parser.error("need --u or --summary")
     try:

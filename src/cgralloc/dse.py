@@ -1,7 +1,7 @@
 """Scenario runner and design-space exploration over fabric sizes and policies.
 
-A scenario maps every DFG of a workload once, replays the trace through the
-chosen allocation policy, and reduces the recorded utilization to summary
+A scenario maps every DFG of a workload once, replays the trace under one or
+more allocation policies, and reduces the last run's utilization to summary
 statistics plus the projected lifetime of the worst-stressed cell.  Paired
 runs compare the fixed-origin baseline against the rotating allocator on the
 same workload and report the lifetime improvement, which equals the ratio of
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 from . import aging
 from .allocation import AllocationPolicy, PivotScheduler, allocate, pivot_for_execution
@@ -20,41 +20,16 @@ from .mapper import DoesNotFitError, FabricDims, VirtualConfiguration, map_dfg
 from .metrics import UtilizationMap, UtilizationSummary, record_execution, summarize
 from .workload import Workload
 
-DEFAULT_POLICY_PAIR = (AllocationPolicy.FIXED_ORIGIN, AllocationPolicy.ROTATING)
-
 
 class EmptyScenarioError(Exception):
     """Every DFG of the workload was skipped; nothing to run."""
 
 
-@dataclass(frozen=True)
-class Preset:
-    """Named fabric design point bundled with the tool.
-
-    reported_avg_util carries the two published average-utilization figures
-    for the design point (they disagree slightly for BP and BU); both are
-    informational only and never feed any computation here.
-    """
-
-    name: str
-    dims: FabricDims
-    reported_avg_util: tuple[float, float]
-
-
-PRESETS: dict[str, Preset] = {
-    "BE": Preset("BE", FabricDims(num_cols=16, num_rows=2), (0.397, 0.397)),
-    "BP": Preset("BP", FabricDims(num_cols=32, num_rows=4), (0.178, 0.171)),
-    "BU": Preset("BU", FabricDims(num_cols=32, num_rows=8), (0.089, 0.085)),
+PRESETS: dict[str, FabricDims] = {
+    "BE": FabricDims(num_cols=16, num_rows=2),
+    "BP": FabricDims(num_cols=32, num_rows=4),
+    "BU": FabricDims(num_cols=32, num_rows=8),
 }
-
-
-@dataclass(frozen=True)
-class Scenario:
-    label: str
-    dims: FabricDims
-    policy: AllocationPolicy
-    workload: Workload
-    aging_params: aging.AgingParams
 
 
 @dataclass(frozen=True)
@@ -145,89 +120,61 @@ def replay_trace(
     return umap
 
 
-def run_scenario_with_map(s: Scenario) -> tuple[ScenarioResult, UtilizationMap]:
-    """run_scenario, but also hands back the raw utilization map."""
-    mapped, skipped = map_workload(s.workload, s.dims)
+def run_scenario_with_map(
+    dims: FabricDims,
+    workload: Workload,
+    aging_params: aging.AgingParams,
+    policies: tuple[AllocationPolicy, ...] = (AllocationPolicy.FIXED_ORIGIN,
+                                              AllocationPolicy.ROTATING),
+) -> tuple[ScenarioResult, UtilizationMap]:
+    """Map once, replay under each policy, summarize the last run.
+
+    Returns the result and the utilization map of the last run.  With two
+    policies the first is the baseline: its worst-case utilization is paired
+    with the second's.  Every run uses a fresh scheduler and skips exactly the
+    same DFGs, so average utilization matches between them.
+    """
+    label = f"L{dims.num_cols}W{dims.num_rows}"
+    mapped, skipped = map_workload(workload, dims)
     if not mapped:
-        raise EmptyScenarioError(f"{s.label}: no DFG of the workload fits {s.dims}")
-    umap = replay_trace(s.workload, mapped, s.dims, s.policy)
-    if umap.total_executions == 0:
-        raise EmptyScenarioError(f"{s.label}: trace only references skipped DFGs")
-    summary = summarize(umap)
+        raise EmptyScenarioError(f"{label}: no DFG of the workload fits {dims}")
+    summaries: list[UtilizationSummary] = []
+    for policy in policies:
+        umap = replay_trace(workload, mapped, dims, policy)
+        if umap.total_executions == 0:
+            raise EmptyScenarioError(f"{label}: trace only references skipped DFGs")
+        summaries.append(summarize(umap))
+    last = summaries[-1]
+    paired = {}
+    if len(summaries) == 2:
+        base = summaries[0].max
+        paired = dict(
+            baseline_max_util=base,
+            proposed_max_util=last.max,
+            lifetime_improvement=aging.lifetime_improvement(base, last.max),
+        )
     result = ScenarioResult(
-        label=s.label,
-        num_cols=s.dims.num_cols,
-        num_rows=s.dims.num_rows,
+        label=label,
+        num_cols=dims.num_cols,
+        num_rows=dims.num_rows,
         total_executions=umap.total_executions,
-        avg_util=summary.avg,
-        max_util=summary.max,
-        min_util=summary.min,
-        argmax_cell=summary.argmax,
-        lifetime_years=aging.lifetime(s.aging_params, summary.max),
+        avg_util=last.avg,
+        max_util=last.max,
+        min_util=last.min,
+        argmax_cell=last.argmax,
+        lifetime_years=aging.lifetime(aging_params, last.max),
         skipped_dfgs=tuple(skipped),
+        **paired,
     )
     return result, umap
 
 
-def run_scenario(s: Scenario) -> ScenarioResult:
-    """Map, replay, summarize; deterministic for identical inputs."""
-    result, _ = run_scenario_with_map(s)
-    return result
-
-
-def compare_policies(
-    dims: FabricDims,
-    workload: Workload,
-    aging_params: aging.AgingParams,
-    policies: tuple[AllocationPolicy, AllocationPolicy] = DEFAULT_POLICY_PAIR,
-    label: str | None = None,
-) -> ScenarioResult:
-    """Run both policies on the same workload and pair the results.
-
-    The unpaired stat fields describe the second (proposed) run; the first
-    run contributes baseline_max_util.  Both runs use fresh schedulers and
-    skip exactly the same DFGs, so average utilization matches between them.
-    """
-    label = label or f"L{dims.num_cols}W{dims.num_rows}"
-    baseline_policy, proposed_policy = policies
-    mapped, skipped = map_workload(workload, dims)
-    if not mapped:
-        raise EmptyScenarioError(f"{label}: no DFG of the workload fits {dims}")
-
-    summaries: list[UtilizationSummary] = []
-    executions = 0
-    for policy in (baseline_policy, proposed_policy):
-        umap = replay_trace(workload, mapped, dims, policy)
-        if umap.total_executions == 0:
-            raise EmptyScenarioError(f"{label}: trace only references skipped DFGs")
-        executions = umap.total_executions
-        summaries.append(summarize(umap))
-    base, prop = summaries
-
-    return ScenarioResult(
-        label=label,
-        num_cols=dims.num_cols,
-        num_rows=dims.num_rows,
-        total_executions=executions,
-        avg_util=prop.avg,
-        max_util=prop.max,
-        min_util=prop.min,
-        argmax_cell=prop.argmax,
-        lifetime_years=aging.lifetime(aging_params, prop.max),
-        skipped_dfgs=tuple(skipped),
-        baseline_max_util=base.max,
-        proposed_max_util=prop.max,
-        lifetime_improvement=aging.lifetime_improvement(base.max, prop.max),
-    )
-
-
-def _sweep_point(args: tuple) -> ScenarioResult:
-    dims, workload, aging_params, policies = args
-    label = f"L{dims.num_cols}W{dims.num_rows}"
+def _sweep_point(dims: FabricDims, workload: Workload,
+                 aging_params: aging.AgingParams) -> ScenarioResult:
     try:
-        return compare_policies(dims, workload, aging_params, policies)
+        return run_scenario_with_map(dims, workload, aging_params)[0]
     except EmptyScenarioError as e:
-        return ScenarioResult.failed(label, dims, str(e))
+        return ScenarioResult.failed(f"L{dims.num_cols}W{dims.num_rows}", dims, str(e))
 
 
 def sweep(
@@ -235,25 +182,25 @@ def sweep(
     row_values: list[int],
     workload: Workload,
     aging_params: aging.AgingParams,
-    policies: tuple[AllocationPolicy, AllocationPolicy] = DEFAULT_POLICY_PAIR,
     jobs: int = 1,
 ) -> list[ScenarioResult]:
     """Paired comparison at every (cols, rows) point, ordered by (cols, rows).
 
     Scenario failures (nothing fits) become failed entries; the sweep keeps
-    going.  Points are independent, so jobs > 1 fans them out to worker
-    processes without changing the results or their order.
+    going.  Points are independent, so jobs > 1 fans them out to at most
+    that many worker processes without changing the results or their order.
     """
     if not col_values or not row_values:
         raise ValueError("need at least one column count and one row count")
-    points = [
-        (FabricDims(num_cols=c, num_rows=r), workload, aging_params, policies)
-        for c, r in sorted(product(col_values, row_values))
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_point, points))
-    return [_sweep_point(p) for p in points]
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    grid = [FabricDims(num_cols=c, num_rows=r)
+            for c, r in sorted(product(col_values, row_values))]
+    workers = min(jobs, len(grid))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_sweep_point, grid, repeat(workload), repeat(aging_params)))
+    return [_sweep_point(dims, workload, aging_params) for dims in grid]
 
 
 def results_table(results: list[ScenarioResult]) -> str:

@@ -1,9 +1,7 @@
 """Per-cell utilization accounting across configuration executions.
 
 Utilization of a cell is the fraction of executions in which the cell was
-occupied, irrespective of how long each configuration runs.  An optional
-duration-weighted mode weights every execution by its latency instead; it is
-not the default.
+occupied, irrespective of how long each configuration runs.
 """
 
 from __future__ import annotations
@@ -23,37 +21,29 @@ class EmptyMapError(ValueError):
 class UtilizationMap:
     """Mutable per-cell activity counters; one instance per scenario run."""
 
-    def __init__(self, dims: FabricDims, duration_weighted: bool = False):
+    def __init__(self, dims: FabricDims):
         self.dims = dims
-        self.duration_weighted = duration_weighted
-        self.active_count: list[list[float]] = [
+        self.active_count: list[list[int]] = [
             [0] * dims.num_cols for _ in range(dims.num_rows)
         ]
         self.total_executions = 0
-        self.total_weight: float = 0
 
 
 def record_execution(m: UtilizationMap, alloc: PhysicalAllocation) -> None:
-    """Count one execution: every occupied physical cell is bumped once.
-
-    In duration-weighted mode the bump is the execution's latency in cycles
-    rather than 1, and rates become time-occupied over time-total.
-    """
+    """Count one execution: every occupied physical cell is bumped once."""
     if alloc.dims != m.dims:
         raise ValueError(f"allocation dims {alloc.dims} do not match map dims {m.dims}")
-    weight = alloc.vc.num_cols_used * 0.5 if m.duration_weighted else 1
     counts = m.active_count
     for row, col in alloc.occupied_cells():
-        counts[row][col] += weight
+        counts[row][col] += 1
     m.total_executions += 1
-    m.total_weight += weight
 
 
 def utilization_rates(m: UtilizationMap) -> list[list[float]]:
     """Per-cell occupancy fraction over everything recorded so far."""
     if m.total_executions == 0:
         raise EmptyMapError("no executions recorded")
-    total = m.total_weight
+    total = m.total_executions
     return [[count / total for count in row] for row in m.active_count]
 
 

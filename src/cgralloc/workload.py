@@ -116,20 +116,6 @@ class Operation:
     opcode: Opcode
     sources: tuple[ValueRef, ...]
 
-    @property
-    def address_source(self) -> ValueRef | None:
-        """Address operand of a memory op (first source), else None."""
-        if self.opcode.is_memory and self.sources:
-            return self.sources[0]
-        return None
-
-    @property
-    def store_value(self) -> ValueRef | None:
-        """Value operand of a store (second source), else None."""
-        if self.opcode is Opcode.STORE and len(self.sources) > 1:
-            return self.sources[1]
-        return None
-
 
 @dataclass(frozen=True)
 class Dfg:
@@ -265,6 +251,8 @@ def parse_workload(text: str) -> Workload:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise WorkloadSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise WorkloadSyntaxError("nesting too deep") from None
 
     problems: list[str] = []
     if not isinstance(doc, dict):

@@ -6,7 +6,6 @@ import pytest
 from cgralloc.cli import main
 from cgralloc.metrics import parse_heatmap
 from cgralloc.workload import parse_workload, serialize_workload
-from cgralloc.dse import PRESETS
 
 SINGLE_ADD_WORKLOAD = {
     "format": 1,
@@ -163,6 +162,12 @@ def test_simulate_bad_workload_exits_3(tmp_path):
     assert main(["simulate", str(path), "-L", "16", "-W", "2"]) == 3
 
 
+def test_simulate_deeply_nested_workload_exits_3(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["simulate", str(path), "-L", "16", "-W", "2"]) == 3
+
+
 def test_age_reports_reference_lifetime(capsys):
     assert main(["age", "--u", "1.0"]) == 0
     assert "3.00 years" in capsys.readouterr().out
@@ -194,6 +199,21 @@ def test_age_reads_summary_file(single_add_path, tmp_path, capsys):
     assert "3.00 years" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [
+    "{ not json",
+    '{"min": 0.5}',
+    '{"max": "0.5"}',
+    '{"max": true}',
+    "[0.5]",
+    "[" * 100000 + "]" * 100000,
+])
+def test_age_rejects_malformed_summary(tmp_path, capsys, text):
+    path = tmp_path / "summary.json"
+    path.write_text(text)
+    assert main(["age", "--summary", str(path)]) == 3
+    assert "max" in capsys.readouterr().err
+
+
 def test_age_rejects_out_of_range_u():
     assert main(["age", "--u", "1.5"]) == 2
 
@@ -209,11 +229,6 @@ def test_dse_preset_equals_explicit_dims(single_add_path, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     out = capsys.readouterr().out
     assert "scenario" in out and "L16W2" in out
-
-
-def test_dse_preset_dims_match_catalog():
-    for name, preset in PRESETS.items():
-        assert preset.name == name
 
 
 def test_dse_table_and_json(single_add_path, tmp_path, capsys):
@@ -234,3 +249,14 @@ def test_dse_preset_conflicts_with_dims(single_add_path):
 
 def test_dse_requires_dims_or_preset(single_add_path):
     assert main(["dse", single_add_path]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_dse_rejects_non_positive_jobs(single_add_path, capsys, jobs):
+    assert main(["dse", single_add_path, "-L", "16", "-W", "2", "--jobs", jobs]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
+def test_dse_rejects_invalid_dims(single_add_path, capsys):
+    assert main(["dse", single_add_path, "-L", "0", "-W", "2"]) == 2
+    assert "Traceback" not in capsys.readouterr().err

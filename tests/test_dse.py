@@ -3,17 +3,15 @@ import json
 import pytest
 
 from cgralloc.aging import AgingParams, lifetime_improvement
+from cgralloc import dse
 from cgralloc.allocation import AllocationPolicy
 from cgralloc.dse import (
     PRESETS,
     EmptyScenarioError,
-    Scenario,
     ScenarioResult,
-    compare_policies,
     map_workload,
     replay_trace,
     results_table,
-    run_scenario,
     run_scenario_with_map,
     sweep,
 )
@@ -47,27 +45,34 @@ def memory_only_workload() -> Workload:
     return Workload(dfgs=(d,), trace=((0, 10),))
 
 
-def scenario(workload, dims=DIMS_16x2, policy=AllocationPolicy.ROTATING) -> Scenario:
-    return Scenario(label="t", dims=dims, policy=policy, workload=workload,
-                    aging_params=AGING)
+def run_one(workload, dims=DIMS_16x2, policy=AllocationPolicy.ROTATING) -> ScenarioResult:
+    result, _ = run_scenario_with_map(dims, workload, AGING, (policy,))
+    return result
+
+
+def run_paired(workload, dims=DIMS_16x2, **kwargs) -> ScenarioResult:
+    result, _ = run_scenario_with_map(dims, workload, AGING, **kwargs)
+    return result
 
 
 def test_presets_carry_the_three_design_points():
-    assert PRESETS["BE"].dims == FabricDims(num_cols=16, num_rows=2)
-    assert PRESETS["BP"].dims == FabricDims(num_cols=32, num_rows=4)
-    assert PRESETS["BU"].dims == FabricDims(num_cols=32, num_rows=8)
+    assert PRESETS == {
+        "BE": FabricDims(num_cols=16, num_rows=2),
+        "BP": FabricDims(num_cols=32, num_rows=4),
+        "BU": FabricDims(num_cols=32, num_rows=8),
+    }
 
 
 def test_rotating_full_period_is_exactly_uniform():
     w = single_op_workload(DIMS_16x2.num_cells)
-    result = run_scenario(scenario(w))
+    result = run_one(w)
     assert result.max_util == result.min_util == result.avg_util == 1 / 32
     assert result.total_executions == 32
 
 
 def test_fixed_origin_max_is_corner():
     w = single_op_workload(DIMS_16x2.num_cells)
-    result = run_scenario(scenario(w, policy=AllocationPolicy.FIXED_ORIGIN))
+    result = run_one(w, policy=AllocationPolicy.FIXED_ORIGIN)
     assert result.max_util == 1.0
     assert result.argmax_cell == (0, 0)
     assert result.lifetime_years == 3.0
@@ -75,8 +80,8 @@ def test_fixed_origin_max_is_corner():
 
 def test_run_scenario_deterministic():
     w = generate_random_workload(GeneratorParams(num_dfgs=15, trace_length=30), 8)
-    a = run_scenario(scenario(w))
-    b = run_scenario(scenario(w))
+    a = run_one(w)
+    b = run_one(w)
     assert a == b
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
@@ -84,10 +89,10 @@ def test_run_scenario_deterministic():
 def test_run_scenario_skips_unmappable_dfgs():
     w = memory_only_workload()
     small = FabricDims(num_cols=16, num_rows=2)
-    ok = run_scenario(scenario(w, dims=small))
+    ok = run_one(w, dims=small)
     assert ok.skipped_dfgs == ()
     with pytest.raises(EmptyScenarioError):
-        run_scenario(scenario(w, dims=FabricDims(num_cols=2, num_rows=2)))
+        run_one(w, dims=FabricDims(num_cols=2, num_rows=2))
 
 
 def test_skipped_trace_entries_are_dropped():
@@ -99,7 +104,7 @@ def test_skipped_trace_entries_are_dropped():
                   outputs=(op_ref(0),))
     w = Workload(dfgs=(fits, too_big), trace=((0, 3), (1, 5), (0, 2)))
     dims = FabricDims(num_cols=2, num_rows=2)
-    result = run_scenario(scenario(w, dims=dims))
+    result = run_one(w, dims=dims)
     assert result.skipped_dfgs == ((1, "toobig"),)
     assert result.total_executions == 5
 
@@ -108,7 +113,7 @@ def test_compare_policies_pairs_the_fields():
     w = generate_random_workload(
         GeneratorParams(num_dfgs=20, ops_per_dfg=(2, 6), trace_length=60), 12
     )
-    result = compare_policies(DIMS_16x2, w, AGING)
+    result = run_paired(w)
     assert result.baseline_max_util == 1.0
     assert result.proposed_max_util == result.max_util < 1.0
     assert result.lifetime_improvement == pytest.approx(
@@ -127,14 +132,14 @@ def test_compare_policies_avg_matches_between_runs():
     base = summarize(replay_trace(w, mapped, DIMS_16x2, AllocationPolicy.FIXED_ORIGIN))
     prop = summarize(replay_trace(w, mapped, DIMS_16x2, AllocationPolicy.ROTATING))
     assert base.avg == pytest.approx(prop.avg, rel=1e-12)
-    paired = compare_policies(DIMS_16x2, w, AGING)
+    paired = run_paired(w)
     assert paired.avg_util == pytest.approx(base.avg, rel=1e-12)
 
 
 def test_compare_identical_policies_improvement_is_one():
     w = single_op_workload(50)
     pair = (AllocationPolicy.FIXED_ORIGIN, AllocationPolicy.FIXED_ORIGIN)
-    result = compare_policies(DIMS_16x2, w, AGING, policies=pair)
+    result = run_paired(w, policies=pair)
     assert result.lifetime_improvement == 1.0
     assert result.baseline_max_util == result.proposed_max_util == 1.0
 
@@ -143,7 +148,7 @@ def test_compare_policies_exact_synthetic_ratio():
     # 1000 executions of one single-cell config: fixed keeps the corner at
     # 1.0 while rotating spreads over 32 cells -> max count 32 of 1000
     w = single_op_workload(1000)
-    result = compare_policies(DIMS_16x2, w, AGING)
+    result = run_paired(w)
     assert result.baseline_max_util == 1.0
     assert result.proposed_max_util == 32 / 1000
     assert result.lifetime_improvement == pytest.approx(1000 / 32, rel=1e-12)
@@ -217,7 +222,7 @@ def test_results_table_marks_errors():
 
 def test_result_dict_roundtrips_through_json():
     w = single_op_workload(32)
-    result = compare_policies(DIMS_16x2, w, AGING)
+    result = run_paired(w)
     doc = json.loads(json.dumps(result.to_dict()))
     assert doc["label"] == "L16W2"
     assert doc["baseline_max_util"] == 1.0
@@ -226,6 +231,55 @@ def test_result_dict_roundtrips_through_json():
 
 def test_run_scenario_with_map_exposes_counts():
     w = single_op_workload(32)
-    result, umap = run_scenario_with_map(scenario(w))
+    result, umap = run_scenario_with_map(DIMS_16x2, w, AGING, (AllocationPolicy.ROTATING,))
     assert umap.total_executions == result.total_executions == 32
     assert sum(sum(row) for row in umap.active_count) == 32
+
+
+def test_single_policy_leaves_pair_fields_empty():
+    result = run_one(single_op_workload(32))
+    assert result.label == "L16W2"
+    assert result.baseline_max_util is None
+    assert result.proposed_max_util is None
+    assert result.lifetime_improvement is None
+
+
+def test_paired_run_returns_map_of_last_policy():
+    w = single_op_workload(32)
+    result, umap = run_scenario_with_map(DIMS_16x2, w, AGING)
+    assert result.max_util == result.proposed_max_util == 1 / 32
+    assert max(max(row) for row in umap.active_count) == 1
+
+
+def test_sweep_clamps_workers_to_points(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(dse, "ProcessPoolExecutor", RecordingPool)
+    w = single_op_workload(20)
+    results = sweep([8, 16], [2], w, AGING, jobs=64)
+    assert created == [2]
+    assert results == sweep([8, 16], [2], w, AGING, jobs=1)
+    # one point, many jobs: no pool at all
+    sweep([8], [2], w, AGING, jobs=64)
+    assert created == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_non_positive_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        sweep([8], [2], single_op_workload(5), AGING, jobs=jobs)

@@ -1,0 +1,79 @@
+"""Byte-identity of every CLI output on a small pinned workload.
+
+The digests below were recorded before the scenario entry points were merged.
+A change that alters any byte of the workload file, a heatmap CSV, a summary
+JSON, the DSE JSON or the printed text fails here; a change that means to
+alter an output format must re-record them and say so.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from cgralloc.cli import main
+
+GEN_ARGS = ["gen", "--seed", "1", "--dfgs", "40", "--trace-len", "300"]
+PRESET_NAMES = ("BE", "BP", "BU")
+POLICIES = ("fixed", "rotating")
+
+EXPECTED = {
+    "gen": "2c3b3e26680532a02ec17d114df0e28fdf3cc957e2c213c1219a3ba37178c920",
+    "BE-fixed.stdout": "57d1bd7331d1e6d4a8f328fba401587fecec68ea2e009bda665b0bf8dbd0b8ca",
+    "BE-fixed.heatmap": "99e56ab53e1866f873f823dbf3be565150a6498c65f7b2e0c1c4d34da1c81ead",
+    "BE-fixed.summary": "e0e34637836145998d38ef66a0d4a8ec6d73fb2b197988a71acef5abfdc2da5d",
+    "BE-rotating.stdout": "b7064bc7785c40d09857c349763976b9569475fff3fd280848c9a799b41b6af8",
+    "BE-rotating.heatmap": "a8e3a119b90af442a8183c7ce240fbf106be778b47d980ec5a90292f5195def4",
+    "BE-rotating.summary": "04e11de3e7a4c21bf92cb59c48ed029cb3830e8f1020263679a5c5d2cf7e7b7a",
+    "BP-fixed.stdout": "3287cc68bc59fe2aff36842eaa5735a08c4f822a9f1978b82232c9310bfcd21b",
+    "BP-fixed.heatmap": "d6dea6f0f4d69da0e5264b784afc672bb590d3cad0e1e7a79b79d609bed982c7",
+    "BP-fixed.summary": "27e0180bfd3a86531dead458a575064f77dc3a621615db649702c50698a14120",
+    "BP-rotating.stdout": "314e845c09d8a8b6ab268ac00e3b2247a26a3ed00629bb0104493be6ef5cdcea",
+    "BP-rotating.heatmap": "24f81c9e4f07b2ee9c2a77afb83e6fbce60887c3eabe77b714905195f8055ca8",
+    "BP-rotating.summary": "5610304606556780373910961d46f81b3ac09f898583645635ad13d97b6271a4",
+    "BU-fixed.stdout": "4b8ed00076a52a59d00d9f8208faf8071956b05e3090fc44662c067e6f80204f",
+    "BU-fixed.heatmap": "51827cba06f894dbb4936702bb6d5fa591a179f7d4a05f23ef22a585ae147f1d",
+    "BU-fixed.summary": "f8e9876fb390c6d13a6c8d0c566a00edb8f8a5a5abd590dff4f7c4d87a711c5c",
+    "BU-rotating.stdout": "6f4ffab08474abf71a9520b2914bd20c2041a9e4c84b0b7a15ebf403ba09c234",
+    "BU-rotating.heatmap": "58d5c96e6b89c8ee8465f004cedf4411618c66c872c0e399850bddc0cf517b2f",
+    "BU-rotating.summary": "87c4b17dd2e50a8c64849efd4bcb94733e5545707c6da98110148848e215a969",
+    "dse.stdout": "0080f1eff49e9b398d1580879f5e63bdda30063b5b7b00f62ca3f0dda60f698a",
+    "dse.json": "ff3af1999965794455852e93227c8b741992222b11af5e265f753aa098d6c3ea",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue().encode()
+
+
+def golden_digests(tmp: Path) -> dict[str, str]:
+    """sha256 of every output the pinned commands produce, keyed by output."""
+    workload = tmp / "w.json"
+    digests = {"gen": _sha(_run(GEN_ARGS + ["-o", str(workload)]) + workload.read_bytes())}
+    for preset in PRESET_NAMES:
+        for policy in POLICIES:
+            key = f"{preset}-{policy}"
+            heatmap, summary = tmp / f"{key}.csv", tmp / f"{key}.json"
+            stdout = _run(["simulate", str(workload), "--preset", preset, "--policy", policy,
+                           "--heatmap", str(heatmap), "--summary", str(summary),
+                           "--dump-plan"])
+            digests[f"{key}.stdout"] = _sha(stdout)
+            digests[f"{key}.heatmap"] = _sha(heatmap.read_bytes())
+            digests[f"{key}.summary"] = _sha(summary.read_bytes())
+    dse_json = tmp / "dse.json"
+    stdout = _run(["dse", str(workload), "-L", "8", "16", "-W", "2", "4", "-o", str(dse_json)])
+    digests["dse.stdout"] = _sha(stdout)
+    digests["dse.json"] = _sha(dse_json.read_bytes())
+    return digests
+
+
+def test_cli_outputs_are_byte_identical(tmp_path):
+    assert golden_digests(tmp_path) == EXPECTED

@@ -148,7 +148,6 @@ def test_summarize_uniform_rates():
     m = UtilizationMap(dims)
     m.active_count = [[25, 25], [25, 25]]
     m.total_executions = 100
-    m.total_weight = 100
     s = summarize(m)
     assert s.avg == s.max == s.min == 0.25
     assert s.argmax == (0, 0)
@@ -159,7 +158,6 @@ def test_summarize_corner_case_and_argmax_tiebreak():
     m = UtilizationMap(dims)
     m.active_count = [[10, 0], [0, 10]]
     m.total_executions = 10
-    m.total_weight = 10
     s = summarize(m)
     assert s.max == 1.0
     assert s.min == 0.0
@@ -263,17 +261,3 @@ def test_full_rotation_yields_exact_uniform_rates():
         expected = len(vc.occupied_cells) / dims.num_cells
         rates = utilization_rates(m)
         assert all(rate == expected for row in rates for rate in row)
-
-
-def test_duration_weighted_mode():
-    dims = FabricDims(num_cols=8, num_rows=2)
-    m = UtilizationMap(dims, duration_weighted=True)
-    add_vc = single_add_vc(dims)    # 1 column  = 0.5 cycles
-    load_vc = single_load_vc(dims)  # 4 columns = 2.0 cycles
-    record_execution(m, allocate(add_vc, ORIGIN, dims))
-    record_execution(m, allocate(load_vc, ORIGIN, dims))
-    assert m.total_executions == 2
-    assert m.total_weight == 2.5
-    rates = utilization_rates(m)
-    assert rates[0][0] == (0.5 + 2.0) / 2.5  # corner occupied by both
-    assert rates[0][1] == 2.0 / 2.5          # load-only cell

@@ -70,6 +70,11 @@ def test_parse_syntax_error_reports_position():
         parse_workload("{ not json ]")
 
 
+def test_parse_deep_nesting_is_a_syntax_error():
+    with pytest.raises(WorkloadSyntaxError, match="nesting"):
+        parse_workload("[" * 100000 + "]" * 100000)
+
+
 def test_parse_rejects_unknown_format():
     doc = json.loads(MINIMAL)
     doc["format"] = 2
@@ -143,17 +148,6 @@ def test_validate_reports_nondense_ids():
             ops=(Operation(5, Opcode.ADD, (input_ref(0), input_ref(0))),),
             outputs=())
     assert any("dense" in v for v in validate_dfg(d))
-
-
-def test_memory_op_accessors():
-    store = Operation(0, Opcode.STORE, (input_ref(0), input_ref(1)))
-    load = Operation(1, Opcode.LOAD, (input_ref(0),))
-    alu = Operation(2, Opcode.ADD, (input_ref(0), input_ref(1)))
-    assert store.address_source == input_ref(0)
-    assert store.store_value == input_ref(1)
-    assert load.address_source == input_ref(0)
-    assert load.store_value is None
-    assert alu.address_source is None and alu.store_value is None
 
 
 def test_topological_order_chain():
