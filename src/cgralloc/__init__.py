@@ -53,7 +53,6 @@ from .metrics import (
     UtilizationSummary,
     export_heatmap,
     parse_heatmap,
-    record_execution,
     summarize,
     utilization_rates,
 )

@@ -66,9 +66,6 @@ class PhysicalAllocation:
     dims: FabricDims
     cell_map: dict[int, tuple[tuple[int, int], ...]]
 
-    def occupied_cells(self) -> list[tuple[int, int]]:
-        return [cell for cells in self.cell_map.values() for cell in cells]
-
 
 def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> PhysicalAllocation:
     """Bind a configuration at the given pivot; pure, always legal.

@@ -20,6 +20,7 @@ from .mapper import DoesNotFitError, FabricDims, map_dfg
 from .workload import (
     GeneratorParams,
     WorkloadError,
+    WorkloadSyntaxError,
     generate_random_workload,
     parse_workload,
     serialize_workload,
@@ -82,7 +83,11 @@ def _resolve_aging(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _read_workload(path: str):
     with open(path, encoding="utf-8") as f:
-        return parse_workload(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise WorkloadSyntaxError(f"not UTF-8 text: {e}") from None
+    return parse_workload(text)
 
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -180,7 +185,7 @@ def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     aging_params = _resolve_aging(args, parser)
     workload = _read_workload(args.workload)
     try:
-        results = dse.sweep(col_values, row_values, workload, aging_params, jobs=args.jobs)
+        results = dse.sweep(col_values, row_values, workload, aging_params)
     except ValueError as e:
         parser.error(str(e))
     print(dse.results_table(results), end="")
@@ -267,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("-W", "--rows", type=int, nargs="+", default=None)
     p_dse.add_argument("--preset", choices=sorted(dse.PRESETS))
     _add_aging_args(p_dse)
-    p_dse.add_argument("--jobs", type=int, default=1)
     p_dse.add_argument("-o", "--output", help="write results JSON here")
     p_dse.set_defaults(func=cmd_dse)
 

@@ -10,14 +10,13 @@ the two worst-case utilizations.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 
 from . import aging
-from .allocation import AllocationPolicy, PivotScheduler, allocate, pivot_for_execution
+from .allocation import AllocationPolicy
 from .mapper import DoesNotFitError, FabricDims, VirtualConfiguration, map_dfg
-from .metrics import UtilizationMap, UtilizationSummary, record_execution, summarize
+from .metrics import UtilizationMap, UtilizationSummary, summarize
 from .workload import Workload
 
 
@@ -103,20 +102,38 @@ def replay_trace(
     dims: FabricDims,
     policy: AllocationPolicy,
 ) -> UtilizationMap:
-    """Replay the trace with a fresh pivot scheduler, recording utilization.
+    """Replay the trace from pivot counter 0, counting per-cell utilization.
 
-    Trace entries whose DFG was skipped are dropped entirely; the global
-    pivot counter advances once per executed configuration.
+    Trace entries whose DFG was skipped are dropped entirely; the counter
+    advances once per executed configuration.  Execution k lands on pivot
+    number k mod P, visited column-fastest, where P is num_cells under
+    ROTATING and 1 under FIXED_ORIGIN.  So a run of `repeats` executions
+    starting at k puts ceil((repeats - i) / P) of them on pivot (k + i) mod P
+    for each i < P.  Executions are counted per (DFG, pivot); each DFG's
+    occupancy is then added once per pivot it landed on, so the cost is
+    bounded by DFGs x min(executions, P) x cells, whatever the repeat counts.
     """
-    scheduler = PivotScheduler(dims)
+    period = dims.num_cells if policy is AllocationPolicy.ROTATING else 1
+    hits: dict[int, dict[int, int]] = {}
     umap = UtilizationMap(dims)
     for dfg_index, repeats in workload.trace:
-        vc = mapped.get(dfg_index)
-        if vc is None:
+        if dfg_index not in mapped:
             continue
-        for _ in range(repeats):
-            pivot = pivot_for_execution(policy, scheduler)
-            record_execution(umap, allocate(vc, pivot, dims))
+        start = umap.total_executions
+        per_pivot = hits.setdefault(dfg_index, {})
+        for i in range(min(repeats, period)):
+            k = (start + i) % period
+            per_pivot[k] = per_pivot.get(k, 0) + (repeats - i - 1) // period + 1
+        umap.total_executions += repeats
+    counts = umap.active_count
+    num_rows, num_cols = dims.num_rows, dims.num_cols
+    for dfg_index, per_pivot in hits.items():
+        cells = mapped[dfg_index].occupied_cells
+        for k, n in per_pivot.items():
+            # torus shift by pivot (k // num_cols, k % num_cols), as in allocate
+            pivot_row, pivot_col = divmod(k, num_cols)
+            for row, col in cells:
+                counts[(row + pivot_row) % num_rows][(col + pivot_col) % num_cols] += n
     return umap
 
 
@@ -169,38 +186,29 @@ def run_scenario_with_map(
     return result, umap
 
 
-def _sweep_point(dims: FabricDims, workload: Workload,
-                 aging_params: aging.AgingParams) -> ScenarioResult:
-    try:
-        return run_scenario_with_map(dims, workload, aging_params)[0]
-    except EmptyScenarioError as e:
-        return ScenarioResult.failed(f"L{dims.num_cols}W{dims.num_rows}", dims, str(e))
-
-
 def sweep(
     col_values: list[int],
     row_values: list[int],
     workload: Workload,
     aging_params: aging.AgingParams,
-    jobs: int = 1,
 ) -> list[ScenarioResult]:
     """Paired comparison at every (cols, rows) point, ordered by (cols, rows).
 
     Scenario failures (nothing fits) become failed entries; the sweep keeps
-    going.  Points are independent, so jobs > 1 fans them out to at most
-    that many worker processes without changing the results or their order.
+    going.
     """
     if not col_values or not row_values:
         raise ValueError("need at least one column count and one row count")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = [FabricDims(num_cols=c, num_rows=r)
             for c, r in sorted(product(col_values, row_values))]
-    workers = min(jobs, len(grid))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, grid, repeat(workload), repeat(aging_params)))
-    return [_sweep_point(dims, workload, aging_params) for dims in grid]
+    results = []
+    for dims in grid:
+        try:
+            results.append(run_scenario_with_map(dims, workload, aging_params)[0])
+        except EmptyScenarioError as e:
+            label = f"L{dims.num_cols}W{dims.num_rows}"
+            results.append(ScenarioResult.failed(label, dims, str(e)))
+    return results
 
 
 def results_table(results: list[ScenarioResult]) -> str:

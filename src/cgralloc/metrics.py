@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .allocation import PhysicalAllocation
 from .mapper import FabricDims
 
 DEFAULT_HISTOGRAM_BINS = 20
@@ -27,16 +26,6 @@ class UtilizationMap:
             [0] * dims.num_cols for _ in range(dims.num_rows)
         ]
         self.total_executions = 0
-
-
-def record_execution(m: UtilizationMap, alloc: PhysicalAllocation) -> None:
-    """Count one execution: every occupied physical cell is bumped once."""
-    if alloc.dims != m.dims:
-        raise ValueError(f"allocation dims {alloc.dims} do not match map dims {m.dims}")
-    counts = m.active_count
-    for row, col in alloc.occupied_cells():
-        counts[row][col] += 1
-    m.total_executions += 1
 
 
 def utilization_rates(m: UtilizationMap) -> list[list[float]]:

@@ -130,10 +130,6 @@ class Workload:
     dfgs: tuple[Dfg, ...]
     trace: tuple[tuple[int, int], ...]
 
-    @property
-    def total_executions(self) -> int:
-        return sum(reps for _, reps in self.trace)
-
 
 def validate_dfg(d: Dfg) -> list[str]:
     """Check all DFG invariants; returns violation messages (empty = valid).

@@ -10,19 +10,12 @@ import random
 import pytest
 
 from cgralloc.aging import AgingParams, delay_increase, delta_vt_raw, lifetime, lifetime_improvement
-from cgralloc.allocation import (
-    ORIGIN,
-    AllocationPolicy,
-    PivotScheduler,
-    Pivot,
-    allocate,
-    pivot_for_execution,
-)
+from cgralloc.allocation import ORIGIN, AllocationPolicy, PivotScheduler, Pivot
 from cgralloc.fabric import MemoryModel, execute, reconfig_plan
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
-from cgralloc.metrics import UtilizationMap, record_execution, summarize, utilization_rates
+from cgralloc.metrics import summarize, utilization_rates
 from cgralloc.dse import map_workload, replay_trace
-from cgralloc.workload import GeneratorParams, generate_random_workload
+from cgralloc.workload import GeneratorParams, Workload, generate_random_workload
 
 AGING = AgingParams()
 
@@ -101,11 +94,8 @@ def test_criterion_4_uniformization_oracle():
             except DoesNotFitError:
                 continue
         assert vc is not None
-        umap = UtilizationMap(dims)
-        scheduler = PivotScheduler(dims)
-        for _ in range(dims.num_cells):
-            pivot = pivot_for_execution(AllocationPolicy.ROTATING, scheduler)
-            record_execution(umap, allocate(vc, pivot, dims))
+        one_period = Workload(dfgs=(vc.dfg,), trace=((0, dims.num_cells),))
+        umap = replay_trace(one_period, {0: vc}, dims, AllocationPolicy.ROTATING)
         occupied = len(vc.occupied_cells)
         counts_ok = all(
             umap.active_count[r][c] == occupied

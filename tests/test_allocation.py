@@ -130,7 +130,7 @@ def test_allocation_is_bijective_for_every_pivot():
         for r in range(dims.num_rows):
             for c in range(dims.num_cols):
                 alloc = allocate(vc, Pivot(r, c), dims)
-                physical = alloc.occupied_cells()
+                physical = [cell for cells in alloc.cell_map.values() for cell in cells]
                 assert len(physical) == len(set(physical)) == len(logical)
                 checked += 1
     assert checked > 0
@@ -151,7 +151,8 @@ def test_full_rotation_occupies_every_cell_equally():
         tally: Counter = Counter()
         for _ in range(dims.num_cells):
             pivot = pivot_for_execution(AllocationPolicy.ROTATING, scheduler)
-            tally.update(allocate(vc, pivot, dims).occupied_cells())
+            for cells in allocate(vc, pivot, dims).cell_map.values():
+                tally.update(cells)
         expected = len(vc.occupied_cells)
         assert all(tally[(r, c)] == expected
                    for r in range(dims.num_rows) for c in range(dims.num_cols))

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from cgralloc.aging import AgingParams, lifetime_improvement
-from cgralloc import dse
 from cgralloc.allocation import AllocationPolicy
 from cgralloc.dse import (
     PRESETS,
@@ -195,13 +194,6 @@ def test_sweep_avg_util_non_increasing_in_rows():
     assert avgs[0] >= avgs[1] >= avgs[2]
 
 
-def test_sweep_parallel_jobs_match_serial():
-    w = generate_random_workload(GeneratorParams(num_dfgs=10, trace_length=20), 25)
-    serial = sweep([8, 16], [2, 4], w, AGING, jobs=1)
-    parallel = sweep([8, 16], [2, 4], w, AGING, jobs=2)
-    assert serial == parallel
-
-
 def test_results_table_layout():
     w = single_op_workload(32)
     results = sweep([16], [2], w, AGING)
@@ -249,37 +241,3 @@ def test_paired_run_returns_map_of_last_policy():
     result, umap = run_scenario_with_map(DIMS_16x2, w, AGING)
     assert result.max_util == result.proposed_max_util == 1 / 32
     assert max(max(row) for row in umap.active_count) == 1
-
-
-def test_sweep_clamps_workers_to_points(monkeypatch):
-    created = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(dse, "ProcessPoolExecutor", RecordingPool)
-    w = single_op_workload(20)
-    results = sweep([8, 16], [2], w, AGING, jobs=64)
-    assert created == [2]
-    assert results == sweep([8, 16], [2], w, AGING, jobs=1)
-    # one point, many jobs: no pool at all
-    sweep([8], [2], w, AGING, jobs=64)
-    assert created == [2]
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_sweep_rejects_non_positive_jobs(jobs):
-    with pytest.raises(ValueError, match="jobs"):
-        sweep([8], [2], single_op_workload(5), AGING, jobs=jobs)

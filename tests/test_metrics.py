@@ -3,12 +3,12 @@ from collections import Counter
 import pytest
 
 from cgralloc.allocation import (
-    ORIGIN,
     AllocationPolicy,
     PivotScheduler,
     allocate,
     pivot_for_execution,
 )
+from cgralloc.dse import replay_trace
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
 from cgralloc.metrics import (
     EmptyMapError,
@@ -16,7 +16,6 @@ from cgralloc.metrics import (
     export_heatmap,
     format_heatmap,
     parse_heatmap,
-    record_execution,
     summarize,
     utilization_rates,
 )
@@ -25,6 +24,7 @@ from cgralloc.workload import (
     GeneratorParams,
     Opcode,
     Operation,
+    Workload,
     generate_random_workload,
     input_ref,
     op_ref,
@@ -47,36 +47,29 @@ def single_load_vc(dims=DIMS_16x2):
     return map_dfg(d, dims)
 
 
+def replay_one(vc, dims=DIMS_16x2, executions=1, policy=AllocationPolicy.FIXED_ORIGIN):
+    """Map of a one-entry trace: `executions` runs of one configuration."""
+    w = Workload(dfgs=(vc.dfg,), trace=((0, executions),))
+    return replay_trace(w, {0: vc}, dims, policy)
+
+
 def test_record_single_execution():
-    m = UtilizationMap(DIMS_16x2)
-    record_execution(m, allocate(single_add_vc(), ORIGIN, DIMS_16x2))
+    m = replay_one(single_add_vc())
     assert m.active_count[0][0] == 1
     assert m.total_executions == 1
     assert sum(sum(row) for row in m.active_count) == 1
 
 
 def test_memory_op_bumps_all_four_cells():
-    m = UtilizationMap(DIMS_16x2)
-    record_execution(m, allocate(single_load_vc(), ORIGIN, DIMS_16x2))
+    m = replay_one(single_load_vc())
     assert m.active_count[0][:4] == [1, 1, 1, 1]
     assert sum(sum(row) for row in m.active_count) == 4
 
 
-def test_record_rejects_dims_mismatch():
-    m = UtilizationMap(FabricDims(num_cols=8, num_rows=2))
-    alloc = allocate(single_add_vc(), ORIGIN, DIMS_16x2)
-    with pytest.raises(ValueError):
-        record_execution(m, alloc)
-
-
 def test_rates_simple_fraction():
     dims = FabricDims(num_cols=2, num_rows=1)
-    m = UtilizationMap(dims)
-    vc = single_add_vc(dims)
-    sched = PivotScheduler(dims)
-    for _ in range(100):
-        # the two-cell fabric alternates the single op between its cells
-        record_execution(m, allocate(vc, sched.next_pivot(), dims))
+    # the two-cell fabric alternates the single op between its cells
+    m = replay_one(single_add_vc(dims), dims, 100, AllocationPolicy.ROTATING)
     rates = utilization_rates(m)
     assert rates == [[0.5, 0.5]]
     assert m.total_executions == 100
@@ -85,10 +78,8 @@ def test_rates_simple_fraction():
 def test_all_zero_counts_give_all_zero_rates():
     # executions of an empty configuration count toward the total but
     # occupy no cells
-    m = UtilizationMap(DIMS_16x2)
     empty = map_dfg(Dfg(name="empty", num_inputs=0, ops=(), outputs=()), DIMS_16x2)
-    for _ in range(5):
-        record_execution(m, allocate(empty, ORIGIN, DIMS_16x2))
+    m = replay_one(empty, executions=5)
     assert m.total_executions == 5
     assert utilization_rates(m) == [[0.0] * 16, [0.0] * 16]
 
@@ -101,10 +92,7 @@ def test_rates_reject_empty_map():
 
 
 def test_rates_match_fraction_of_executions():
-    m = UtilizationMap(DIMS_16x2)
-    vc = single_add_vc()
-    for _ in range(100):
-        record_execution(m, allocate(vc, ORIGIN, DIMS_16x2))
+    m = replay_one(single_add_vc(), executions=100)
     rates = utilization_rates(m)
     assert rates[0][0] == 1.0
     assert rates[1][5] == 0.0
@@ -124,7 +112,7 @@ def test_recount_oracle_over_replayed_scenario():
             mapped[i] = map_dfg(d, dims)
         except DoesNotFitError:
             continue
-    m = UtilizationMap(dims)
+    m = replay_trace(w, mapped, dims, AllocationPolicy.ROTATING)
     sched = PivotScheduler(dims)
     oracle: Counter = Counter()
     executions = 0
@@ -133,9 +121,8 @@ def test_recount_oracle_over_replayed_scenario():
             continue
         for _ in range(reps):
             pivot = pivot_for_execution(AllocationPolicy.ROTATING, sched)
-            alloc = allocate(mapped[idx], pivot, dims)
-            record_execution(m, alloc)
-            oracle.update(alloc.occupied_cells())
+            for cells in allocate(mapped[idx], pivot, dims).cell_map.values():
+                oracle.update(cells)
             executions += 1
     assert m.total_executions == executions > 0
     for r in range(dims.num_rows):
@@ -166,10 +153,7 @@ def test_summarize_corner_case_and_argmax_tiebreak():
 
 
 def test_summarize_histogram_counts_cells():
-    m = UtilizationMap(DIMS_16x2)
-    vc = single_load_vc()
-    for _ in range(10):
-        record_execution(m, allocate(vc, ORIGIN, DIMS_16x2))
+    m = replay_one(single_load_vc(), executions=10)
     s = summarize(m, num_bins=20)
     assert sum(s.histogram) == DIMS_16x2.num_cells
     assert s.histogram[0] == 28   # untouched cells in the first bin
@@ -179,8 +163,7 @@ def test_summarize_histogram_counts_cells():
 
 
 def test_summary_dict_fields():
-    m = UtilizationMap(DIMS_16x2)
-    record_execution(m, allocate(single_add_vc(), ORIGIN, DIMS_16x2))
+    m = replay_one(single_add_vc())
     doc = summarize(m).to_dict()
     assert set(doc) == {"avg", "max", "min", "argmax", "histogram", "num_bins"}
     assert doc["argmax"] == [0, 0]
@@ -188,19 +171,14 @@ def test_summary_dict_fields():
 
 def test_export_heatmap_minimal():
     dims = FabricDims(num_cols=1, num_rows=1)
-    m = UtilizationMap(dims)
     d = Dfg(name="a", num_inputs=2,
             ops=(Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),), outputs=())
-    record_execution(m, allocate(map_dfg(d, dims), ORIGIN, dims))
+    m = replay_one(map_dfg(d, dims), dims)
     assert export_heatmap(m) == "#rows=1,cols=1,executions=1\n1.000000\n"
 
 
 def test_heatmap_roundtrip_idempotent():
-    m = UtilizationMap(DIMS_16x2)
-    vc = single_load_vc()
-    sched = PivotScheduler(DIMS_16x2)
-    for _ in range(7):
-        record_execution(m, allocate(vc, sched.next_pivot(), DIMS_16x2))
+    m = replay_one(single_load_vc(), executions=7, policy=AllocationPolicy.ROTATING)
     text = export_heatmap(m)
     rates, dims, executions = parse_heatmap(text)
     assert dims == DIMS_16x2
@@ -209,8 +187,7 @@ def test_heatmap_roundtrip_idempotent():
 
 
 def test_heatmap_shape_matches_dims():
-    m = UtilizationMap(DIMS_16x2)
-    record_execution(m, allocate(single_add_vc(), ORIGIN, DIMS_16x2))
+    m = replay_one(single_add_vc())
     lines = export_heatmap(m).strip().splitlines()
     assert len(lines) == 1 + 2
     assert all(len(line.split(",")) == 16 for line in lines[1:])
@@ -239,13 +216,7 @@ def test_mass_conservation_across_policies():
             continue
     masses = {}
     for policy in AllocationPolicy:
-        m = UtilizationMap(dims)
-        sched = PivotScheduler(dims)
-        for idx, reps in w.trace:
-            if idx not in mapped:
-                continue
-            for _ in range(reps):
-                record_execution(m, allocate(mapped[idx], pivot_for_execution(policy, sched), dims))
+        m = replay_trace(w, mapped, dims, policy)
         masses[policy] = sum(sum(row) for row in m.active_count)
     assert masses[AllocationPolicy.FIXED_ORIGIN] == masses[AllocationPolicy.ROTATING]
 
@@ -254,10 +225,7 @@ def test_full_rotation_yields_exact_uniform_rates():
     for cols in (4, 8, 16):
         dims = FabricDims(num_cols=cols, num_rows=2)
         vc = single_load_vc(dims)
-        m = UtilizationMap(dims)
-        sched = PivotScheduler(dims)
-        for _ in range(dims.num_cells):
-            record_execution(m, allocate(vc, sched.next_pivot(), dims))
+        m = replay_one(vc, dims, dims.num_cells, AllocationPolicy.ROTATING)
         expected = len(vc.occupied_cells) / dims.num_cells
         rates = utilization_rates(m)
         assert all(rate == expected for row in rates for rate in row)

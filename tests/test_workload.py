@@ -48,7 +48,7 @@ def test_parse_minimal():
     assert len(w.dfgs) == 1
     assert len(w.dfgs[0].ops) == 1
     assert w.dfgs[0].ops[0].opcode is Opcode.ADD
-    assert w.total_executions == 1
+    assert sum(reps for _, reps in w.trace) == 1
 
 
 def test_parse_reports_dangling_op_id():
@@ -234,7 +234,7 @@ def test_generator_trace_invariants():
     w = generate_random_workload(GeneratorParams(num_dfgs=5, trace_length=40), 9)
     assert len(w.trace) == 40
     assert all(0 <= idx < 5 and reps >= 1 for idx, reps in w.trace)
-    assert w.total_executions >= 40
+    assert sum(reps for _, reps in w.trace) >= 40
 
 
 def test_generator_rejects_infeasible_params():
