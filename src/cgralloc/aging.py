@@ -31,6 +31,9 @@ class AgingParams:
     reference_utilization: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.temperature_k <= 0:
             raise ValueError("temperature must be > 0 K")
         if self.vdd <= 0:
@@ -111,8 +114,8 @@ def delay_curve(
     params: AgingParams, u: float, horizon_years: float, num_points: int
 ) -> list[tuple[float, float]]:
     """Sampled (t_years, delay fraction) points from 0 to the horizon."""
-    if horizon_years <= 0:
-        raise ValueError("horizon must be > 0")
+    if not 0 < horizon_years < math.inf:
+        raise ValueError("horizon must be finite and > 0")
     if num_points < 2:
         raise ValueError("need at least 2 points")
     # i/(n-1) hits 1.0 exactly, so the final sample lands on the horizon

@@ -109,53 +109,49 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
     and respects the memory-port rule (at most one load and one store may
     begin per column).
     """
-    order = topological_order(d)
     num_rows, num_cols = dims.num_rows, dims.num_cols
-    free = [[True] * num_cols for _ in range(num_rows)]
-    load_cols: set[int] = set()
-    store_cols: set[int] = set()
-    placed: dict[int, Placement] = {}
+    all_rows = (1 << num_rows) - 1
+    taken = [0] * num_cols  # per column, a bitmask of the rows already used
+    # columns where a load, or a store, already begins
+    port_cols: dict[Opcode, set[int]] = {Opcode.LOAD: set(), Opcode.STORE: set()}
+    ends = [0] * len(d.ops)  # per op id, its completion boundary once placed
+    placements = [None] * len(d.ops)  # indexed by op id
 
-    for op_id in order:
+    for op_id in topological_order(d):
         op = d.ops[op_id]
         width = op_width(op.opcode)
         earliest = 0
         for ref in op.sources:
-            if ref.kind is RefKind.OP:
-                earliest = max(earliest, placed[ref.index].col_end)
+            if ref.kind is RefKind.OP and ends[ref.index] > earliest:
+                earliest = ends[ref.index]
+        ports = port_cols.get(op.opcode)
 
-        spot = None
         for col in range(earliest, num_cols - width + 1):
-            if op.opcode is Opcode.LOAD and col in load_cols:
+            if ports is not None and col in ports:
                 continue
-            if op.opcode is Opcode.STORE and col in store_cols:
-                continue
-            for row in range(num_rows):
-                if all(free[row][c] for c in range(col, col + width)):
-                    spot = (row, col)
-                    break
-            if spot is not None:
+            used = taken[col]
+            for c in range(col + 1, col + width):
+                used |= taken[c]
+            free = all_rows & ~used
+            if free:
                 break
-        if spot is None:
+        else:
             raise DoesNotFitError(op_id, earliest, dims)
 
-        row, col = spot
+        row_bit = free & -free  # lowest free row
         for c in range(col, col + width):
-            free[row][c] = False
-        if op.opcode is Opcode.LOAD:
-            load_cols.add(col)
-        elif op.opcode is Opcode.STORE:
-            store_cols.add(col)
-        placed[op_id] = Placement(op_id=op_id, row=row, col_start=col, width=width)
+            taken[c] |= row_bit
+        if ports is not None:
+            ports.add(col)
+        ends[op_id] = col + width
+        placements[op_id] = Placement(op_id=op_id, row=row_bit.bit_length() - 1,
+                                      col_start=col, width=width)
 
-    placements = tuple(placed[i] for i in range(len(d.ops)))
-    num_cols_used = max((p.col_end for p in placements), default=0)
-    num_rows_used = max((p.row for p in placements), default=-1) + 1
     return VirtualConfiguration(
         dfg=d,
-        placements=placements,
-        num_cols_used=num_cols_used,
-        num_rows_used=num_rows_used,
+        placements=tuple(placements),
+        num_cols_used=max(ends, default=0),
+        num_rows_used=max((p.row for p in placements), default=-1) + 1,
     )
 
 

@@ -94,6 +94,11 @@ class RefKind(Enum):
     OP = "op"
 
 
+# file spelling -> member; looked up only with str keys, so any JSON value is safe
+_OPCODES = {op.value: op for op in Opcode}
+_REF_KINDS = {kind.value: kind for kind in RefKind}
+
+
 @dataclass(frozen=True)
 class ValueRef:
     """Reference to a value: an external input slot or a producer op id."""
@@ -148,15 +153,15 @@ def validate_dfg(d: Dfg) -> list[str]:
             violations.append(f"op at position {pos} has id {op.id}; ids must be dense 0..{n - 1}")
             ids_ok = False
 
-    def check_ref(ref: ValueRef, where: str) -> None:
+    def ref_problem(ref: ValueRef) -> str | None:
         if ref.kind is RefKind.INPUT:
             if not 0 <= ref.index < d.num_inputs:
-                violations.append(f"{where} references nonexistent input {ref.index} (have {d.num_inputs})")
-        else:
-            if not 0 <= ref.index < n:
-                violations.append(f"{where} references nonexistent op {ref.index}")
-            elif ids_ok and d.ops[ref.index].opcode is Opcode.STORE:
-                violations.append(f"{where} sources op {ref.index}, a store, which produces no value")
+                return f"references nonexistent input {ref.index} (have {d.num_inputs})"
+        elif not 0 <= ref.index < n:
+            return f"references nonexistent op {ref.index}"
+        elif ids_ok and d.ops[ref.index].opcode is Opcode.STORE:
+            return f"sources op {ref.index}, a store, which produces no value"
+        return None
 
     for op in d.ops:
         want = op.opcode.arity
@@ -165,9 +170,11 @@ def validate_dfg(d: Dfg) -> list[str]:
                 f"op {op.id}: {op.opcode.value} takes {want} source(s), got {len(op.sources)}"
             )
         for ref in op.sources:
-            check_ref(ref, f"op {op.id}")
+            if problem := ref_problem(ref):
+                violations.append(f"op {op.id} {problem}")
     for k, ref in enumerate(d.outputs):
-        check_ref(ref, f"output {k}")
+        if problem := ref_problem(ref):
+            violations.append(f"output {k} {problem}")
 
     if ids_ok:
         violations.extend(_find_cycles(d))
@@ -181,6 +188,8 @@ def _find_cycles(d: Dfg) -> list[str]:
     color = [WHITE] * n
     reported: list[str] = []
     seen_targets: set[int] = set()
+    producers = [[r.index for r in op.sources if r.kind is RefKind.OP and 0 <= r.index < n]
+                 for op in d.ops]
 
     for root in range(n):
         if color[root] != WHITE:
@@ -189,11 +198,9 @@ def _find_cycles(d: Dfg) -> list[str]:
         color[root] = GRAY
         while stack:
             node, edge_idx = stack[-1]
-            producers = [r.index for r in d.ops[node].sources
-                         if r.kind is RefKind.OP and 0 <= r.index < n]
-            if edge_idx < len(producers):
+            if edge_idx < len(producers[node]):
                 stack[-1] = (node, edge_idx + 1)
-                nxt = producers[edge_idx]
+                nxt = producers[node][edge_idx]
                 if color[nxt] == GRAY:
                     if nxt not in seen_targets:
                         seen_targets.add(nxt)
@@ -208,18 +215,27 @@ def _find_cycles(d: Dfg) -> list[str]:
 
 
 def topological_order(d: Dfg) -> list[int]:
-    """Dependency-respecting op order; ties broken by ascending id."""
+    """Dependency-respecting op order; ties broken by ascending id.
+
+    When every producer has a smaller id than its consumer, the smallest
+    unplaced id is always ready, so the order is simply 0..n-1.
+    """
     n = len(d.ops)
     producers: list[set[int]] = []
-    consumers: dict[int, set[int]] = {i: set() for i in range(n)}
-    for op in d.ops:
+    backward = True
+    for pos, op in enumerate(d.ops):
         prods = {r.index for r in op.sources if r.kind is RefKind.OP}
-        if any(not 0 <= p < n for p in prods):
+        if prods and (min(prods) < 0 or max(prods) >= n):
             raise WorkloadSemanticError([f"op {op.id} references nonexistent op"])
         producers.append(prods)
+        backward = backward and op.id == pos and (not prods or max(prods) < pos)
+    if backward:
+        return list(range(n))
+
+    consumers: dict[int, set[int]] = {i: set() for i in range(n)}
+    for op, prods in zip(d.ops, producers):
         for p in prods:
             consumers[p].add(op.id)
-
     indegree = [len(p) for p in producers]
     ready = [i for i in range(n) if indegree[i] == 0]
     heapq.heapify(ready)
@@ -227,7 +243,7 @@ def topological_order(d: Dfg) -> list[int]:
     while ready:
         node = heapq.heappop(ready)
         order.append(node)
-        for c in sorted(consumers[node]):
+        for c in consumers[node]:
             indegree[c] -= 1
             if indegree[c] == 0:
                 heapq.heappush(ready, c)
@@ -253,10 +269,9 @@ def parse_workload(text: str) -> Workload:
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise WorkloadSemanticError(["top level must be an object"])
-    if doc.get("format") != WORKLOAD_FORMAT:
-        raise WorkloadSemanticError(
-            [f"unsupported format {doc.get('format')!r}, expected {WORKLOAD_FORMAT}"]
-        )
+    fmt = doc.get("format")
+    if type(fmt) is not int or fmt != WORKLOAD_FORMAT:  # true and 1.0 compare equal to 1
+        raise WorkloadSemanticError([f"unsupported format {fmt!r}, expected {WORKLOAD_FORMAT}"])
 
     raw_dfgs = doc.get("dfgs")
     raw_trace = doc.get("trace")
@@ -282,7 +297,7 @@ def parse_workload(text: str) -> Workload:
     trace = []
     for ti, entry in enumerate(raw_trace):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
+                or type(entry[0]) is not int or type(entry[1]) is not int):
             problems.append(f"trace[{ti}]: must be [dfg_index, repeat_count]")
             continue
         idx, reps = entry
@@ -308,7 +323,7 @@ def _parse_dfg(raw: object, where: str, problems: list[str]) -> Dfg | None:
     if not isinstance(name, str):
         problems.append(f"{where}: 'name' must be a string")
         return None
-    if not isinstance(num_inputs, int) or isinstance(num_inputs, bool):
+    if type(num_inputs) is not int:
         problems.append(f"{where}: 'num_inputs' must be an integer")
         return None
     if not isinstance(raw_ops, list) or not isinstance(raw_outputs, list):
@@ -320,50 +335,52 @@ def _parse_dfg(raw: object, where: str, problems: list[str]) -> Dfg | None:
         if not isinstance(rop, dict):
             problems.append(f"{where}.ops[{oi}]: must be an object")
             return None
-        try:
-            opcode = Opcode(rop.get("opcode"))
-        except ValueError:
-            problems.append(f"{where}.ops[{oi}]: unknown opcode {rop.get('opcode')!r}")
+        raw_opcode = rop.get("opcode")
+        opcode = _OPCODES.get(raw_opcode) if type(raw_opcode) is str else None
+        if opcode is None:
+            problems.append(f"{where}.ops[{oi}]: unknown opcode {raw_opcode!r}")
             return None
         op_id = rop.get("id")
         raw_srcs = rop.get("srcs")
-        if not isinstance(op_id, int) or isinstance(op_id, bool):
+        if type(op_id) is not int:
             problems.append(f"{where}.ops[{oi}]: 'id' must be an integer")
             return None
         if not isinstance(raw_srcs, list):
             problems.append(f"{where}.ops[{oi}]: 'srcs' must be a list")
             return None
-        srcs = []
-        for si, rref in enumerate(raw_srcs):
-            ref = _parse_ref(rref, f"{where}.ops[{oi}].srcs[{si}]", problems)
-            if ref is None:
-                return None
-            srcs.append(ref)
-        ops.append(Operation(id=op_id, opcode=opcode, sources=tuple(srcs)))
-
-    outputs = []
-    for ri, rref in enumerate(raw_outputs):
-        ref = _parse_ref(rref, f"{where}.outputs[{ri}]", problems)
-        if ref is None:
+        try:
+            srcs = _parse_refs(raw_srcs)
+        except _BadRef as e:
+            problems.append(f"{where}.ops[{oi}].srcs[{e.args[0]}]: {e.args[1]}")
             return None
-        outputs.append(ref)
-    return Dfg(name=name, num_inputs=num_inputs, ops=tuple(ops), outputs=tuple(outputs))
+        ops.append(Operation(id=op_id, opcode=opcode, sources=srcs))
 
-
-def _parse_ref(raw: object, where: str, problems: list[str]) -> ValueRef | None:
-    if not isinstance(raw, dict):
-        problems.append(f"{where}: must be an object")
-        return None
     try:
-        kind = RefKind(raw.get("kind"))
-    except ValueError:
-        problems.append(f"{where}: kind must be 'input' or 'op'")
+        outputs = _parse_refs(raw_outputs)
+    except _BadRef as e:
+        problems.append(f"{where}.outputs[{e.args[0]}]: {e.args[1]}")
         return None
-    index = raw.get("index")
-    if not isinstance(index, int) or isinstance(index, bool):
-        problems.append(f"{where}: 'index' must be an integer")
-        return None
-    return ValueRef(kind, index)
+    return Dfg(name=name, num_inputs=num_inputs, ops=tuple(ops), outputs=outputs)
+
+
+class _BadRef(Exception):
+    """args: (position of the first bad reference in its list, the problem)."""
+
+
+def _parse_refs(raws: list) -> tuple[ValueRef, ...]:
+    refs = []
+    for i, raw in enumerate(raws):
+        if not isinstance(raw, dict):
+            raise _BadRef(i, "must be an object")
+        kind = raw.get("kind")
+        kind = _REF_KINDS.get(kind) if type(kind) is str else None
+        if kind is None:
+            raise _BadRef(i, "kind must be 'input' or 'op'")
+        index = raw.get("index")
+        if type(index) is not int:
+            raise _BadRef(i, "'index' must be an integer")
+        refs.append(ValueRef(kind, index))
+    return tuple(refs)
 
 
 def serialize_workload(w: Workload) -> str:

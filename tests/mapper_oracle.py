@@ -1,0 +1,95 @@
+"""Per-cell first-fit placement: the reference that `mapper.map_dfg` is checked against.
+
+It keeps one boolean per fabric cell and probes every (row, column) spot
+cell by cell, in the order of a heap-based Kahn topological sort.  Its cost
+grows with ops x columns x rows x width, so tests keep their fabrics small.
+"""
+
+import heapq
+
+from cgralloc.mapper import DoesNotFitError, FabricDims, Placement, op_width
+from cgralloc.workload import Dfg, DfgCycleError, Opcode, RefKind
+
+
+def heap_topological_order(d: Dfg) -> list[int]:
+    """Kahn's algorithm with a min-heap of ready ops: ties go to the smallest id."""
+    n = len(d.ops)
+    producers: list[set[int]] = []
+    consumers: dict[int, set[int]] = {i: set() for i in range(n)}
+    for op in d.ops:
+        prods = {r.index for r in op.sources if r.kind is RefKind.OP}
+        producers.append(prods)
+        for p in prods:
+            consumers[p].add(op.id)
+
+    indegree = [len(p) for p in producers]
+    ready = [i for i in range(n) if indegree[i] == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for c in sorted(consumers[node]):
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                heapq.heappush(ready, c)
+    if len(order) != n:
+        raise DfgCycleError("cycle")
+    return order
+
+
+def smallest_ready_order(d: Dfg) -> list[int]:
+    """O(n^2) topological order: repeatedly take the smallest id whose producers are done."""
+    producers = [{r.index for r in op.sources if r.kind is RefKind.OP} for op in d.ops]
+    done: set[int] = set()
+    order: list[int] = []
+    while len(order) < len(d.ops):
+        ready = [i for i in range(len(d.ops)) if i not in done and producers[i] <= done]
+        if not ready:
+            raise DfgCycleError("cycle")
+        order.append(ready[0])
+        done.add(ready[0])
+    return order
+
+
+def map_dfg_per_cell(d: Dfg, dims: FabricDims) -> tuple[Placement, ...]:
+    """First-fit placements indexed by op id, or DoesNotFitError."""
+    num_rows, num_cols = dims.num_rows, dims.num_cols
+    free = [[True] * num_cols for _ in range(num_rows)]
+    load_cols: set[int] = set()
+    store_cols: set[int] = set()
+    placed: dict[int, Placement] = {}
+
+    for op_id in heap_topological_order(d):
+        op = d.ops[op_id]
+        width = op_width(op.opcode)
+        earliest = 0
+        for ref in op.sources:
+            if ref.kind is RefKind.OP:
+                earliest = max(earliest, placed[ref.index].col_end)
+
+        spot = None
+        for col in range(earliest, num_cols - width + 1):
+            if op.opcode is Opcode.LOAD and col in load_cols:
+                continue
+            if op.opcode is Opcode.STORE and col in store_cols:
+                continue
+            for row in range(num_rows):
+                if all(free[row][c] for c in range(col, col + width)):
+                    spot = (row, col)
+                    break
+            if spot is not None:
+                break
+        if spot is None:
+            raise DoesNotFitError(op_id, earliest, dims)
+
+        row, col = spot
+        for c in range(col, col + width):
+            free[row][c] = False
+        if op.opcode is Opcode.LOAD:
+            load_cols.add(col)
+        elif op.opcode is Opcode.STORE:
+            store_cols.add(col)
+        placed[op_id] = Placement(op_id=op_id, row=row, col_start=col, width=width)
+
+    return tuple(placed[i] for i in range(len(d.ops)))

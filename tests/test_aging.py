@@ -45,6 +45,14 @@ def test_params_validation():
         AgingParams(reference_utilization=1.5)
 
 
+@pytest.mark.parametrize("field", ["temperature_k", "vdd", "delay_threshold",
+                                   "reference_lifetime_years", "reference_utilization"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        AgingParams(**{field: value})
+
+
 def test_delta_vt_zero_load_or_zero_time():
     assert delta_vt_raw(DEFAULTS, 0.0, 1.0) == 0.0
     assert delta_vt_raw(DEFAULTS, 1000.0, 0.0) == 0.0
@@ -180,6 +188,9 @@ def test_delay_curve_validation():
         delay_curve(DEFAULTS, 0.5, 0.0, 10)
     with pytest.raises(ValueError):
         delay_curve(DEFAULTS, 0.5, 1.0, 1)
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            delay_curve(DEFAULTS, 0.5, horizon, 10)
 
 
 def test_delay_curve_csv_shape():

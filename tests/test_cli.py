@@ -248,6 +248,31 @@ def test_age_requires_some_input():
     assert main(["age"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--ref-lifetime", "nan"), ("--temperature", "inf"),
+                                        ("--vdd", "nan"), ("--threshold", "nan")])
+def test_non_finite_aging_inputs_exit_2(single_add_path, tmp_path, capsys, flag, value):
+    summary = tmp_path / "s.json"
+    assert main(["age", "--u", "0.5", flag, value]) == 2
+    assert main(["simulate", single_add_path, "--preset", "BE", "--summary", str(summary),
+                 flag, value]) == 2
+    assert main(["dse", single_add_path, "--preset", "BE", flag, value]) == 2
+    assert not summary.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("extra", [
+    ["--curve", "c.csv", "--points", "0"],
+    ["--curve", "c.csv", "--horizon", "nan"],
+    ["--curve", "c.csv", "--horizon", "-1"],
+    ["--u2", "2"],
+])
+def test_age_usage_error_prints_nothing(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    assert main(["age", "--u", "0.5"] + extra) == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_dse_preset_equals_explicit_dims(single_add_path, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["dse", single_add_path, "--preset", "BE", "-o", str(a)]) == 0

@@ -1,14 +1,16 @@
 """Byte-identity of every CLI output on a small pinned workload.
 
-The digests below were recorded before the scenario entry points were merged.
-A change that alters any byte of the workload file, a heatmap CSV, a summary
-JSON, the DSE JSON or the printed text fails here; a change that means to
-alter an output format must re-record them and say so.
+The digests in EXPECTED were recorded before the scenario entry points were
+merged; those in MAP_EXPECTED before the mapper's column bitmasks and the
+table-driven parser.  A change that alters any byte of the workload file, a
+heatmap CSV, a summary JSON, the DSE JSON, a placement dump, a misfit report
+or the printed text fails here; a change that means to alter an output format
+must re-record them and say so.
 """
 
 import hashlib
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from cgralloc.cli import main
@@ -16,6 +18,9 @@ from cgralloc.cli import main
 GEN_ARGS = ["gen", "--seed", "1", "--dfgs", "40", "--trace-len", "300"]
 PRESET_NAMES = ("BE", "BP", "BU")
 POLICIES = ("fixed", "rotating")
+# DFGs of 20-60 ops: all fit on BP, most do not fit on BE
+MAP_GEN_ARGS = ["gen", "--seed", "1", "--dfgs", "40", "--ops-min", "20", "--ops-max", "60",
+                "--inputs", "8", "--trace-len", "10"]
 
 EXPECTED = {
     "gen": "2c3b3e26680532a02ec17d114df0e28fdf3cc957e2c213c1219a3ba37178c920",
@@ -54,6 +59,16 @@ def _run(argv: list[str]) -> bytes:
     return out.getvalue().encode()
 
 
+MAP_EXPECTED = {
+    "BP.exit": 0,
+    "BP.stdout": "c76a24c72c187acfba946ff70593ee148087586e7a26a278bc6fd1a07e0e0523",
+    "BP.stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "BE.exit": 4,
+    "BE.stdout": "8c763e24c7201042a6fb353de1b15cce06bf21bb94167a16488b002bde778eb4",
+    "BE.stderr": "aeb01dc711cc3a21c4f365f7a4d799949d7bd3e4e6457cb20ec50db15b325c8e",
+}
+
+
 def golden_digests(tmp: Path) -> dict[str, str]:
     """sha256 of every output the pinned commands produce, keyed by output."""
     workload = tmp / "w.json"
@@ -77,3 +92,21 @@ def golden_digests(tmp: Path) -> dict[str, str]:
 
 def test_cli_outputs_are_byte_identical(tmp_path):
     assert golden_digests(tmp_path) == EXPECTED
+
+
+def map_digests(tmp: Path) -> dict[str, object]:
+    """Exit code and sha256 of stdout and stderr of `map --dump` on BP and BE."""
+    workload = tmp / "heavy.json"
+    _run(MAP_GEN_ARGS + ["-o", str(workload)])
+    digests: dict[str, object] = {}
+    for preset in ("BP", "BE"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            digests[f"{preset}.exit"] = main(["map", str(workload), "--preset", preset, "--dump"])
+        digests[f"{preset}.stdout"] = _sha(out.getvalue().encode())
+        digests[f"{preset}.stderr"] = _sha(err.getvalue().encode())
+    return digests
+
+
+def test_map_dump_and_misfit_report_are_byte_identical(tmp_path):
+    assert map_digests(tmp_path) == MAP_EXPECTED

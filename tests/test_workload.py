@@ -1,7 +1,10 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgralloc.workload import (
     Dfg,
@@ -11,6 +14,7 @@ from cgralloc.workload import (
     Operation,
     RefKind,
     Workload,
+    WorkloadError,
     WorkloadSemanticError,
     WorkloadSyntaxError,
     generate_random_workload,
@@ -77,9 +81,10 @@ def test_parse_deep_nesting_is_a_syntax_error():
 
 def test_parse_rejects_unknown_format():
     doc = json.loads(MINIMAL)
-    doc["format"] = 2
-    with pytest.raises(WorkloadSemanticError, match="format"):
-        parse_workload(json.dumps(doc))
+    for fmt in (2, True, 1.0, "1"):
+        doc["format"] = fmt
+        with pytest.raises(WorkloadSemanticError, match="format"):
+            parse_workload(json.dumps(doc))
 
 
 def test_parse_rejects_bad_trace_entry():
@@ -90,6 +95,138 @@ def test_parse_rejects_bad_trace_entry():
     doc["trace"] = [[5, 1]]
     with pytest.raises(WorkloadSemanticError, match="out of range"):
         parse_workload(json.dumps(doc))
+
+
+def _ref(kind, index):
+    return {"kind": kind, "index": index}
+
+
+def _doc(ops, trace=([0, 1],), outputs=(("op", 0),), num_inputs=2):
+    return {"format": 1,
+            "dfgs": [{"name": "d", "num_inputs": num_inputs, "ops": list(ops),
+                      "outputs": [_ref(k, i) for k, i in outputs]}],
+            "trace": list(trace)}
+
+
+_ADD = {"id": 0, "opcode": "add", "srcs": [_ref("input", 0), _ref("input", 1)]}
+
+# (document, exact WorkloadSemanticError message), recorded before the parser
+# switched to dict lookups; every problem is reported, in document order
+MALFORMED = {
+    "bad opcode": (_doc([{**_ADD, "opcode": "mul"}]),
+                   "dfgs[0].ops[0]: unknown opcode 'mul'"),
+    "list opcode": (_doc([{**_ADD, "opcode": []}]),
+                    "dfgs[0].ops[0]: unknown opcode []"),
+    "missing opcode": (_doc([{"id": 0, "srcs": _ADD["srcs"]}]),
+                       "dfgs[0].ops[0]: unknown opcode None"),
+    "bad kind": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref("const", 1)]}]),
+                 "dfgs[0].ops[0].srcs[1]: kind must be 'input' or 'op'"),
+    "dict kind": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref({}, 1)]}]),
+                  "dfgs[0].ops[0].srcs[1]: kind must be 'input' or 'op'"),
+    "bool index": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref("input", True)]}]),
+                   "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
+    "bool trace entry": (_doc([_ADD], trace=([0, True],)),
+                         "trace[0]: must be [dfg_index, repeat_count]"),
+    "short trace entry": (_doc([_ADD], trace=([0],)),
+                          "trace[0]: must be [dfg_index, repeat_count]"),
+    "forward-referenced cycle": (
+        _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
+              {"id": 1, "opcode": "sub", "srcs": [_ref("op", 0), _ref("input", 1)]}]),
+        "dfgs[0]: cycle at op 0"),
+    "cycle behind a forward reference": (
+        _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
+              {"id": 1, "opcode": "add", "srcs": [_ref("op", 2), _ref("input", 0)]},
+              {"id": 2, "opcode": "xor", "srcs": [_ref("op", 1), _ref("op", 2)]}]),
+        "dfgs[0]: cycle at op 1; dfgs[0]: cycle at op 2"),
+    "store used as a value": (
+        _doc([{"id": 0, "opcode": "store", "srcs": [_ref("input", 0), _ref("input", 1)]},
+              {"id": 1, "opcode": "add", "srcs": [_ref("op", 0), _ref("input", 1)]}]),
+        "dfgs[0]: op 1 sources op 0, a store, which produces no value; "
+        "dfgs[0]: output 0 sources op 0, a store, which produces no value"),
+    "several problems": (
+        _doc([{"id": 1, "opcode": "load", "srcs": [_ref("input", 0), _ref("input", 3)]}],
+             trace=([1, 0], "x", [0, 2]), outputs=(("op", 4),), num_inputs=1),
+        "dfgs[0]: op at position 0 has id 1; ids must be dense 0..0; "
+        "dfgs[0]: op 1: load takes 1 source(s), got 2; "
+        "dfgs[0]: op 1 references nonexistent input 3 (have 1); "
+        "dfgs[0]: output 0 references nonexistent op 4; "
+        "trace[0]: dfg index 1 out of range; trace[0]: repeat count 0 must be >= 1; "
+        "trace[1]: must be [dfg_index, repeat_count]"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_parse_reports_exact_messages(case):
+    doc, message = MALFORMED[case]
+    with pytest.raises(WorkloadSemanticError) as info:
+        parse_workload(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def _nodes(node, path=()):
+    """Path to every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _nodes(child, path + (i,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _valid_doc(seed):
+    params = GeneratorParams(num_dfgs=2, ops_per_dfg=(1, 4), memory_op_fraction=0.4,
+                             num_inputs=2, trace_length=2, max_outputs=2)
+    return json.loads(serialize_workload(generate_random_workload(params, seed)))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False)
+    | st.sampled_from(["add", "load", "store", "input", "op", ""]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**16), pick=st.integers(0, 10**6), value=JSON_VALUES)
+def test_parse_any_one_node_replaced_returns_or_raises_workload_error(seed, pick, value):
+    doc = _valid_doc(seed)
+    paths = list(_nodes(doc))
+    try:
+        parse_workload(json.dumps(_replaced(doc, paths[pick % len(paths)], value)))
+    except WorkloadError:
+        pass
+
+
+def test_parse_type_confusion_at_every_node_raises_workload_error():
+    # a list or a dict where a string is expected, a bool where an int is
+    doc = _valid_doc(3)
+    for path in _nodes(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if type(node) is str:
+            values = ([], {}, ["add"], {"add": 1})
+        elif type(node) is int:
+            values = (True, False)
+        else:
+            continue
+        for value in values:
+            with pytest.raises(WorkloadError):
+                parse_workload(json.dumps(_replaced(doc, path, value)))
 
 
 def test_roundtrip_minimal():
