@@ -18,9 +18,8 @@ from .allocation import (
     AllocationPolicy,
     PhysicalAllocation,
     Pivot,
-    PivotScheduler,
     allocate,
-    pivot_for_execution,
+    pivot_at,
 )
 from .dse import (
     PRESETS,
@@ -43,8 +42,6 @@ from .mapper import (
     FabricDims,
     Placement,
     VirtualConfiguration,
-    check_context_capacity,
-    context_pressure,
     map_dfg,
     op_width,
 )

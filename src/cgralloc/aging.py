@@ -7,7 +7,7 @@ The drift model gives the threshold-voltage increase of a stressed unit as
 with temperature T in kelvin, time t in hours and utilization u in [0, 1]
 (the unit's duty cycle).  Delay grows linearly with dVt to first order, so
 the delay-increase curve is calibrated against a reference point: a unit at
-the reference utilization reaches the threshold delay degradation (10%) at
+full utilization (u = 1) reaches the threshold delay degradation (10%) at
 the reference lifetime (3 years).  All lifetime ratios derived from the
 calibrated curve are independent of T, vdd and the threshold, which is why
 the raw equation's unspecified absolute scale never matters downstream.
@@ -28,7 +28,6 @@ class AgingParams:
     vdd: float = 1.0
     delay_threshold: float = 0.10
     reference_lifetime_years: float = 3.0
-    reference_utilization: float = 1.0
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
@@ -42,8 +41,6 @@ class AgingParams:
             raise ValueError("delay_threshold must be in (0, 1]")
         if self.reference_lifetime_years <= 0:
             raise ValueError("reference_lifetime_years must be > 0")
-        if not 0 < self.reference_utilization <= 1:
-            raise ValueError("reference_utilization must be in (0, 1]")
 
 
 DEFAULT_AGING = AgingParams()
@@ -71,8 +68,8 @@ def delta_vt_raw(params: AgingParams, t_hours: float, u: float) -> float:
 def delay_increase(params: AgingParams, t_years: float, u: float) -> float:
     """Fractional delay degradation after t_years at utilization u.
 
-    Calibrated so (reference_lifetime_years, reference_utilization) maps
-    exactly to delay_threshold; sixth-root scaling in both time and load.
+    Calibrated so (reference_lifetime_years, u = 1) maps exactly to
+    delay_threshold; sixth-root scaling in both time and load.
     """
     if t_years < 0:
         raise ValueError("time must be >= 0")
@@ -80,7 +77,7 @@ def delay_increase(params: AgingParams, t_years: float, u: float) -> float:
     return (
         params.delay_threshold
         * (t_years / params.reference_lifetime_years) ** _SIXTH
-        * (u / params.reference_utilization) ** _SIXTH
+        * u**_SIXTH
     )
 
 
@@ -88,13 +85,13 @@ def lifetime(params: AgingParams, u: float) -> float:
     """Years until the delay threshold is reached at constant utilization u.
 
     Closed form of the smallest t with delay_increase(t, u) >= threshold:
-    reference_lifetime * reference_utilization / u.  An idle unit (u = 0)
-    never reaches the threshold; that is signalled as math.inf.
+    reference_lifetime / u.  An idle unit (u = 0) never reaches the
+    threshold; that is signalled as math.inf.
     """
     _check_u(u)
     if u == 0.0:
         return math.inf
-    return params.reference_lifetime_years * params.reference_utilization / u
+    return params.reference_lifetime_years / u
 
 
 def lifetime_improvement(u_baseline: float, u_proposed: float) -> float:

@@ -32,24 +32,19 @@ class Pivot:
 ORIGIN = Pivot(0, 0)
 
 
-class PivotScheduler:
-    """Emits pivots column-fastest over the grid, one per execution.
+def pivot_period(policy: AllocationPolicy, dims: FabricDims) -> int:
+    """Number of distinct pivots a policy cycles through: 1 fixed, num_cells rotating."""
+    return dims.num_cells if policy is AllocationPolicy.ROTATING else 1
 
-    The sequence is periodic with period num_cols * num_rows and visits
-    every cell exactly once per period.  The counter never resets.
+
+def pivot_at(policy: AllocationPolicy, k: int, dims: FabricDims) -> Pivot:
+    """Pivot of execution number k (from 0).
+
+    FIXED_ORIGIN always loads at the origin.  ROTATING visits the grid
+    column-fastest, so execution k lands on pivot number k mod num_cells and
+    every period of num_cells executions covers each cell exactly once.
     """
-
-    def __init__(self, dims: FabricDims, start: int = 0):
-        if start < 0:
-            raise ValueError("start counter must be >= 0")
-        self.dims = dims
-        self.count = start
-
-    def next_pivot(self) -> Pivot:
-        k = self.count
-        self.count += 1
-        num_cols = self.dims.num_cols
-        return Pivot(row=(k // num_cols) % self.dims.num_rows, col=k % num_cols)
+    return Pivot(*divmod(k % pivot_period(policy, dims), dims.num_cols))
 
 
 @dataclass
@@ -85,9 +80,3 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
         )
     return PhysicalAllocation(vc=vc, pivot=pivot, dims=dims, cell_map=cell_map)
 
-
-def pivot_for_execution(policy: AllocationPolicy, scheduler: PivotScheduler) -> Pivot:
-    """Pivot for the next execution; only ROTATING advances the scheduler."""
-    if policy is AllocationPolicy.FIXED_ORIGIN:
-        return ORIGIN
-    return scheduler.next_pivot()

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import aging, dse, metrics
-from .allocation import AllocationPolicy, PivotScheduler, pivot_for_execution
+from .allocation import AllocationPolicy, pivot_at
 from .fabric import plan_table, reconfig_plan
 from .mapper import DoesNotFitError, FabricDims, map_dfg
 from .workload import (
@@ -36,8 +36,6 @@ def _add_dims_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-L", "--cols", type=int, default=None, help="fabric columns")
     p.add_argument("-W", "--rows", type=int, default=None, help="fabric rows")
     p.add_argument("--lines", type=int, default=4, help="configuration lines (default 4)")
-    p.add_argument("--context", type=int, default=None,
-                   help="context lines (default 2*rows)")
     p.add_argument("--preset", choices=sorted(dse.PRESETS),
                    help="named design point (mutually exclusive with -L/-W)")
 
@@ -53,9 +51,7 @@ def _resolve_dims(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             parser.error("need either --preset or both -L and -W")
         cols, rows = args.cols, args.rows
     try:
-        return FabricDims(num_cols=cols, num_rows=rows,
-                          num_config_lines=args.lines,
-                          num_context_lines=args.context)
+        return FabricDims(num_cols=cols, num_rows=rows, num_config_lines=args.lines)
     except ValueError as e:
         parser.error(str(e))
 
@@ -66,7 +62,7 @@ def _add_aging_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", type=float, default=0.10,
                    help="delay-degradation threshold fraction")
     p.add_argument("--ref-lifetime", type=float, default=3.0,
-                   help="years to threshold at the reference utilization")
+                   help="years to threshold at full utilization")
 
 
 def _resolve_aging(args: argparse.Namespace, parser: argparse.ArgumentParser) -> aging.AgingParams:
@@ -152,17 +148,15 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             "policy": args.policy,
             "total_executions": result.total_executions,
             "skipped_dfgs": [[i, name] for i, name in result.skipped_dfgs],
-            "lifetime_years": result.lifetime_years,
+            "lifetime_years": dse.null_if_unbounded(result.lifetime_years),
             **summary.to_dict(),
         }
         with open(args.summary, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
+            json.dump(doc, f, indent=2, allow_nan=False)
             f.write("\n")
     if args.dump_plan:
-        # plan of the run's final execution: fixed policy always loads at the
-        # origin; rotating ends wherever the trace left the scheduler
-        last = PivotScheduler(dims, start=result.total_executions - 1)
-        pivot = pivot_for_execution(policy, last)
+        # plan of the run's final execution
+        pivot = pivot_at(policy, result.total_executions - 1, dims)
         print(f"pivot=({pivot.row}, {pivot.col})")
         print(plan_table(reconfig_plan(pivot, dims)), end="")
     print(
@@ -192,7 +186,7 @@ def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     print(dse.results_table(results), end="")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
-            json.dump([r.to_dict() for r in results], f, indent=2)
+            json.dump([r.to_dict() for r in results], f, indent=2, allow_nan=False)
             f.write("\n")
     return EXIT_OK
 
@@ -206,8 +200,8 @@ def cmd_age(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 u = json.load(f)["max"]
             except (ValueError, RecursionError, KeyError, TypeError):
                 u = None
-        if isinstance(u, bool) or not isinstance(u, (int, float)):
-            print(f"{args.summary}: not a summary JSON with a numeric \"max\"",
+        if isinstance(u, bool) or not isinstance(u, (int, float)) or not 0 <= u <= 1:
+            print(f"{args.summary}: not a summary JSON with a numeric \"max\" in [0, 1]",
                   file=sys.stderr)
             return EXIT_IO
     if u is None:

@@ -10,11 +10,12 @@ the two worst-case utilizations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 from . import aging
-from .allocation import AllocationPolicy
+from .allocation import AllocationPolicy, pivot_at, pivot_period
 from .mapper import DoesNotFitError, FabricDims, VirtualConfiguration, map_dfg
 from .metrics import UtilizationMap, UtilizationSummary, summarize
 from .workload import Workload
@@ -29,6 +30,11 @@ PRESETS: dict[str, FabricDims] = {
     "BP": FabricDims(num_cols=32, num_rows=4),
     "BU": FabricDims(num_cols=32, num_rows=8),
 }
+
+
+def null_if_unbounded(x: float | None) -> float | None:
+    """JSON has no infinity: an unbounded lifetime or improvement is written as null."""
+    return None if x == math.inf else x
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,11 @@ class ScenarioResult:
             "max_util": self.max_util,
             "min_util": self.min_util,
             "argmax_cell": list(self.argmax_cell),
-            "lifetime_years": self.lifetime_years,
+            "lifetime_years": null_if_unbounded(self.lifetime_years),
             "skipped_dfgs": [[i, name] for i, name in self.skipped_dfgs],
             "baseline_max_util": self.baseline_max_util,
             "proposed_max_util": self.proposed_max_util,
-            "lifetime_improvement": self.lifetime_improvement,
+            "lifetime_improvement": null_if_unbounded(self.lifetime_improvement),
             "error": self.error,
         }
 
@@ -102,18 +108,19 @@ def replay_trace(
     dims: FabricDims,
     policy: AllocationPolicy,
 ) -> UtilizationMap:
-    """Replay the trace from pivot counter 0, counting per-cell utilization.
+    """Replay the trace from execution 0, counting per-cell utilization.
 
-    Trace entries whose DFG was skipped are dropped entirely; the counter
-    advances once per executed configuration.  Execution k lands on pivot
-    number k mod P, visited column-fastest, where P is num_cells under
-    ROTATING and 1 under FIXED_ORIGIN.  So a run of `repeats` executions
-    starting at k puts ceil((repeats - i) / P) of them on pivot (k + i) mod P
-    for each i < P.  Executions are counted per (DFG, pivot); each DFG's
-    occupancy is then added once per pivot it landed on, so the cost is
-    bounded by DFGs x min(executions, P) x cells, whatever the repeat counts.
+    Trace entries whose DFG was skipped are dropped entirely; the execution
+    counter advances once per executed configuration.  Execution k lands on
+    pivot_at(policy, k, dims), which repeats with period P = pivot_period(
+    policy, dims), so only the first P pivots are built.  A run of `repeats`
+    executions starting at k puts ceil((repeats - i) / P) of them on pivot
+    number (k + i) mod P for each i < P.  Executions are counted per (DFG,
+    pivot); each DFG's occupancy is then added once per pivot it landed on,
+    so the cost is bounded by DFGs x min(executions, P) x cells, whatever the
+    repeat counts.
     """
-    period = dims.num_cells if policy is AllocationPolicy.ROTATING else 1
+    period = pivot_period(policy, dims)
     hits: dict[int, dict[int, int]] = {}
     umap = UtilizationMap(dims)
     for dfg_index, repeats in workload.trace:
@@ -127,11 +134,11 @@ def replay_trace(
         umap.total_executions += repeats
     counts = umap.active_count
     num_rows, num_cols = dims.num_rows, dims.num_cols
+    pivots = [pivot_at(policy, k, dims) for k in range(period)]
     for dfg_index, per_pivot in hits.items():
         cells = mapped[dfg_index].occupied_cells
         for k, n in per_pivot.items():
-            # torus shift by pivot (k // num_cols, k % num_cols), as in allocate
-            pivot_row, pivot_col = divmod(k, num_cols)
+            pivot_row, pivot_col = pivots[k].row, pivots[k].col  # torus shift, as in allocate
             for row, col in cells:
                 counts[(row + pivot_row) % num_rows][(col + pivot_col) % num_cols] += n
     return umap
@@ -148,7 +155,7 @@ def run_scenario_with_map(
 
     Returns the result and the utilization map of the last run.  With two
     policies the first is the baseline: its worst-case utilization is paired
-    with the second's.  Every run uses a fresh scheduler and skips exactly the
+    with the second's.  Every run starts at execution 0 and skips exactly the
     same DFGs, so average utilization matches between them.
     """
     label = f"L{dims.num_cols}W{dims.num_rows}"

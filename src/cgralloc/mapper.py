@@ -23,25 +23,18 @@ class FabricDims:
     """Fabric geometry: num_cols x num_rows FU cells.
 
     num_config_lines is the number of reconfiguration buses feeding the
-    columns; num_context_lines bounds how many live values can cross a
-    column boundary (defaults to twice the row count, exposed as a knob
-    because the real figure is not pinned down anywhere).
+    columns.
     """
 
     num_cols: int
     num_rows: int
     num_config_lines: int = 4
-    num_context_lines: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_cols < 1 or self.num_rows < 1:
             raise ValueError("fabric needs at least one row and one column")
         if self.num_config_lines < 1:
             raise ValueError("num_config_lines must be >= 1")
-        if self.num_context_lines is None:
-            object.__setattr__(self, "num_context_lines", 2 * self.num_rows)
-        elif self.num_context_lines < 1:
-            raise ValueError("num_context_lines must be >= 1")
 
     @property
     def num_cells(self) -> int:
@@ -154,55 +147,3 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
         num_rows_used=max((p.row for p in placements), default=-1) + 1,
     )
 
-
-def context_pressure(vc: VirtualConfiguration) -> int:
-    """Maximum number of live values crossing any column boundary.
-
-    A value is live at boundary b when it is already available (inputs from
-    boundary 0, op results from their completion boundary) and still has a
-    consumer at or beyond b.  Op sources consume at the consumer's starting
-    column; DFG outputs consume at the last used boundary.
-    """
-    used = vc.num_cols_used
-    available: dict[tuple[str, int], int] = {}
-    last_use: dict[tuple[str, int], int] = {}
-
-    for i in range(vc.dfg.num_inputs):
-        available[("in", i)] = 0
-    for p in vc.placements:
-        available[("op", p.op_id)] = p.col_end
-
-    def consume(ref, boundary: int) -> None:
-        key = (("in", ref.index) if ref.kind is RefKind.INPUT else ("op", ref.index))
-        last_use[key] = max(last_use.get(key, -1), boundary)
-
-    for op in vc.dfg.ops:
-        start = vc.placement(op.id).col_start
-        for ref in op.sources:
-            consume(ref, start)
-    for ref in vc.dfg.outputs:
-        consume(ref, used)
-
-    peak = 0
-    for b in range(used + 1):
-        live = sum(
-            1
-            for key, last in last_use.items()
-            if available[key] <= b <= last
-        )
-        peak = max(peak, live)
-    return peak
-
-
-@dataclass(frozen=True)
-class ContextViolation:
-    pressure: int
-    capacity: int
-
-
-def check_context_capacity(vc: VirtualConfiguration, dims: FabricDims) -> ContextViolation | None:
-    """None when the configuration's context pressure fits the fabric."""
-    pressure = context_pressure(vc)
-    if pressure <= dims.num_context_lines:
-        return None
-    return ContextViolation(pressure=pressure, capacity=dims.num_context_lines)

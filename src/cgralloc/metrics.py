@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .mapper import FabricDims
 
-DEFAULT_HISTOGRAM_BINS = 20
+HISTOGRAM_BINS = 20  # uniform bins over [0, 1]
 
 
 class EmptyMapError(ValueError):
@@ -42,8 +42,7 @@ class UtilizationSummary:
     max: float
     min: float
     argmax: tuple[int, int]
-    histogram: tuple[int, ...]
-    num_bins: int
+    histogram: tuple[int, ...]  # HISTOGRAM_BINS counts
 
     def to_dict(self) -> dict:
         return {
@@ -52,37 +51,34 @@ class UtilizationSummary:
             "min": self.min,
             "argmax": list(self.argmax),
             "histogram": list(self.histogram),
-            "num_bins": self.num_bins,
+            "num_bins": HISTOGRAM_BINS,
         }
 
 
-def summarize(m: UtilizationMap, num_bins: int = DEFAULT_HISTOGRAM_BINS) -> UtilizationSummary:
+def summarize(m: UtilizationMap) -> UtilizationSummary:
     """Aggregate rates: average, extremes, argmax, fixed-width histogram.
 
     Argmax ties break by (row, col) lexicographic order.  Histogram bins are
     uniform over [0, 1]; the last bin is closed so a rate of 1.0 lands in it.
     """
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
     rates = utilization_rates(m)
     flat = [(rate, r, c) for r, row in enumerate(rates) for c, rate in enumerate(row)]
     avg = sum(rate for rate, _, _ in flat) / len(flat)
     best_rate, best_r, best_c = flat[0]
     worst = flat[0][0]
-    hist = [0] * num_bins
+    hist = [0] * HISTOGRAM_BINS
     for rate, r, c in flat:
         if rate > best_rate:
             best_rate, best_r, best_c = rate, r, c
         if rate < worst:
             worst = rate
-        hist[min(int(rate * num_bins), num_bins - 1)] += 1
+        hist[min(int(rate * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
     return UtilizationSummary(
         avg=avg,
         max=best_rate,
         min=worst,
         argmax=(best_r, best_c),
         histogram=tuple(hist),
-        num_bins=num_bins,
     )
 
 

@@ -190,6 +190,8 @@ def _find_cycles(d: Dfg) -> list[str]:
     seen_targets: set[int] = set()
     producers = [[r.index for r in op.sources if r.kind is RefKind.OP and 0 <= r.index < n]
                  for op in d.ops]
+    if all(max(prods, default=-1) < pos for pos, prods in enumerate(producers)):
+        return []  # every edge points backward, so no cycle can close
 
     for root in range(n):
         if color[root] != WHITE:

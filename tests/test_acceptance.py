@@ -10,7 +10,7 @@ import random
 import pytest
 
 from cgralloc.aging import AgingParams, delay_increase, delta_vt_raw, lifetime, lifetime_improvement
-from cgralloc.allocation import ORIGIN, AllocationPolicy, PivotScheduler, Pivot
+from cgralloc.allocation import ORIGIN, AllocationPolicy, Pivot, pivot_at
 from cgralloc.fabric import MemoryModel, execute, reconfig_plan
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
 from cgralloc.metrics import summarize, utilization_rates
@@ -184,9 +184,11 @@ def test_criterion_8_aging_model_properties():
 def test_criterion_9_scheduler_coverage():
     ok = True
     for dims in SWEPT_DIMS:
-        scheduler = PivotScheduler(dims)
-        seen = {(p.row, p.col) for p in
-                (scheduler.next_pivot() for _ in range(dims.num_cells))}
         expected = {(r, c) for r in range(dims.num_rows) for c in range(dims.num_cols)}
-        ok = ok and seen == expected
-    _report(9, "one pivot period covers every cell exactly once", ok)
+        for period in range(3):  # L*W pivots per period, so covering all means once each
+            start = period * dims.num_cells
+            seen = {(p.row, p.col) for p in
+                    (pivot_at(AllocationPolicy.ROTATING, start + k, dims)
+                     for k in range(dims.num_cells))}
+            ok = ok and seen == expected
+    _report(9, "every pivot period covers every cell exactly once", ok)

@@ -42,11 +42,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         AgingParams(delay_threshold=0)
     with pytest.raises(ValueError):
-        AgingParams(reference_utilization=1.5)
+        AgingParams(reference_lifetime_years=0)
 
 
 @pytest.mark.parametrize("field", ["temperature_k", "vdd", "delay_threshold",
-                                   "reference_lifetime_years", "reference_utilization"])
+                                   "reference_lifetime_years"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=field):

@@ -2,14 +2,7 @@ from collections import Counter
 
 import pytest
 
-from cgralloc.allocation import (
-    ORIGIN,
-    AllocationPolicy,
-    PivotScheduler,
-    Pivot,
-    allocate,
-    pivot_for_execution,
-)
+from cgralloc.allocation import ORIGIN, AllocationPolicy, Pivot, allocate, pivot_at
 from cgralloc.mapper import FabricDims, Placement, VirtualConfiguration, map_dfg
 from cgralloc.workload import (
     Dfg,
@@ -22,6 +15,7 @@ from cgralloc.workload import (
 )
 
 DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
+ROTATING = AllocationPolicy.ROTATING
 
 
 def vc_single_cell_at(row: int, col: int) -> VirtualConfiguration:
@@ -34,33 +28,30 @@ def vc_single_cell_at(row: int, col: int) -> VirtualConfiguration:
 
 
 def test_scheduler_starts_at_origin():
-    s = PivotScheduler(DIMS_16x2)
-    assert s.next_pivot() == Pivot(0, 0)
-    assert s.count == 1
+    assert pivot_at(ROTATING, 0, DIMS_16x2) == Pivot(0, 0)
+    assert pivot_at(ROTATING, 1, DIMS_16x2) == Pivot(0, 1)
 
 
 def test_scheduler_wraps_to_next_row_after_full_sweep():
-    s = PivotScheduler(DIMS_16x2)
-    pivots = [s.next_pivot() for _ in range(17)]
+    pivots = [pivot_at(ROTATING, k, DIMS_16x2) for k in range(34)]
     assert pivots[15] == Pivot(0, 15)
     assert pivots[16] == Pivot(1, 0)
+    assert pivots[31] == Pivot(1, 15)
+    assert pivots[32:] == [Pivot(0, 0), Pivot(0, 1)]  # back to the origin row
 
 
 def test_scheduler_period_covers_grid_exactly_once():
-    # brute-force enumeration: one period is a permutation of the grid
-    s = PivotScheduler(DIMS_16x2)
-    period = [s.next_pivot() for _ in range(32)]
-    assert len(set(period)) == 32
-    assert {(p.row, p.col) for p in period} == {
-        (r, c) for r in range(2) for c in range(16)
-    }
-    # and the next period repeats the same sequence
-    assert [s.next_pivot() for _ in range(32)] == period
-
-
-def test_scheduler_rejects_negative_start():
-    with pytest.raises(ValueError):
-        PivotScheduler(DIMS_16x2, start=-1)
+    for cols, rows in [(16, 2), (1, 5), (5, 1), (3, 4)]:
+        # brute-force enumeration: one period is a permutation of the grid
+        dims = FabricDims(num_cols=cols, num_rows=rows)
+        period = [pivot_at(ROTATING, k, dims) for k in range(dims.num_cells)]
+        assert {(p.row, p.col) for p in period} == {
+            (r, c) for r in range(rows) for c in range(cols)
+        }
+        assert len(set(period)) == dims.num_cells
+        # and the next two periods repeat the same sequence
+        for start in (dims.num_cells, 2 * dims.num_cells):
+            assert [pivot_at(ROTATING, start + k, dims) for k in range(dims.num_cells)] == period
 
 
 def test_allocate_at_origin_is_identity():
@@ -97,22 +88,20 @@ def test_allocate_rejects_out_of_bounds_pivot():
 
 
 def test_fixed_policy_pins_origin_and_keeps_scheduler():
-    s = PivotScheduler(DIMS_16x2)
-    for _ in range(5):
-        assert pivot_for_execution(AllocationPolicy.FIXED_ORIGIN, s) == ORIGIN
-    assert s.count == 0
+    # every execution, across more than one rotating period, loads at the origin
+    for k in range(3 * DIMS_16x2.num_cells + 2):
+        assert pivot_at(AllocationPolicy.FIXED_ORIGIN, k, DIMS_16x2) == ORIGIN
 
 
 def test_rotating_policy_advances():
     dims = FabricDims(num_cols=4, num_rows=2)
-    s = PivotScheduler(dims)
-    pivots = [pivot_for_execution(AllocationPolicy.ROTATING, s) for _ in range(3)]
+    pivots = [pivot_at(ROTATING, k, dims) for k in range(3)]
     assert pivots == [Pivot(0, 0), Pivot(0, 1), Pivot(0, 2)]
 
 
 def test_rotating_origin_matches_fixed_at_start():
-    s = PivotScheduler(DIMS_16x2)
-    assert pivot_for_execution(AllocationPolicy.ROTATING, s) == ORIGIN
+    assert pivot_at(ROTATING, 0, DIMS_16x2) == ORIGIN
+    assert pivot_at(ROTATING, DIMS_16x2.num_cells, DIMS_16x2) == ORIGIN
 
 
 def test_allocation_is_bijective_for_every_pivot():
@@ -147,11 +136,9 @@ def test_full_rotation_occupies_every_cell_equally():
             vc = map_dfg(d, dims)
         except Exception:
             continue
-        scheduler = PivotScheduler(dims)
         tally: Counter = Counter()
-        for _ in range(dims.num_cells):
-            pivot = pivot_for_execution(AllocationPolicy.ROTATING, scheduler)
-            for cells in allocate(vc, pivot, dims).cell_map.values():
+        for k in range(dims.num_cells):
+            for cells in allocate(vc, pivot_at(ROTATING, k, dims), dims).cell_map.values():
                 tally.update(cells)
         expected = len(vc.occupied_cells)
         assert all(tally[(r, c)] == expected

@@ -153,6 +153,32 @@ def test_simulate_dump_plan(single_add_path, capsys):
     assert "column  line_select  shift  wrap" in out
 
 
+@pytest.mark.parametrize("command", ["map", "simulate"])
+def test_context_flag_is_rejected(single_add_path, capsys, command):
+    assert main([command, single_add_path, "--preset", "BE", "--context", "4"]) == 2
+    assert "unrecognized arguments: --context 4" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_idle_worst_cell_writes_null_not_infinity(tmp_path):
+    # a DFG without ops occupies no cell, so the worst utilization is 0 and
+    # the lifetime (and its improvement) is unbounded
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps({"format": 1, "dfgs": [{"name": "e", "num_inputs": 0, "ops": [],
+                                                        "outputs": []}], "trace": [[0, 3]]}))
+    summary, results = tmp_path / "s.json", tmp_path / "d.json"
+    assert main(["simulate", str(path), "--preset", "BE", "--summary", str(summary)]) == 0
+    assert main(["dse", str(path), "--preset", "BE", "-o", str(results)]) == 0
+    doc = json.loads(summary.read_text(), parse_constant=_reject_constant)
+    assert doc["max"] == 0.0 and doc["lifetime_years"] is None
+    [record] = json.loads(results.read_text(), parse_constant=_reject_constant)
+    assert record["lifetime_years"] is None and record["lifetime_improvement"] is None
+    assert record["baseline_max_util"] == record["proposed_max_util"] == 0.0
+
+
 def test_simulate_missing_input_exits_3(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"), "-L", "16", "-W", "2"]) == 3
 
@@ -232,6 +258,10 @@ def test_age_reads_summary_file(single_add_path, tmp_path, capsys):
     '{"max": true}',
     "[0.5]",
     "[" * 100000 + "]" * 100000,
+    '{"max": NaN}',
+    '{"max": Infinity}',
+    '{"max": 1.5}',
+    '{"max": -0.25}',
 ])
 def test_age_rejects_malformed_summary(tmp_path, capsys, text):
     path = tmp_path / "summary.json"

@@ -1,14 +1,6 @@
 import pytest
 
-from cgralloc.mapper import (
-    ContextViolation,
-    DoesNotFitError,
-    FabricDims,
-    check_context_capacity,
-    context_pressure,
-    map_dfg,
-    op_width,
-)
+from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg, op_width
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
@@ -66,9 +58,7 @@ def test_op_width():
 def test_dims_defaults_and_validation():
     dims = FabricDims(num_cols=16, num_rows=3)
     assert dims.num_config_lines == 4
-    assert dims.num_context_lines == 6
     assert dims.num_cells == 48
-    assert FabricDims(num_cols=8, num_rows=2, num_context_lines=7).num_context_lines == 7
     with pytest.raises(ValueError):
         FabricDims(num_cols=0, num_rows=2)
     with pytest.raises(ValueError):
@@ -168,51 +158,9 @@ def test_placement_invariants_over_many_random_dfgs():
     assert total >= 1000
 
 
-def test_context_pressure_single_add():
-    assert context_pressure(map_dfg(single_add(), DIMS_16x2)) == 2
 
-
-def test_context_pressure_empty_dfg():
-    d = Dfg(name="empty", num_inputs=0, ops=(), outputs=())
-    vc = map_dfg(d, DIMS_16x2)
-    assert context_pressure(vc) == 0
+def test_empty_dfg_uses_no_cells():
+    vc = map_dfg(Dfg(name="empty", num_inputs=0, ops=(), outputs=()), DIMS_16x2)
+    assert vc.placements == ()
     assert vc.num_cols_used == 0 and vc.num_rows_used == 0
-
-
-@pytest.mark.parametrize("length", [2, 5, 10])
-def test_context_pressure_chain_is_two(length):
-    # every interior boundary carries in0 plus the running result: max is 2
-    ops = [Operation(0, Opcode.ADD, (input_ref(0), input_ref(0)))]
-    for i in range(1, length):
-        ops.append(Operation(i, Opcode.ADD, (op_ref(i - 1), input_ref(0))))
-    d = Dfg(name="chain", num_inputs=1, ops=tuple(ops), outputs=(op_ref(length - 1),))
-    assert context_pressure(map_dfg(d, DIMS_16x2)) == 2
-
-
-def test_check_context_capacity():
-    vc = map_dfg(single_add(), DIMS_16x2)
-    assert check_context_capacity(vc, DIMS_16x2) is None
-    tight = FabricDims(num_cols=16, num_rows=2, num_context_lines=1)
-    violation = check_context_capacity(vc, tight)
-    assert violation == ContextViolation(pressure=2, capacity=1)
-
-
-def test_context_checks_over_generated_workload():
-    dims = FabricDims(num_cols=16, num_rows=2)
-    w = generate_random_workload(GeneratorParams(num_dfgs=50, num_inputs=6), 13)
-    reported = {}
-    for i, d in enumerate(w.dfgs):
-        try:
-            vc = map_dfg(d, dims)
-        except DoesNotFitError:
-            continue
-        violation = check_context_capacity(vc, dims)
-        pressure = context_pressure(vc)
-        if violation is not None:
-            reported[i] = violation
-            assert violation.pressure == pressure > dims.num_context_lines
-        else:
-            assert pressure <= dims.num_context_lines
-    # the checker only flags genuinely over-capacity configurations
-    for violation in reported.values():
-        assert violation.capacity == dims.num_context_lines
+    assert vc.occupied_cells == frozenset()

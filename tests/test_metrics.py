@@ -2,12 +2,7 @@ from collections import Counter
 
 import pytest
 
-from cgralloc.allocation import (
-    AllocationPolicy,
-    PivotScheduler,
-    allocate,
-    pivot_for_execution,
-)
+from cgralloc.allocation import AllocationPolicy, allocate, pivot_at
 from cgralloc.dse import replay_trace
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
 from cgralloc.metrics import (
@@ -113,14 +108,13 @@ def test_recount_oracle_over_replayed_scenario():
         except DoesNotFitError:
             continue
     m = replay_trace(w, mapped, dims, AllocationPolicy.ROTATING)
-    sched = PivotScheduler(dims)
     oracle: Counter = Counter()
     executions = 0
     for idx, reps in w.trace:
         if idx not in mapped:
             continue
         for _ in range(reps):
-            pivot = pivot_for_execution(AllocationPolicy.ROTATING, sched)
+            pivot = pivot_at(AllocationPolicy.ROTATING, executions, dims)
             for cells in allocate(mapped[idx], pivot, dims).cell_map.values():
                 oracle.update(cells)
             executions += 1
@@ -154,12 +148,11 @@ def test_summarize_corner_case_and_argmax_tiebreak():
 
 def test_summarize_histogram_counts_cells():
     m = replay_one(single_load_vc(), executions=10)
-    s = summarize(m, num_bins=20)
+    s = summarize(m)
+    assert len(s.histogram) == 20
     assert sum(s.histogram) == DIMS_16x2.num_cells
     assert s.histogram[0] == 28   # untouched cells in the first bin
     assert s.histogram[-1] == 4   # rate-1.0 cells land in the closed last bin
-    with pytest.raises(ValueError):
-        summarize(m, num_bins=0)
 
 
 def test_summary_dict_fields():
