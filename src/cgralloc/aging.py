@@ -43,9 +43,6 @@ class AgingParams:
             raise ValueError("reference_lifetime_years must be > 0")
 
 
-DEFAULT_AGING = AgingParams()
-
-
 def _check_u(u: float) -> None:
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"utilization {u} outside [0, 1]")

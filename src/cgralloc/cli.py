@@ -32,26 +32,30 @@ EXIT_IO = 3
 EXIT_NO_FIT = 4
 
 
-def _add_dims_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-L", "--cols", type=int, default=None, help="fabric columns")
-    p.add_argument("-W", "--rows", type=int, default=None, help="fabric rows")
-    p.add_argument("--lines", type=int, default=4, help="configuration lines (default 4)")
+def _add_dims_args(p: argparse.ArgumentParser, nargs: str | None = None) -> None:
+    p.add_argument("-L", "--cols", type=int, nargs=nargs, help="fabric columns")
+    p.add_argument("-W", "--rows", type=int, nargs=nargs, help="fabric rows")
     p.add_argument("--preset", choices=sorted(dse.PRESETS),
                    help="named design point (mutually exclusive with -L/-W)")
 
 
-def _resolve_dims(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FabricDims:
+def _resolve_dims(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple:
+    """Columns and rows of --preset, or as given to -L and -W."""
     if args.preset is not None:
         if args.cols is not None or args.rows is not None:
             parser.error("--preset and explicit -L/-W are mutually exclusive")
-        base = dse.PRESETS[args.preset]
-        cols, rows = base.num_cols, base.num_rows
-    else:
-        if args.cols is None or args.rows is None:
-            parser.error("need either --preset or both -L and -W")
-        cols, rows = args.cols, args.rows
+        preset = dse.PRESETS[args.preset]
+        return preset.num_cols, preset.num_rows
+    if args.cols is None or args.rows is None:
+        parser.error("need either --preset or both -L and -W")
+    return args.cols, args.rows
+
+
+def _fabric(args: argparse.Namespace, parser: argparse.ArgumentParser,
+            num_config_lines: int = 4) -> FabricDims:
+    cols, rows = _resolve_dims(args, parser)
     try:
-        return FabricDims(num_cols=cols, num_rows=rows, num_config_lines=args.lines)
+        return FabricDims(num_cols=cols, num_rows=rows, num_config_lines=num_config_lines)
     except ValueError as e:
         parser.error(str(e))
 
@@ -86,6 +90,12 @@ def _read_workload(path: str):
     return parse_workload(text)
 
 
+def _write_json(path: str, doc: object) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, allow_nan=False)
+        f.write("\n")
+
+
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         params = GeneratorParams(
@@ -105,7 +115,7 @@ def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    dims = _resolve_dims(args, parser)
+    dims = _fabric(args, parser)
     workload = _read_workload(args.workload)
     misfits, dump = [], []
     for i, dfg in enumerate(workload.dfgs):
@@ -127,7 +137,7 @@ def cmd_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    dims = _resolve_dims(args, parser)
+    dims = _fabric(args, parser, args.lines)
     aging_params = _resolve_aging(args, parser)
     workload = _read_workload(args.workload)
     policy = AllocationPolicy(args.policy)
@@ -140,54 +150,29 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         with open(args.heatmap, "w", encoding="utf-8") as f:
             f.write(metrics.export_heatmap(umap))
     if args.summary:
-        summary = metrics.summarize(umap)
-        doc = {
-            "label": result.label,
-            "num_cols": dims.num_cols,
-            "num_rows": dims.num_rows,
-            "policy": args.policy,
-            "total_executions": result.total_executions,
-            "skipped_dfgs": [[i, name] for i, name in result.skipped_dfgs],
-            "lifetime_years": dse.null_if_unbounded(result.lifetime_years),
-            **summary.to_dict(),
-        }
-        with open(args.summary, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, allow_nan=False)
-            f.write("\n")
+        _write_json(args.summary, result.run_doc(args.policy))
     if args.dump_plan:
         # plan of the run's final execution
         pivot = pivot_at(policy, result.total_executions - 1, dims)
         print(f"pivot=({pivot.row}, {pivot.col})")
         print(plan_table(reconfig_plan(pivot, dims)), end="")
-    print(
-        f"{result.label} policy={args.policy} executions={result.total_executions} "
-        f"avg={result.avg_util:.6f} max={result.max_util:.6f} min={result.min_util:.6f} "
-        f"lifetime={result.lifetime_years:.2f}y"
-    )
+    print(result.run_line(args.policy))
     return EXIT_OK
 
 
 def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    cols, rows = _resolve_dims(args, parser)
     if args.preset is not None:
-        if args.cols or args.rows:
-            parser.error("--preset and explicit -L/-W are mutually exclusive")
-        base = dse.PRESETS[args.preset]
-        col_values, row_values = [base.num_cols], [base.num_rows]
-    else:
-        if not args.cols or not args.rows:
-            parser.error("need either --preset or both -L and -W value lists")
-        col_values, row_values = args.cols, args.rows
+        cols, rows = [cols], [rows]
     aging_params = _resolve_aging(args, parser)
     workload = _read_workload(args.workload)
     try:
-        results = dse.sweep(col_values, row_values, workload, aging_params)
+        results = dse.sweep(cols, rows, workload, aging_params)
     except ValueError as e:
         parser.error(str(e))
     print(dse.results_table(results), end="")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            json.dump([r.to_dict() for r in results], f, indent=2, allow_nan=False)
-            f.write("\n")
+        _write_json(args.output, [r.to_dict() for r in results])
     return EXIT_OK
 
 
@@ -254,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="replay a trace and record utilization")
     p_sim.add_argument("workload")
     _add_dims_args(p_sim)
+    p_sim.add_argument("--lines", type=int, default=4,
+                       help="configuration lines, read by --dump-plan (default 4)")
     _add_aging_args(p_sim)
     p_sim.add_argument("--policy", choices=[p.value for p in AllocationPolicy],
                        default="fixed")
@@ -265,9 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dse = sub.add_parser("dse", help="paired policy comparison over fabric sizes")
     p_dse.add_argument("workload")
-    p_dse.add_argument("-L", "--cols", type=int, nargs="+", default=None)
-    p_dse.add_argument("-W", "--rows", type=int, nargs="+", default=None)
-    p_dse.add_argument("--preset", choices=sorted(dse.PRESETS))
+    _add_dims_args(p_dse, nargs="+")
     _add_aging_args(p_dse)
     p_dse.add_argument("-o", "--output", help="write results JSON here")
     p_dse.set_defaults(func=cmd_dse)

@@ -31,54 +31,64 @@ PRESETS: dict[str, FabricDims] = {
     "BU": FabricDims(num_cols=32, num_rows=8),
 }
 
+_NOTHING_RUN = UtilizationSummary(avg=0.0, max=0.0, min=0.0, argmax=(0, 0), histogram=())
+
+
+def _label(dims: FabricDims) -> str:
+    return f"L{dims.num_cols}W{dims.num_rows}"
+
 
 def null_if_unbounded(x: float | None) -> float | None:
     """JSON has no infinity: an unbounded lifetime or improvement is written as null."""
     return None if x == math.inf else x
 
 
+def _text(x: float, fmt: str) -> str:
+    """Text form of a lifetime or improvement; infinity reads `unbounded`."""
+    return "unbounded" if x == math.inf else fmt.format(x)
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
-    label: str
-    num_cols: int
-    num_rows: int
-    total_executions: int
-    avg_util: float
-    max_util: float
-    min_util: float
-    argmax_cell: tuple[int, int]
-    lifetime_years: float
+    """One fabric point: the last run's summary, paired with a baseline's worst cell."""
+
+    dims: FabricDims
+    summary: UtilizationSummary = _NOTHING_RUN
+    total_executions: int = 0
+    lifetime_years: float = 0.0
     skipped_dfgs: tuple[tuple[int, str], ...] = ()
     baseline_max_util: float | None = None
-    proposed_max_util: float | None = None
-    lifetime_improvement: float | None = None
     error: str | None = None
 
     @classmethod
-    def failed(cls, label: str, dims: FabricDims, error: str) -> "ScenarioResult":
-        return cls(
-            label=label,
-            num_cols=dims.num_cols,
-            num_rows=dims.num_rows,
-            total_executions=0,
-            avg_util=0.0,
-            max_util=0.0,
-            min_util=0.0,
-            argmax_cell=(0, 0),
-            lifetime_years=0.0,
-            error=error,
-        )
+    def failed(cls, dims: FabricDims, error: str) -> "ScenarioResult":
+        return cls(dims=dims, error=error)
+
+    @property
+    def label(self) -> str:
+        return _label(self.dims)
+
+    @property
+    def proposed_max_util(self) -> float | None:
+        return None if self.baseline_max_util is None else self.summary.max
+
+    @property
+    def lifetime_improvement(self) -> float | None:
+        if self.baseline_max_util is None:
+            return None
+        return aging.lifetime_improvement(self.baseline_max_util, self.summary.max)
 
     def to_dict(self) -> dict:
+        """The `dse -o` record."""
         return {
             "label": self.label,
-            "num_cols": self.num_cols,
-            "num_rows": self.num_rows,
+            "num_cols": self.dims.num_cols,
+            "num_rows": self.dims.num_rows,
             "total_executions": self.total_executions,
-            "avg_util": self.avg_util,
-            "max_util": self.max_util,
-            "min_util": self.min_util,
-            "argmax_cell": list(self.argmax_cell),
+            "avg_util": self.summary.avg,
+            "max_util": self.summary.max,
+            "min_util": self.summary.min,
+            "argmax_cell": list(self.summary.argmax),
             "lifetime_years": null_if_unbounded(self.lifetime_years),
             "skipped_dfgs": [[i, name] for i, name in self.skipped_dfgs],
             "baseline_max_util": self.baseline_max_util,
@@ -86,6 +96,26 @@ class ScenarioResult:
             "lifetime_improvement": null_if_unbounded(self.lifetime_improvement),
             "error": self.error,
         }
+
+    def run_doc(self, policy: str) -> dict:
+        """The `simulate --summary` document of a run under one policy."""
+        return {
+            "label": self.label,
+            "num_cols": self.dims.num_cols,
+            "num_rows": self.dims.num_rows,
+            "policy": policy,
+            "total_executions": self.total_executions,
+            "skipped_dfgs": [[i, name] for i, name in self.skipped_dfgs],
+            "lifetime_years": null_if_unbounded(self.lifetime_years),
+            **self.summary.to_dict(),
+        }
+
+    def run_line(self, policy: str) -> str:
+        """The line `simulate` prints."""
+        s = self.summary
+        return (f"{self.label} policy={policy} executions={self.total_executions} "
+                f"avg={s.avg:.6f} max={s.max:.6f} min={s.min:.6f} "
+                f"lifetime={_text(self.lifetime_years, '{:.2f}y')}")
 
 
 def map_workload(
@@ -158,37 +188,23 @@ def run_scenario_with_map(
     with the second's.  Every run starts at execution 0 and skips exactly the
     same DFGs, so average utilization matches between them.
     """
-    label = f"L{dims.num_cols}W{dims.num_rows}"
     mapped, skipped = map_workload(workload, dims)
     if not mapped:
-        raise EmptyScenarioError(f"{label}: no DFG of the workload fits {dims}")
-    summaries: list[UtilizationSummary] = []
+        raise EmptyScenarioError(f"{_label(dims)}: no DFG of the workload fits")
+    worst: list[float] = []
     for policy in policies:
         umap = replay_trace(workload, mapped, dims, policy)
         if umap.total_executions == 0:
-            raise EmptyScenarioError(f"{label}: trace only references skipped DFGs")
-        summaries.append(summarize(umap))
-    last = summaries[-1]
-    paired = {}
-    if len(summaries) == 2:
-        base = summaries[0].max
-        paired = dict(
-            baseline_max_util=base,
-            proposed_max_util=last.max,
-            lifetime_improvement=aging.lifetime_improvement(base, last.max),
-        )
+            raise EmptyScenarioError(f"{_label(dims)}: trace only references skipped DFGs")
+        summary = summarize(umap)
+        worst.append(summary.max)
     result = ScenarioResult(
-        label=label,
-        num_cols=dims.num_cols,
-        num_rows=dims.num_rows,
+        dims=dims,
+        summary=summary,
         total_executions=umap.total_executions,
-        avg_util=last.avg,
-        max_util=last.max,
-        min_util=last.min,
-        argmax_cell=last.argmax,
-        lifetime_years=aging.lifetime(aging_params, last.max),
+        lifetime_years=aging.lifetime(aging_params, summary.max),
         skipped_dfgs=tuple(skipped),
-        **paired,
+        baseline_max_util=worst[0] if len(worst) == 2 else None,
     )
     return result, umap
 
@@ -213,8 +229,7 @@ def sweep(
         try:
             results.append(run_scenario_with_map(dims, workload, aging_params)[0])
         except EmptyScenarioError as e:
-            label = f"L{dims.num_cols}W{dims.num_rows}"
-            results.append(ScenarioResult.failed(label, dims, str(e)))
+            results.append(ScenarioResult.failed(dims, str(e)))
     return results
 
 
@@ -226,13 +241,12 @@ def results_table(results: list[ScenarioResult]) -> str:
         if res.error is not None:
             rows.append([res.label, "ERROR", res.error, "", ""])
             continue
-        rows.append([
-            res.label,
-            f"{res.avg_util:.4f}",
-            "" if res.baseline_max_util is None else f"{res.baseline_max_util:.4f}",
-            "" if res.proposed_max_util is None else f"{res.proposed_max_util:.4f}",
-            "" if res.lifetime_improvement is None else f"{res.lifetime_improvement:.2f}x",
-        ])
+        paired = ["", "", ""] if res.baseline_max_util is None else [
+            f"{res.baseline_max_util:.4f}",
+            f"{res.proposed_max_util:.4f}",
+            _text(res.lifetime_improvement, "{:.2f}x"),
+        ]
+        rows.append([res.label, f"{res.summary.avg:.4f}", *paired])
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"

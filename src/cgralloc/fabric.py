@@ -115,8 +115,6 @@ class MemoryModel:
 class ExecResult:
     outputs: tuple[int, ...]
     memory: MemoryModel
-    columns_used: int
-    latency_cycles: float  # one column = half a processor cycle
 
 
 def _signed(v: int) -> int:
@@ -199,13 +197,7 @@ def execute(
         _, _, addr, word = heapq.heappop(pending)
         mem.write(addr, word)
 
-    outputs = tuple(resolve(ref) for ref in dfg.outputs)
-    return ExecResult(
-        outputs=outputs,
-        memory=mem,
-        columns_used=vc.num_cols_used,
-        latency_cycles=vc.num_cols_used * 0.5,
-    )
+    return ExecResult(outputs=tuple(resolve(ref) for ref in dfg.outputs), memory=mem)
 
 
 def check_physical_legality(
@@ -260,26 +252,4 @@ def check_physical_legality(
         violations.append(
             f"wrap feedback at columns {sorted(actual_wrap)}, expected {sorted(expected_wrap)}"
         )
-    if _crosses_right_edge(vc, pivot, num_cols) and pivot.col not in actual_wrap:
-        violations.append("a dependency crosses the physical right edge but wrap feedback is off")
     return violations
-
-
-def _crosses_right_edge(vc: VirtualConfiguration, pivot: Pivot, num_cols: int) -> bool:
-    """True when some producer->consumer value physically wraps past the edge.
-
-    A value alive across logical boundary b wraps iff boundary b sits at the
-    physical seam, i.e. (b + pivot.col) mod num_cols == 0 for 0 < b.
-    """
-    if pivot.col == 0:
-        return False
-    for op in vc.dfg.ops:
-        consumer_start = vc.placement(op.id).col_start
-        for ref in op.sources:
-            if ref.kind is not RefKind.OP:
-                continue
-            producer_end = vc.placement(ref.index).col_end
-            for b in range(producer_end, consumer_start + 1):
-                if b > 0 and (b + pivot.col) % num_cols == 0:
-                    return True
-    return False

@@ -65,8 +65,6 @@ class VirtualConfiguration:
 
     dfg: Dfg
     placements: tuple[Placement, ...]  # indexed by op id
-    num_cols_used: int
-    num_rows_used: int
 
     def placement(self, op_id: int) -> Placement:
         return self.placements[op_id]
@@ -140,10 +138,5 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
         placements[op_id] = Placement(op_id=op_id, row=row_bit.bit_length() - 1,
                                       col_start=col, width=width)
 
-    return VirtualConfiguration(
-        dfg=d,
-        placements=tuple(placements),
-        num_cols_used=max(ends, default=0),
-        num_rows_used=max((p.row for p in placements), default=-1) + 1,
-    )
+    return VirtualConfiguration(dfg=d, placements=tuple(placements))
 

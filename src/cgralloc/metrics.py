@@ -84,24 +84,6 @@ def summarize(m: UtilizationMap) -> UtilizationSummary:
 
 def export_heatmap(m: UtilizationMap) -> str:
     """CSV heatmap: header, then one line of 6-decimal fractions per row."""
-    return format_heatmap(utilization_rates(m), m.dims, m.total_executions)
-
-
-def format_heatmap(rates: list[list[float]], dims: FabricDims, executions: int) -> str:
-    lines = [f"#rows={dims.num_rows},cols={dims.num_cols},executions={executions}"]
-    lines.extend(",".join(f"{rate:.6f}" for rate in row) for row in rates)
+    lines = [f"#rows={m.dims.num_rows},cols={m.dims.num_cols},executions={m.total_executions}"]
+    lines.extend(",".join(f"{rate:.6f}" for rate in row) for row in utilization_rates(m))
     return "\n".join(lines) + "\n"
-
-
-def parse_heatmap(text: str) -> tuple[list[list[float]], FabricDims, int]:
-    """Inverse of format_heatmap (rates come back rounded to 6 decimals)."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing heatmap header")
-    fields = dict(part.split("=") for part in lines[0][1:].split(","))
-    num_rows, num_cols = int(fields["rows"]), int(fields["cols"])
-    executions = int(fields["executions"])
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    if len(rows) != num_rows or any(len(row) != num_cols for row in rows):
-        raise ValueError("heatmap body does not match header dimensions")
-    return rows, FabricDims(num_cols=num_cols, num_rows=num_rows), executions

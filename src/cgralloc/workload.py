@@ -59,10 +59,6 @@ class WorkloadSemanticError(WorkloadError):
         self.violations = list(violations)
 
 
-class DfgCycleError(WorkloadError):
-    """A DFG contains a dependency cycle."""
-
-
 class Opcode(Enum):
     ADD = "add"
     SUB = "sub"
@@ -220,7 +216,9 @@ def topological_order(d: Dfg) -> list[int]:
     """Dependency-respecting op order; ties broken by ascending id.
 
     When every producer has a smaller id than its consumer, the smallest
-    unplaced id is always ready, so the order is simply 0..n-1.
+    unplaced id is always ready, so the order is simply 0..n-1.  A cycle or
+    an out-of-range producer, which parse_workload already rejects, raises
+    WorkloadSemanticError.
     """
     n = len(d.ops)
     producers: list[set[int]] = []
@@ -251,7 +249,7 @@ def topological_order(d: Dfg) -> list[int]:
                 heapq.heappush(ready, c)
     if len(order) != n:
         stuck = min(i for i in range(n) if indegree[i] > 0)
-        raise DfgCycleError(f"cycle detected at op {stuck}")
+        raise WorkloadSemanticError([f"cycle detected at op {stuck}"])
     return order
 
 
@@ -414,6 +412,9 @@ def serialize_workload(w: Workload) -> str:
 # Synthetic workload generation
 # ---------------------------------------------------------------------------
 
+MAX_OUTPUTS = 3  # a generated DFG exposes 1..MAX_OUTPUTS of its values
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Knobs for synthetic workload generation.
@@ -428,7 +429,6 @@ class GeneratorParams:
     num_inputs: int = 4
     trace_length: int = 100
     max_repeat: int = 8
-    max_outputs: int = 3
 
 
 def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
@@ -450,8 +450,6 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
         raise ValueError("trace_length must be >= 1")
     if params.max_repeat < 1:
         raise ValueError("max_repeat must be >= 1")
-    if params.max_outputs < 1:
-        raise ValueError("max_outputs must be >= 1")
 
     rng = random.Random(seed)
     dfgs = []
@@ -468,7 +466,7 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
             ops.append(Operation(id=oid, opcode=opcode, sources=srcs))
             if opcode is not Opcode.STORE:
                 available.append(op_ref(oid))
-        k = min(len(available), rng.randint(1, params.max_outputs))
+        k = min(len(available), rng.randint(1, MAX_OUTPUTS))
         outputs = tuple(rng.sample(available, k))
         dfgs.append(Dfg(name=f"dfg{di}", num_inputs=params.num_inputs,
                         ops=tuple(ops), outputs=outputs))

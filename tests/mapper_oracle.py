@@ -8,7 +8,7 @@ grows with ops x columns x rows x width, so tests keep their fabrics small.
 import heapq
 
 from cgralloc.mapper import DoesNotFitError, FabricDims, Placement, op_width
-from cgralloc.workload import Dfg, DfgCycleError, Opcode, RefKind
+from cgralloc.workload import Dfg, Opcode, RefKind
 
 
 def heap_topological_order(d: Dfg) -> list[int]:
@@ -34,7 +34,7 @@ def heap_topological_order(d: Dfg) -> list[int]:
             if indegree[c] == 0:
                 heapq.heappush(ready, c)
     if len(order) != n:
-        raise DfgCycleError("cycle")
+        raise ValueError("cycle")
     return order
 
 
@@ -46,7 +46,7 @@ def smallest_ready_order(d: Dfg) -> list[int]:
     while len(order) < len(d.ops):
         ready = [i for i in range(len(d.ops)) if i not in done and producers[i] <= done]
         if not ready:
-            raise DfgCycleError("cycle")
+            raise ValueError("cycle")
         order.append(ready[0])
         done.add(ready[0])
     return order

@@ -23,8 +23,7 @@ def vc_single_cell_at(row: int, col: int) -> VirtualConfiguration:
             ops=(Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),),
             outputs=(op_ref(0),))
     p = Placement(op_id=0, row=row, col_start=col, width=1)
-    return VirtualConfiguration(dfg=d, placements=(p,),
-                                num_cols_used=col + 1, num_rows_used=row + 1)
+    return VirtualConfiguration(dfg=d, placements=(p,))
 
 
 def test_scheduler_starts_at_origin():
@@ -76,7 +75,7 @@ def test_allocate_wraps_memory_op_past_right_edge():
     d = Dfg(name="m", num_inputs=1,
             ops=(Operation(0, Opcode.LOAD, (input_ref(0),)),), outputs=(op_ref(0),))
     p = Placement(op_id=0, row=0, col_start=12, width=4)
-    vc = VirtualConfiguration(dfg=d, placements=(p,), num_cols_used=16, num_rows_used=1)
+    vc = VirtualConfiguration(dfg=d, placements=(p,))
     alloc = allocate(vc, Pivot(row=0, col=2), DIMS_16x2)
     assert [c for _, c in alloc.cell_map[0]] == [14, 15, 0, 1]
 

@@ -5,8 +5,8 @@ import time
 import pytest
 
 from cgralloc.cli import main
-from cgralloc.metrics import parse_heatmap
 from cgralloc.workload import parse_workload, serialize_workload
+from heatmap_reader import parse_heatmap
 
 SINGLE_ADD_WORKLOAD = {
     "format": 1,
@@ -159,11 +159,18 @@ def test_context_flag_is_rejected(single_add_path, capsys, command):
     assert "unrecognized arguments: --context 4" in capsys.readouterr().err
 
 
+def test_lines_flag_is_read_by_simulate_only(single_add_path, capsys):
+    assert main(["map", single_add_path, "--preset", "BE", "--lines", "4"]) == 2
+    assert "unrecognized arguments: --lines 4" in capsys.readouterr().err
+    assert main(["simulate", single_add_path, "--preset", "BE", "--lines", "2", "--dump-plan"]) == 0
+    assert "reconfig_cycles=8" in capsys.readouterr().out  # 16 columns over 2 lines
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_idle_worst_cell_writes_null_not_infinity(tmp_path):
+def test_idle_worst_cell_writes_null_not_infinity(tmp_path, capsys):
     # a DFG without ops occupies no cell, so the worst utilization is 0 and
     # the lifetime (and its improvement) is unbounded
     path = tmp_path / "idle.json"
@@ -171,7 +178,10 @@ def test_idle_worst_cell_writes_null_not_infinity(tmp_path):
                                                         "outputs": []}], "trace": [[0, 3]]}))
     summary, results = tmp_path / "s.json", tmp_path / "d.json"
     assert main(["simulate", str(path), "--preset", "BE", "--summary", str(summary)]) == 0
+    assert capsys.readouterr().out.endswith(" lifetime=unbounded\n")
     assert main(["dse", str(path), "--preset", "BE", "-o", str(results)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == [
+        "L16W2", "0.0000", "0.0000", "0.0000", "unbounded"]
     doc = json.loads(summary.read_text(), parse_constant=_reject_constant)
     assert doc["max"] == 0.0 and doc["lifetime_years"] is None
     [record] = json.loads(results.read_text(), parse_constant=_reject_constant)

@@ -65,15 +65,15 @@ def test_presets_carry_the_three_design_points():
 def test_rotating_full_period_is_exactly_uniform():
     w = single_op_workload(DIMS_16x2.num_cells)
     result = run_one(w)
-    assert result.max_util == result.min_util == result.avg_util == 1 / 32
+    assert result.summary.max == result.summary.min == result.summary.avg == 1 / 32
     assert result.total_executions == 32
 
 
 def test_fixed_origin_max_is_corner():
     w = single_op_workload(DIMS_16x2.num_cells)
     result = run_one(w, policy=AllocationPolicy.FIXED_ORIGIN)
-    assert result.max_util == 1.0
-    assert result.argmax_cell == (0, 0)
+    assert result.summary.max == 1.0
+    assert result.summary.argmax == (0, 0)
     assert result.lifetime_years == 3.0
 
 
@@ -114,7 +114,7 @@ def test_compare_policies_pairs_the_fields():
     )
     result = run_paired(w)
     assert result.baseline_max_util == 1.0
-    assert result.proposed_max_util == result.max_util < 1.0
+    assert result.proposed_max_util == result.summary.max < 1.0
     assert result.lifetime_improvement == pytest.approx(
         result.baseline_max_util / result.proposed_max_util, rel=1e-9
     )
@@ -132,7 +132,7 @@ def test_compare_policies_avg_matches_between_runs():
     prop = summarize(replay_trace(w, mapped, DIMS_16x2, AllocationPolicy.ROTATING))
     assert base.avg == pytest.approx(prop.avg, rel=1e-12)
     paired = run_paired(w)
-    assert paired.avg_util == pytest.approx(base.avg, rel=1e-12)
+    assert paired.summary.avg == pytest.approx(base.avg, rel=1e-12)
 
 
 def test_compare_identical_policies_improvement_is_one():
@@ -173,7 +173,7 @@ def test_sweep_records_errors_and_continues():
     w = memory_only_workload()
     results = sweep([2, 16], [2], w, AGING)
     assert results[0].label == "L2W2"
-    assert results[0].error is not None
+    assert results[0].error == "L2W2: no DFG of the workload fits"
     assert results[1].error is None
 
 
@@ -190,7 +190,7 @@ def test_sweep_avg_util_non_increasing_in_rows():
     )
     results = sweep([16], [2, 4, 8], w, AGING)
     assert all(r.error is None and not r.skipped_dfgs for r in results)
-    avgs = [r.avg_util for r in results]
+    avgs = [r.summary.avg for r in results]
     assert avgs[0] >= avgs[1] >= avgs[2]
 
 
@@ -207,9 +207,9 @@ def test_results_table_layout():
 
 
 def test_results_table_marks_errors():
-    failed = ScenarioResult.failed("L2W2", FabricDims(num_cols=2, num_rows=2), "nothing fits")
+    failed = ScenarioResult.failed(FabricDims(num_cols=2, num_rows=2), "nothing fits")
     table = results_table([failed])
-    assert "ERROR" in table
+    assert table.splitlines()[1].split() == ["L2W2", "ERROR", "nothing", "fits"]
 
 
 def test_result_dict_roundtrips_through_json():
@@ -218,7 +218,7 @@ def test_result_dict_roundtrips_through_json():
     doc = json.loads(json.dumps(result.to_dict()))
     assert doc["label"] == "L16W2"
     assert doc["baseline_max_util"] == 1.0
-    assert doc["argmax_cell"] == list(result.argmax_cell)
+    assert doc["argmax_cell"] == list(result.summary.argmax)
 
 
 def test_run_scenario_with_map_exposes_counts():
@@ -239,5 +239,5 @@ def test_single_policy_leaves_pair_fields_empty():
 def test_paired_run_returns_map_of_last_policy():
     w = single_op_workload(32)
     result, umap = run_scenario_with_map(DIMS_16x2, w, AGING)
-    assert result.max_util == result.proposed_max_util == 1 / 32
+    assert result.summary.max == result.proposed_max_util == 1 / 32
     assert max(max(row) for row in umap.active_count) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -168,21 +169,12 @@ def test_later_store_wins_final_memory():
     assert result.memory.read(8) == 22
 
 
-def test_latency_is_half_cycle_per_column():
-    d = Dfg(name="m", num_inputs=1,
-            ops=(Operation(0, Opcode.LOAD, (input_ref(0),)),), outputs=(op_ref(0),))
-    vc = map_dfg(d, DIMS_16x2)
-    result = execute(vc, ORIGIN, [0], MemoryModel(), DIMS_16x2)
-    assert result.columns_used == 4
-    assert result.latency_cycles == 2.0
-
-
 def test_empty_dfg_executes_to_nothing():
     d = Dfg(name="empty", num_inputs=0, ops=(), outputs=())
     vc = map_dfg(d, DIMS_16x2)
     result = execute(vc, ORIGIN, [], MemoryModel(), DIMS_16x2)
     assert result.outputs == ()
-    assert result.latency_cycles == 0.0
+    assert result.memory == MemoryModel()
 
 
 def test_execute_rejects_wrong_input_count():
@@ -221,7 +213,6 @@ def test_pivot_invariance_against_origin_oracle():
                 got = execute(vc, Pivot(r, c), inputs, MemoryModel(seed_mem), DIMS_8x2)
                 assert got.outputs == oracle.outputs
                 assert got.memory == oracle.memory
-                assert got.latency_cycles == oracle.latency_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +246,23 @@ def test_random_pairs_with_matching_plans_all_legal():
         plan = reconfig_plan(pivot, DIMS_8x2)
         assert check_physical_legality(alloc, plan, DIMS_8x2) == []
         checked += 1
+
+
+def test_misplaced_wrap_feedback_is_flagged_at_every_moved_pivot():
+    # any pivot that moves the start column needs the feedback mux there and
+    # nowhere else: off, or engaged one column over, must be reported
+    cols = DIMS_8x2.num_cols
+    for vc in fitted_random_vcs(DIMS_8x2, 20, seed=29):
+        for r in range(DIMS_8x2.num_rows):
+            for c in range(1, cols):
+                pivot = Pivot(r, c)
+                alloc = allocate(vc, pivot, DIMS_8x2)
+                plan = reconfig_plan(pivot, DIMS_8x2)
+                moved = tuple(pc == (c + 1) % cols for pc in range(cols))
+                for wrap in ((False,) * cols, moved):
+                    bad = dataclasses.replace(plan, wrap_feedback_enabled=wrap)
+                    violations = check_physical_legality(alloc, bad, DIMS_8x2)
+                    assert any(v.startswith("wrap feedback") for v in violations), (pivot, wrap)
 
 
 def test_memory_model_equality_ignores_zero_writes():

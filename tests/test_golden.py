@@ -1,8 +1,10 @@
 """Byte-identity of every CLI output on a small pinned workload.
 
 The digests in EXPECTED were recorded before the scenario entry points were
-merged; those in MAP_EXPECTED before the mapper's column bitmasks and the
-table-driven parser.  A change that alters any byte of the workload file, a
+merged; the map digests in MAP_EXPECTED before the mapper's column bitmasks
+and the table-driven parser, and its dse digests (one point that fits
+nothing, one that fits) when a failed point's error text was reduced to its
+label.  A change that alters any byte of the workload file, a
 heatmap CSV, a summary JSON, the DSE JSON, a placement dump, a misfit report
 or the printed text fails here; a change that means to alter an output format
 must re-record them and say so.
@@ -66,6 +68,8 @@ MAP_EXPECTED = {
     "BE.exit": 4,
     "BE.stdout": "8c763e24c7201042a6fb353de1b15cce06bf21bb94167a16488b002bde778eb4",
     "BE.stderr": "aeb01dc711cc3a21c4f365f7a4d799949d7bd3e4e6457cb20ec50db15b325c8e",
+    "dse.stdout": "61e9fa30ace43a0d36cf8ba85a1d38eea6c53c8da312c9bda94c6816ff5e1de7",
+    "dse.json": "d39152076f3cc56fa9db3c0952567aaedf73b423355d7bfb47ec649c876a5862",
 }
 
 
@@ -95,7 +99,8 @@ def test_cli_outputs_are_byte_identical(tmp_path):
 
 
 def map_digests(tmp: Path) -> dict[str, object]:
-    """Exit code and sha256 of stdout and stderr of `map --dump` on BP and BE."""
+    """Exit code and sha256 of stdout and stderr of `map --dump` on BP and BE,
+    and sha256 of `dse -L 8 16 -W 2 -o` output, whose L8W2 point fits nothing."""
     workload = tmp / "heavy.json"
     _run(MAP_GEN_ARGS + ["-o", str(workload)])
     digests: dict[str, object] = {}
@@ -105,6 +110,10 @@ def map_digests(tmp: Path) -> dict[str, object]:
             digests[f"{preset}.exit"] = main(["map", str(workload), "--preset", preset, "--dump"])
         digests[f"{preset}.stdout"] = _sha(out.getvalue().encode())
         digests[f"{preset}.stderr"] = _sha(err.getvalue().encode())
+    dse_json = tmp / "dse.json"
+    digests["dse.stdout"] = _sha(_run(["dse", str(workload), "-L", "8", "16", "-W", "2",
+                                       "-o", str(dse_json)]))
+    digests["dse.json"] = _sha(dse_json.read_bytes())
     return digests
 
 

@@ -69,8 +69,7 @@ def test_single_add_goes_to_origin():
     vc = map_dfg(single_add(), DIMS_16x2)
     p = vc.placement(0)
     assert (p.row, p.col_start, p.width) == (0, 0, 1)
-    assert vc.num_cols_used == 1
-    assert vc.num_rows_used == 1
+    assert vc.occupied_cells == {(0, 0)}
 
 
 def test_greedy_hand_trace():
@@ -86,8 +85,7 @@ def test_greedy_hand_trace():
     assert (a.row, a.col_start, a.width) == (0, 0, 1)
     assert (b.row, b.col_start, b.width) == (0, 1, 1)
     assert (c.row, c.col_start, c.width) == (1, 1, 4)
-    assert vc.num_cols_used == 5
-    assert vc.num_rows_used == 2
+    assert vc.occupied_cells == {(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)}
     assert_well_formed(vc, DIMS_16x2)
 
 
@@ -162,5 +160,5 @@ def test_placement_invariants_over_many_random_dfgs():
 def test_empty_dfg_uses_no_cells():
     vc = map_dfg(Dfg(name="empty", num_inputs=0, ops=(), outputs=()), DIMS_16x2)
     assert vc.placements == ()
-    assert vc.num_cols_used == 0 and vc.num_rows_used == 0
+    assert vc.occupied_cells == frozenset()
     assert vc.occupied_cells == frozenset()

@@ -9,8 +9,6 @@ from cgralloc.metrics import (
     EmptyMapError,
     UtilizationMap,
     export_heatmap,
-    format_heatmap,
-    parse_heatmap,
     summarize,
     utilization_rates,
 )
@@ -24,6 +22,7 @@ from cgralloc.workload import (
     input_ref,
     op_ref,
 )
+from heatmap_reader import parse_heatmap
 
 DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 
@@ -172,11 +171,10 @@ def test_export_heatmap_minimal():
 
 def test_heatmap_roundtrip_idempotent():
     m = replay_one(single_load_vc(), executions=7, policy=AllocationPolicy.ROTATING)
-    text = export_heatmap(m)
-    rates, dims, executions = parse_heatmap(text)
+    rates, dims, executions = parse_heatmap(export_heatmap(m))
     assert dims == DIMS_16x2
     assert executions == 7
-    assert format_heatmap(rates, dims, executions) == text
+    assert rates == [[float(f"{rate:.6f}") for rate in row] for row in utilization_rates(m)]
 
 
 def test_heatmap_shape_matches_dims():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cgralloc.workload import (
     Dfg,
-    DfgCycleError,
     GeneratorParams,
     Opcode,
     Operation,
@@ -187,7 +186,7 @@ def _replaced(doc, path, value):
 
 def _valid_doc(seed):
     params = GeneratorParams(num_dfgs=2, ops_per_dfg=(1, 4), memory_op_fraction=0.4,
-                             num_inputs=2, trace_length=2, max_outputs=2)
+                             num_inputs=2, trace_length=2)
     return json.loads(serialize_workload(generate_random_workload(params, seed)))
 
 
@@ -304,7 +303,7 @@ def test_topological_order_detects_cycle():
             ops=(Operation(0, Opcode.ADD, (op_ref(1), input_ref(0))),
                  Operation(1, Opcode.ADD, (op_ref(0), input_ref(0)))),
             outputs=())
-    with pytest.raises(DfgCycleError):
+    with pytest.raises(WorkloadSemanticError, match="cycle detected at op 0"):
         topological_order(d)
 
 
