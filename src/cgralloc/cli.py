@@ -27,7 +27,6 @@ from .workload import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NO_FIT = 4
 
@@ -60,23 +59,15 @@ def _fabric(args: argparse.Namespace, parser: argparse.ArgumentParser,
         parser.error(str(e))
 
 
-def _add_aging_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--temperature", type=float, default=350.0, help="kelvin")
-    p.add_argument("--vdd", type=float, default=1.0, help="volts")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="delay-degradation threshold fraction")
+def _add_ref_lifetime_arg(p: argparse.ArgumentParser) -> None:
+    # lifetime is ref_lifetime / u: temperature, vdd and the threshold cancel out of it
     p.add_argument("--ref-lifetime", type=float, default=3.0,
                    help="years to threshold at full utilization")
 
 
-def _resolve_aging(args: argparse.Namespace, parser: argparse.ArgumentParser) -> aging.AgingParams:
+def _aging(parser: argparse.ArgumentParser, **fields: float) -> aging.AgingParams:
     try:
-        return aging.AgingParams(
-            temperature_k=args.temperature,
-            vdd=args.vdd,
-            delay_threshold=args.threshold,
-            reference_lifetime_years=args.ref_lifetime,
-        )
+        return aging.AgingParams(**fields)
     except ValueError as e:
         parser.error(str(e))
 
@@ -138,7 +129,7 @@ def cmd_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     dims = _fabric(args, parser, args.lines)
-    aging_params = _resolve_aging(args, parser)
+    aging_params = _aging(parser, reference_lifetime_years=args.ref_lifetime)
     workload = _read_workload(args.workload)
     policy = AllocationPolicy(args.policy)
     try:
@@ -164,7 +155,7 @@ def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cols, rows = _resolve_dims(args, parser)
     if args.preset is not None:
         cols, rows = [cols], [rows]
-    aging_params = _resolve_aging(args, parser)
+    aging_params = _aging(parser, reference_lifetime_years=args.ref_lifetime)
     workload = _read_workload(args.workload)
     try:
         results = dse.sweep(cols, rows, workload, aging_params)
@@ -177,7 +168,8 @@ def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_age(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    aging_params = _resolve_aging(args, parser)
+    aging_params = _aging(parser, delay_threshold=args.threshold,
+                          reference_lifetime_years=args.ref_lifetime)
     u = args.u
     if u is None and args.summary is not None:
         with open(args.summary, encoding="utf-8") as f:
@@ -193,12 +185,12 @@ def cmd_age(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("need --u or --summary")
     try:
         life = aging.lifetime(aging_params, u)
-        lines = [f"lifetime(u={u:g}) = {life:.2f} years"]
+        lines = [f"lifetime(u={u:g}) = {dse.text_or_unbounded(life, '{:.2f} years')}"]
         if args.u2 is not None:
             life2 = aging.lifetime(aging_params, args.u2)
             improvement = aging.lifetime_improvement(u, args.u2)
-            lines += [f"lifetime(u={args.u2:g}) = {life2:.2f} years",
-                      f"improvement = {improvement:.2f}x"]
+            lines += [f"lifetime(u={args.u2:g}) = {dse.text_or_unbounded(life2, '{:.2f} years')}",
+                      f"improvement = {dse.text_or_unbounded(improvement, '{:.2f}x')}"]
         if args.curve:
             points = aging.delay_curve(aging_params, u, args.horizon, args.points)
     except ValueError as e:
@@ -228,45 +220,47 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--trace-len", type=int, default=100)
     p_gen.add_argument("--max-repeat", type=int, default=8)
     p_gen.add_argument("-o", "--output", required=True)
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(func=cmd_gen, parser=p_gen)
 
     p_map = sub.add_parser("map", help="place every DFG of a workload")
     p_map.add_argument("workload")
     _add_dims_args(p_map)
     p_map.add_argument("--dump", action="store_true", help="print placements")
-    p_map.set_defaults(func=cmd_map)
+    p_map.set_defaults(func=cmd_map, parser=p_map)
 
     p_sim = sub.add_parser("simulate", help="replay a trace and record utilization")
     p_sim.add_argument("workload")
     _add_dims_args(p_sim)
     p_sim.add_argument("--lines", type=int, default=4,
                        help="configuration lines, read by --dump-plan (default 4)")
-    _add_aging_args(p_sim)
+    _add_ref_lifetime_arg(p_sim)
     p_sim.add_argument("--policy", choices=[p.value for p in AllocationPolicy],
                        default="fixed")
     p_sim.add_argument("--heatmap", help="write per-cell utilization CSV here")
     p_sim.add_argument("--summary", help="write summary JSON here")
     p_sim.add_argument("--dump-plan", action="store_true",
                        help="print the reconfiguration plan of the final execution")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, parser=p_sim)
 
     p_dse = sub.add_parser("dse", help="paired policy comparison over fabric sizes")
     p_dse.add_argument("workload")
     _add_dims_args(p_dse, nargs="+")
-    _add_aging_args(p_dse)
+    _add_ref_lifetime_arg(p_dse)
     p_dse.add_argument("-o", "--output", help="write results JSON here")
-    p_dse.set_defaults(func=cmd_dse)
+    p_dse.set_defaults(func=cmd_dse, parser=p_dse)
 
     p_age = sub.add_parser("age", help="lifetime and delay-curve queries")
     p_age.add_argument("--u", type=float, default=None, help="utilization in [0,1]")
     p_age.add_argument("--u2", type=float, default=None,
                        help="second utilization; prints the improvement ratio")
     p_age.add_argument("--summary", help="take u from a simulate summary JSON")
-    _add_aging_args(p_age)
+    p_age.add_argument("--threshold", type=float, default=0.10,
+                       help="delay-degradation threshold fraction, read by --curve")
+    _add_ref_lifetime_arg(p_age)
     p_age.add_argument("--curve", help="write a delay-curve CSV here")
     p_age.add_argument("--horizon", type=float, default=10.0, help="curve span in years")
     p_age.add_argument("--points", type=int, default=101)
-    p_age.set_defaults(func=cmd_age)
+    p_age.set_defaults(func=cmd_age, parser=p_age)
 
     return parser
 
@@ -278,8 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args, parser)
-    except SystemExit as e:  # parser.error inside a command
+        return args.func(args, args.parser)
+    except SystemExit as e:  # parser.error inside a command, with its subcommand's usage
         return int(e.code or 0)
     except WorkloadError as e:
         print(f"bad workload file: {e}", file=sys.stderr)

@@ -43,7 +43,7 @@ def null_if_unbounded(x: float | None) -> float | None:
     return None if x == math.inf else x
 
 
-def _text(x: float, fmt: str) -> str:
+def text_or_unbounded(x: float, fmt: str) -> str:
     """Text form of a lifetime or improvement; infinity reads `unbounded`."""
     return "unbounded" if x == math.inf else fmt.format(x)
 
@@ -115,7 +115,7 @@ class ScenarioResult:
         s = self.summary
         return (f"{self.label} policy={policy} executions={self.total_executions} "
                 f"avg={s.avg:.6f} max={s.max:.6f} min={s.min:.6f} "
-                f"lifetime={_text(self.lifetime_years, '{:.2f}y')}")
+                f"lifetime={text_or_unbounded(self.lifetime_years, '{:.2f}y')}")
 
 
 def map_workload(
@@ -244,7 +244,7 @@ def results_table(results: list[ScenarioResult]) -> str:
         paired = ["", "", ""] if res.baseline_max_util is None else [
             f"{res.baseline_max_util:.4f}",
             f"{res.proposed_max_util:.4f}",
-            _text(res.lifetime_improvement, "{:.2f}x"),
+            text_or_unbounded(res.lifetime_improvement, "{:.2f}x"),
         ]
         rows.append([res.label, f"{res.summary.avg:.4f}", *paired])
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]

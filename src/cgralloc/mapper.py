@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .workload import Dfg, Opcode, RefKind, topological_order
+from .workload import Dfg, Opcode, RefKind, WorkloadSemanticError
 
 ALU_WIDTH = 1
 MEMORY_WIDTH = 4
@@ -93,12 +93,14 @@ class DoesNotFitError(Exception):
 def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
     """First-fit greedy placement.
 
-    Ops are visited in topological order.  Each op's earliest legal column is
-    the maximum completion boundary of its producers (0 if none).  From there
-    columns are scanned outward and, within a column, rows top-down; the op
-    takes the first spot where its full width is free, fits inside the fabric,
-    and respects the memory-port rule (at most one load and one store may
-    begin per column).
+    Ops are visited in list order, which is their dependency order: an op
+    may read only ops listed before it (parse_workload enforces this), and
+    an op ref that breaks the rule raises WorkloadSemanticError instead of
+    being placed.  Each op's earliest legal column is the maximum completion
+    boundary of its producers (0 if none).  From there columns are scanned
+    outward and, within a column, rows top-down; the op takes the first spot
+    where its full width is free, fits inside the fabric, and respects the
+    memory-port rule (at most one load and one store may begin per column).
     """
     num_rows, num_cols = dims.num_rows, dims.num_cols
     all_rows = (1 << num_rows) - 1
@@ -108,13 +110,16 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
     ends = [0] * len(d.ops)  # per op id, its completion boundary once placed
     placements = [None] * len(d.ops)  # indexed by op id
 
-    for op_id in topological_order(d):
-        op = d.ops[op_id]
+    for op_id, op in enumerate(d.ops):
         width = op_width(op.opcode)
         earliest = 0
         for ref in op.sources:
-            if ref.kind is RefKind.OP and ends[ref.index] > earliest:
-                earliest = ends[ref.index]
+            if ref.kind is RefKind.OP:
+                if not 0 <= ref.index < op_id:  # ends[-1] or an unplaced op would read as a column
+                    raise WorkloadSemanticError(
+                        [f"op {op_id} references op {ref.index}, which is not listed before it"])
+                if ends[ref.index] > earliest:
+                    earliest = ends[ref.index]
         ports = port_cols.get(op.opcode)
 
         for col in range(earliest, num_cols - width + 1):

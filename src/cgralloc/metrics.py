@@ -63,18 +63,20 @@ def summarize(m: UtilizationMap) -> UtilizationSummary:
     """
     rates = utilization_rates(m)
     flat = [(rate, r, c) for r, row in enumerate(rates) for c, rate in enumerate(row)]
-    avg = sum(rate for rate, _, _ in flat) / len(flat)
     best_rate, best_r, best_c = flat[0]
     worst = flat[0][0]
     hist = [0] * HISTOGRAM_BINS
+    # a left-to-right running sum: sum() of floats rounds differently from Python 3.12 on
+    total = 0.0
     for rate, r, c in flat:
+        total += rate
         if rate > best_rate:
             best_rate, best_r, best_c = rate, r, c
         if rate < worst:
             worst = rate
         hist[min(int(rate * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
     return UtilizationSummary(
-        avg=avg,
+        avg=total / len(flat),
         max=best_rate,
         min=worst,
         argmax=(best_r, best_c),

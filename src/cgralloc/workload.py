@@ -2,8 +2,10 @@
 
 A workload bundles one or more dataflow graphs with a trace that says which
 graph executes and how many times in a row.  Each graph is a straight-line
-region: operations read either external inputs or results of other operations
-in the same graph, with no loops and no branches.
+region written in program order: each operation reads external inputs or
+results of operations listed before it in the same graph, with no loops and
+no branches.  So the list order is the dependency order; a reference to the
+reading op itself or to a later op is a validation error.
 
 Value semantics are 32-bit two's-complement with wrapping arithmetic.  Shift
 amounts use the low 5 bits.  ``cmplt`` compares signed values and yields 0/1.
@@ -33,7 +35,6 @@ other opcode takes exactly two sources.
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from dataclasses import dataclass
@@ -136,7 +137,9 @@ def validate_dfg(d: Dfg) -> list[str]:
     """Check all DFG invariants; returns violation messages (empty = valid).
 
     Checks: dense ids matching list positions, per-opcode source arity,
-    reference bounds, stores never sourced as values, and acyclicity.
+    reference bounds, every op reading only ops listed before it, and stores
+    never sourced as values.  So the list order of a valid DFG is a
+    dependency order.
     """
     violations: list[str] = []
     n = len(d.ops)
@@ -149,108 +152,32 @@ def validate_dfg(d: Dfg) -> list[str]:
             violations.append(f"op at position {pos} has id {op.id}; ids must be dense 0..{n - 1}")
             ids_ok = False
 
-    def ref_problem(ref: ValueRef) -> str | None:
+    def ref_problem(ref: ValueRef, before: int) -> str | None:
+        """What is wrong with a ref read at list position `before` (n for outputs)."""
         if ref.kind is RefKind.INPUT:
             if not 0 <= ref.index < d.num_inputs:
                 return f"references nonexistent input {ref.index} (have {d.num_inputs})"
         elif not 0 <= ref.index < n:
             return f"references nonexistent op {ref.index}"
+        elif ref.index >= before:
+            return f"references op {ref.index}, which is not listed before it"
         elif ids_ok and d.ops[ref.index].opcode is Opcode.STORE:
             return f"sources op {ref.index}, a store, which produces no value"
         return None
 
-    for op in d.ops:
+    for pos, op in enumerate(d.ops):
         want = op.opcode.arity
         if len(op.sources) != want:
             violations.append(
                 f"op {op.id}: {op.opcode.value} takes {want} source(s), got {len(op.sources)}"
             )
         for ref in op.sources:
-            if problem := ref_problem(ref):
+            if problem := ref_problem(ref, pos):
                 violations.append(f"op {op.id} {problem}")
     for k, ref in enumerate(d.outputs):
-        if problem := ref_problem(ref):
+        if problem := ref_problem(ref, n):
             violations.append(f"output {k} {problem}")
-
-    if ids_ok:
-        violations.extend(_find_cycles(d))
     return violations
-
-
-def _find_cycles(d: Dfg) -> list[str]:
-    """DFS cycle detection; reports the op id where each cycle closes."""
-    n = len(d.ops)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * n
-    reported: list[str] = []
-    seen_targets: set[int] = set()
-    producers = [[r.index for r in op.sources if r.kind is RefKind.OP and 0 <= r.index < n]
-                 for op in d.ops]
-    if all(max(prods, default=-1) < pos for pos, prods in enumerate(producers)):
-        return []  # every edge points backward, so no cycle can close
-
-    for root in range(n):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            node, edge_idx = stack[-1]
-            if edge_idx < len(producers[node]):
-                stack[-1] = (node, edge_idx + 1)
-                nxt = producers[node][edge_idx]
-                if color[nxt] == GRAY:
-                    if nxt not in seen_targets:
-                        seen_targets.add(nxt)
-                        reported.append(f"cycle at op {nxt}")
-                elif color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return reported
-
-
-def topological_order(d: Dfg) -> list[int]:
-    """Dependency-respecting op order; ties broken by ascending id.
-
-    When every producer has a smaller id than its consumer, the smallest
-    unplaced id is always ready, so the order is simply 0..n-1.  A cycle or
-    an out-of-range producer, which parse_workload already rejects, raises
-    WorkloadSemanticError.
-    """
-    n = len(d.ops)
-    producers: list[set[int]] = []
-    backward = True
-    for pos, op in enumerate(d.ops):
-        prods = {r.index for r in op.sources if r.kind is RefKind.OP}
-        if prods and (min(prods) < 0 or max(prods) >= n):
-            raise WorkloadSemanticError([f"op {op.id} references nonexistent op"])
-        producers.append(prods)
-        backward = backward and op.id == pos and (not prods or max(prods) < pos)
-    if backward:
-        return list(range(n))
-
-    consumers: dict[int, set[int]] = {i: set() for i in range(n)}
-    for op, prods in zip(d.ops, producers):
-        for p in prods:
-            consumers[p].add(op.id)
-    indegree = [len(p) for p in producers]
-    ready = [i for i in range(n) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for c in consumers[node]:
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) != n:
-        stuck = min(i for i in range(n) if indegree[i] > 0)
-        raise WorkloadSemanticError([f"cycle detected at op {stuck}"])
-    return order
 
 
 # ---------------------------------------------------------------------------

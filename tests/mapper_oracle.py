@@ -38,20 +38,6 @@ def heap_topological_order(d: Dfg) -> list[int]:
     return order
 
 
-def smallest_ready_order(d: Dfg) -> list[int]:
-    """O(n^2) topological order: repeatedly take the smallest id whose producers are done."""
-    producers = [{r.index for r in op.sources if r.kind is RefKind.OP} for op in d.ops]
-    done: set[int] = set()
-    order: list[int] = []
-    while len(order) < len(d.ops):
-        ready = [i for i in range(len(d.ops)) if i not in done and producers[i] <= done]
-        if not ready:
-            raise ValueError("cycle")
-        order.append(ready[0])
-        done.add(ready[0])
-    return order
-
-
 def map_dfg_per_cell(d: Dfg, dims: FabricDims) -> tuple[Placement, ...]:
     """First-fit placements indexed by op id, or DoesNotFitError."""
     num_rows, num_cols = dims.num_rows, dims.num_cols

@@ -153,10 +153,20 @@ def test_simulate_dump_plan(single_add_path, capsys):
     assert "column  line_select  shift  wrap" in out
 
 
-@pytest.mark.parametrize("command", ["map", "simulate"])
-def test_context_flag_is_rejected(single_add_path, capsys, command):
-    assert main([command, single_add_path, "--preset", "BE", "--context", "4"]) == 2
-    assert "unrecognized arguments: --context 4" in capsys.readouterr().err
+# deleted flags: the context-line model's, and the aging inputs no output reads
+@pytest.mark.parametrize("command,flag", [
+    pytest.param("map", "--context", id="map"),
+    pytest.param("simulate", "--context", id="simulate"),
+    *[(command, flag) for command in ("simulate", "dse", "age")
+      for flag in ("--temperature", "--vdd")],
+    ("simulate", "--threshold"),
+    ("dse", "--threshold"),
+])
+def test_context_flag_is_rejected(single_add_path, capsys, command, flag):
+    argv = ([command, "--u", "0.5"] if command == "age"
+            else [command, single_add_path, "--preset", "BE"])
+    assert main(argv + [flag, "4"]) == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
 
 def test_lines_flag_is_read_by_simulate_only(single_add_path, capsys):
@@ -215,6 +225,19 @@ def test_non_utf8_workload_exits_3(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["map", "simulate", "dse"])
+def test_forward_reference_workload_exits_3(tmp_path, capsys, command):
+    add = {"id": 0, "opcode": "add", "srcs": [{"kind": "input", "index": 0},
+                                              {"kind": "input", "index": 1}]}
+    reader = {**add, "srcs": [{"kind": "op", "index": 1}, {"kind": "input", "index": 0}]}
+    dfg = {**SINGLE_ADD_WORKLOAD["dfgs"][0], "ops": [reader, {**add, "id": 1}]}
+    path = tmp_path / "forward.json"
+    path.write_text(json.dumps({**SINGLE_ADD_WORKLOAD, "dfgs": [dfg]}))
+    assert main([command, str(path), "--preset", "BE"]) == 3
+    assert capsys.readouterr().err == (
+        "bad workload file: dfgs[0]: op 0 references op 1, which is not listed before it\n")
+
+
 @pytest.mark.parametrize("policy, expected", [
     ("rotating", "executions=1000000000 avg=0.031250 max=0.031250 min=0.031250"),
     ("fixed", "executions=1000000000 avg=0.031250 max=1.000000 min=0.000000"),
@@ -240,6 +263,9 @@ def test_age_reports_improvement(capsys):
     out = capsys.readouterr().out
     assert "improvement = 2.30x" in out
     assert "7.30 years" in out
+    assert main(["age", "--u", "0.5", "--u2", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "lifetime(u=0.5) = 6.00 years\nlifetime(u=0) = unbounded\nimprovement = unbounded\n")
 
 
 def test_age_curve_output(tmp_path, capsys):
@@ -288,16 +314,18 @@ def test_age_requires_some_input():
     assert main(["age"]) == 2
 
 
-@pytest.mark.parametrize("flag,value", [("--ref-lifetime", "nan"), ("--temperature", "inf"),
-                                        ("--vdd", "nan"), ("--threshold", "nan")])
+@pytest.mark.parametrize("flag,value", [("--ref-lifetime", "nan"), ("--threshold", "nan")])
 def test_non_finite_aging_inputs_exit_2(single_add_path, tmp_path, capsys, flag, value):
     summary = tmp_path / "s.json"
     assert main(["age", "--u", "0.5", flag, value]) == 2
-    assert main(["simulate", single_add_path, "--preset", "BE", "--summary", str(summary),
-                 flag, value]) == 2
-    assert main(["dse", single_add_path, "--preset", "BE", flag, value]) == 2
+    if flag == "--ref-lifetime":  # the one aging flag that simulate and dse read
+        assert main(["simulate", single_add_path, "--preset", "BE", "--summary", str(summary),
+                     flag, value]) == 2
+        assert main(["dse", single_add_path, "--preset", "BE", flag, value]) == 2
     assert not summary.exists()
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be finite" in err and "unrecognized" not in err
 
 
 @pytest.mark.parametrize("extra", [
@@ -338,8 +366,11 @@ def test_dse_preset_conflicts_with_dims(single_add_path):
     assert main(["dse", single_add_path, "--preset", "BE", "-L", "8"]) == 2
 
 
-def test_dse_requires_dims_or_preset(single_add_path):
+def test_dse_requires_dims_or_preset(single_add_path, capsys):
     assert main(["dse", single_add_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cgralloc dse ")  # the subcommand's usage, not the root's
+    assert err.endswith("cgralloc dse: error: need either --preset or both -L and -W\n")
 
 
 def test_dse_rejects_invalid_dims(single_add_path, capsys):

@@ -7,6 +7,7 @@ from cgralloc.workload import (
     Opcode,
     Operation,
     RefKind,
+    WorkloadSemanticError,
     generate_random_workload,
     input_ref,
     op_ref,
@@ -96,6 +97,19 @@ def test_capacity_error_reports_op_and_frontier():
         map_dfg(d, FabricDims(num_cols=1, num_rows=2))
     assert exc.value.op_id == 2
     assert exc.value.frontier_col == 0
+
+
+@pytest.mark.parametrize("bad", [2, 1, -1, 9])  # forward, self, negative, out of range
+def test_op_ref_not_listed_before_its_reader_is_rejected_not_placed(bad):
+    # validate_dfg is bypassed: a library caller hands map_dfg the DFG directly
+    d = Dfg(name="bad", num_inputs=2, ops=(
+        Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),
+        Operation(1, Opcode.SUB, (op_ref(0), op_ref(bad))),
+        Operation(2, Opcode.XOR, (op_ref(0), input_ref(1))),
+    ), outputs=())
+    with pytest.raises(WorkloadSemanticError,
+                       match=f"^op 1 references op {bad}, which is not listed before it$"):
+        map_dfg(d, DIMS_16x2)
 
 
 def test_memory_op_never_fits_narrow_fabric():

@@ -21,7 +21,6 @@ from cgralloc.workload import (
     op_ref,
     parse_workload,
     serialize_workload,
-    topological_order,
     validate_dfg,
 )
 
@@ -128,15 +127,17 @@ MALFORMED = {
                          "trace[0]: must be [dfg_index, repeat_count]"),
     "short trace entry": (_doc([_ADD], trace=([0],)),
                           "trace[0]: must be [dfg_index, repeat_count]"),
-    "forward-referenced cycle": (
+    "forward reference": (
         _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
               {"id": 1, "opcode": "sub", "srcs": [_ref("op", 0), _ref("input", 1)]}]),
-        "dfgs[0]: cycle at op 0"),
-    "cycle behind a forward reference": (
+        "dfgs[0]: op 0 references op 1, which is not listed before it"),
+    "forward and self references": (
         _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
               {"id": 1, "opcode": "add", "srcs": [_ref("op", 2), _ref("input", 0)]},
               {"id": 2, "opcode": "xor", "srcs": [_ref("op", 1), _ref("op", 2)]}]),
-        "dfgs[0]: cycle at op 1; dfgs[0]: cycle at op 2"),
+        "dfgs[0]: op 0 references op 1, which is not listed before it; "
+        "dfgs[0]: op 1 references op 2, which is not listed before it; "
+        "dfgs[0]: op 2 references op 2, which is not listed before it"),
     "store used as a value": (
         _doc([{"id": 0, "opcode": "store", "srcs": [_ref("input", 0), _ref("input", 1)]},
               {"id": 1, "opcode": "add", "srcs": [_ref("op", 0), _ref("input", 1)]}]),
@@ -257,11 +258,11 @@ def test_validate_accepts_chain():
     assert validate_dfg(chain_dfg(3)) == []
 
 
-def test_validate_reports_self_loop_as_cycle():
+def test_validate_rejects_self_reference():
     d = Dfg(name="loop", num_inputs=1,
             ops=(Operation(0, Opcode.ADD, (op_ref(0), input_ref(0))),),
             outputs=())
-    assert "cycle at op 0" in validate_dfg(d)
+    assert validate_dfg(d) == ["op 0 references op 0, which is not listed before it"]
 
 
 def test_validate_reports_load_arity():
@@ -286,30 +287,10 @@ def test_validate_reports_nondense_ids():
     assert any("dense" in v for v in validate_dfg(d))
 
 
-def test_topological_order_chain():
-    assert topological_order(chain_dfg(3)) == [0, 1, 2]
-
-
-def test_topological_order_breaks_ties_by_id():
-    d = Dfg(name="pair", num_inputs=2,
-            ops=(Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),
-                 Operation(1, Opcode.SUB, (input_ref(0), input_ref(1)))),
-            outputs=())
-    assert topological_order(d) == [0, 1]
-
-
-def test_topological_order_detects_cycle():
-    d = Dfg(name="loop", num_inputs=1,
-            ops=(Operation(0, Opcode.ADD, (op_ref(1), input_ref(0))),
-                 Operation(1, Opcode.ADD, (op_ref(0), input_ref(0)))),
-            outputs=())
-    with pytest.raises(WorkloadSemanticError, match="cycle detected at op 0"):
-        topological_order(d)
-
-
 def test_topological_order_random_dags_brute_force():
-    # oracle: the order must be a permutation in which every producer
-    # precedes every consumer, checked edge by edge
+    # oracle: a list order is valid exactly when it is a topological order;
+    # every edge whose producer is not listed before its reader, found edge
+    # by edge, must be reported once per source slot, in list order
     rng = random.Random(7)
     for _ in range(20):
         n = 50
@@ -322,7 +303,9 @@ def test_topological_order_random_dags_brute_force():
                 b = op_ref(rng.randrange(i)) if rng.random() < 0.7 else input_ref(0)
                 srcs = (a, b)
             ops.append(Operation(i, Opcode.ADD, srcs))
-        # shuffle ids so dependencies are not simply "smaller id first"
+        assert validate_dfg(Dfg(name="dag", num_inputs=1, ops=tuple(ops), outputs=())) == []
+
+        # shuffle ids so some producer is listed after one of its readers
         perm = list(range(n))
         rng.shuffle(perm)
         remap = {old: new for new, old in enumerate(perm)}
@@ -333,15 +316,12 @@ def test_topological_order_random_dags_brute_force():
             )
             shuffled[remap[op.id]] = Operation(remap[op.id], op.opcode, new_srcs)
         d = Dfg(name="dag", num_inputs=1, ops=tuple(shuffled), outputs=())
-        assert validate_dfg(d) == []
 
-        order = topological_order(d)
-        assert sorted(order) == list(range(n))
-        pos = {op_id: k for k, op_id in enumerate(order)}
-        for op in d.ops:
-            for ref in op.sources:
-                if ref.kind is RefKind.OP:
-                    assert pos[ref.index] < pos[op.id]
+        late = [f"op {op.id} references op {r.index}, which is not listed before it"
+                for op in d.ops for r in op.sources
+                if r.kind is RefKind.OP and r.index >= op.id]
+        assert late  # a random order of 50 ops almost surely breaks some edge
+        assert validate_dfg(d) == late
 
 
 def test_generator_deterministic():
