@@ -268,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported by the subcommand's parser, so its usage line is shown
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as e:
         return int(e.code or 0)
     try:

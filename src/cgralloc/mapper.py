@@ -41,11 +41,6 @@ class FabricDims:
         return self.num_cols * self.num_rows
 
 
-def op_width(opcode: Opcode) -> int:
-    """Columns a kind of op occupies: 1 for ALU ops, 4 for loads/stores."""
-    return MEMORY_WIDTH if opcode.is_memory else ALU_WIDTH
-
-
 @dataclass(frozen=True)
 class Placement:
     op_id: int
@@ -105,22 +100,27 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
     num_rows, num_cols = dims.num_rows, dims.num_cols
     all_rows = (1 << num_rows) - 1
     taken = [0] * num_cols  # per column, a bitmask of the rows already used
-    # columns where a load, or a store, already begins
-    port_cols: dict[Opcode, set[int]] = {Opcode.LOAD: set(), Opcode.STORE: set()}
+    load_cols, store_cols = set(), set()  # columns where a load, or a store, already begins
     ends = [0] * len(d.ops)  # per op id, its completion boundary once placed
     placements = [None] * len(d.ops)  # indexed by op id
 
+    # read once: on 3.10 and 3.11, reading an Enum member off its class runs Python code
+    load, store, op_kind = Opcode.LOAD, Opcode.STORE, RefKind.OP
     for op_id, op in enumerate(d.ops):
-        width = op_width(op.opcode)
+        if op.opcode is load:
+            width, ports = MEMORY_WIDTH, load_cols
+        elif op.opcode is store:
+            width, ports = MEMORY_WIDTH, store_cols
+        else:
+            width, ports = ALU_WIDTH, None
         earliest = 0
         for ref in op.sources:
-            if ref.kind is RefKind.OP:
+            if ref.kind is op_kind:
                 if not 0 <= ref.index < op_id:  # ends[-1] or an unplaced op would read as a column
                     raise WorkloadSemanticError(
                         [f"op {op_id} references op {ref.index}, which is not listed before it"])
                 if ends[ref.index] > earliest:
                     earliest = ends[ref.index]
-        ports = port_cols.get(op.opcode)
 
         for col in range(earliest, num_cols - width + 1):
             if ports is not None and col in ports:

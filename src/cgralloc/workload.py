@@ -73,17 +73,13 @@ class Opcode(Enum):
     STORE = "store"
 
     @property
-    def is_memory(self) -> bool:
-        return self in (Opcode.LOAD, Opcode.STORE)
-
-    @property
     def arity(self) -> int:
         if self is Opcode.LOAD:
             return 1
         return 2
 
 
-ALU_OPCODES = tuple(op for op in Opcode if not op.is_memory)
+ALU_OPCODES = tuple(op for op in Opcode if op not in (Opcode.LOAD, Opcode.STORE))
 
 
 class RefKind(Enum):
@@ -207,9 +203,10 @@ def parse_workload(text: str) -> Workload:
     if not isinstance(raw_trace, list):
         raise WorkloadSemanticError(["'trace' must be a list"])
 
+    refs: dict[tuple[str, int], ValueRef] = {}  # (kind, index) -> its one ValueRef in this file
     dfgs = []
     for di, raw in enumerate(raw_dfgs):
-        dfg = _parse_dfg(raw, f"dfgs[{di}]", problems)
+        dfg = _parse_dfg(raw, f"dfgs[{di}]", problems, refs)
         if dfg is not None:
             dfgs.append(dfg)
     if problems:
@@ -239,7 +236,7 @@ def parse_workload(text: str) -> Workload:
     return Workload(dfgs=tuple(dfgs), trace=tuple(trace))
 
 
-def _parse_dfg(raw: object, where: str, problems: list[str]) -> Dfg | None:
+def _parse_dfg(raw: object, where: str, problems: list[str], refs: dict) -> Dfg | None:
     if not isinstance(raw, dict):
         problems.append(f"{where}: must be an object")
         return None
@@ -276,14 +273,14 @@ def _parse_dfg(raw: object, where: str, problems: list[str]) -> Dfg | None:
             problems.append(f"{where}.ops[{oi}]: 'srcs' must be a list")
             return None
         try:
-            srcs = _parse_refs(raw_srcs)
+            srcs = _parse_refs(raw_srcs, refs)
         except _BadRef as e:
             problems.append(f"{where}.ops[{oi}].srcs[{e.args[0]}]: {e.args[1]}")
             return None
         ops.append(Operation(id=op_id, opcode=opcode, sources=srcs))
 
     try:
-        outputs = _parse_refs(raw_outputs)
+        outputs = _parse_refs(raw_outputs, refs)
     except _BadRef as e:
         problems.append(f"{where}.outputs[{e.args[0]}]: {e.args[1]}")
         return None
@@ -294,45 +291,63 @@ class _BadRef(Exception):
     """args: (position of the first bad reference in its list, the problem)."""
 
 
-def _parse_refs(raws: list) -> tuple[ValueRef, ...]:
+def _parse_refs(raws: list, known: dict[tuple[str, int], ValueRef]) -> tuple[ValueRef, ...]:
     refs = []
     for i, raw in enumerate(raws):
         if not isinstance(raw, dict):
             raise _BadRef(i, "must be an object")
         kind = raw.get("kind")
-        kind = _REF_KINDS.get(kind) if type(kind) is str else None
-        if kind is None:
-            raise _BadRef(i, "kind must be 'input' or 'op'")
         index = raw.get("index")
-        if type(index) is not int:
-            raise _BadRef(i, "'index' must be an integer")
-        refs.append(ValueRef(kind, index))
+        # the type test comes first: true and 1.0 hash and compare equal to 1
+        key = (kind, index) if type(kind) is str and type(index) is int else None
+        ref = known.get(key)
+        if ref is None:
+            ref_kind = _REF_KINDS.get(kind) if type(kind) is str else None
+            if ref_kind is None:
+                raise _BadRef(i, "kind must be 'input' or 'op'")
+            if type(index) is not int:
+                raise _BadRef(i, "'index' must be an integer")
+            ref = known[key] = ValueRef(ref_kind, index)
+        refs.append(ref)
     return tuple(refs)
 
 
 def serialize_workload(w: Workload) -> str:
-    """Canonical text form; parse_workload(serialize_workload(w)) == w."""
-    doc = {
-        "format": WORKLOAD_FORMAT,
-        "dfgs": [
-            {
-                "name": d.name,
-                "num_inputs": d.num_inputs,
-                "ops": [
-                    {
-                        "id": op.id,
-                        "opcode": op.opcode.value,
-                        "srcs": [{"kind": r.kind.value, "index": r.index} for r in op.sources],
-                    }
-                    for op in d.ops
-                ],
-                "outputs": [{"kind": r.kind.value, "index": r.index} for r in d.outputs],
-            }
-            for d in w.dfgs
-        ],
-        "trace": [[idx, reps] for idx, reps in w.trace],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical text form, exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
+    document the module docstring shows; parse_workload(serialize_workload(w)) == w."""
+    rendered: dict[str, dict[ValueRef, str]] = {}  # per indent, the text of each ref
+
+    def refs(rs: tuple[ValueRef, ...], pad: str) -> str:
+        p = pad + "  "
+        texts = rendered.setdefault(p, {})
+        items = []
+        for r in rs:
+            text = texts.get(r)
+            if text is None:
+                text = texts[r] = (f'{{\n{p}  "kind": "{r.kind.value}",\n'
+                                   f'{p}  "index": {r.index}\n{p}}}')
+            items.append(text)
+        return _json_list(items, pad)
+
+    dfgs = []
+    for d in w.dfgs:
+        ops = [f'{{\n          "id": {op.id},\n          "opcode": "{op.opcode.value}",\n'
+               f'          "srcs": {refs(op.sources, " " * 10)}\n        }}'
+               for op in d.ops]
+        dfgs.append(f'{{\n      "name": {json.dumps(d.name)},\n'
+                    f'      "num_inputs": {d.num_inputs},\n'
+                    f'      "ops": {_json_list(ops, " " * 6)},\n'
+                    f'      "outputs": {refs(d.outputs, " " * 6)}\n    }}')
+    trace = [f"[\n      {idx},\n      {reps}\n    ]" for idx, reps in w.trace]
+    return (f'{{\n  "format": {WORKLOAD_FORMAT},\n  "dfgs": {_json_list(dfgs, "  ")},\n'
+            f'  "trace": {_json_list(trace, "  ")}\n}}\n')
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """Rendered items as json.dumps(indent=2) lays out a list whose key is at indent `pad`."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
 # ---------------------------------------------------------------------------

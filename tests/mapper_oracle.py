@@ -7,8 +7,13 @@ grows with ops x columns x rows x width, so tests keep their fabrics small.
 
 import heapq
 
-from cgralloc.mapper import DoesNotFitError, FabricDims, Placement, op_width
+from cgralloc.mapper import DoesNotFitError, FabricDims, Placement
 from cgralloc.workload import Dfg, Opcode, RefKind
+
+
+def columns(opcode: Opcode) -> int:
+    """Columns an op occupies, as README states: 4 for load and store, 1 for ALU ops."""
+    return 4 if opcode in (Opcode.LOAD, Opcode.STORE) else 1
 
 
 def heap_topological_order(d: Dfg) -> list[int]:
@@ -48,7 +53,7 @@ def map_dfg_per_cell(d: Dfg, dims: FabricDims) -> tuple[Placement, ...]:
 
     for op_id in heap_topological_order(d):
         op = d.ops[op_id]
-        width = op_width(op.opcode)
+        width = columns(op.opcode)
         earliest = 0
         for ref in op.sources:
             if ref.kind is RefKind.OP:

@@ -373,6 +373,14 @@ def test_dse_requires_dims_or_preset(single_add_path, capsys):
     assert err.endswith("cgralloc dse: error: need either --preset or both -L and -W\n")
 
 
+@pytest.mark.parametrize("command", ["dse", "map"])
+def test_unrecognized_argument_shows_the_subcommands_usage(single_add_path, capsys, command):
+    assert main([command, single_add_path, "--preset", "BE", "--temperature", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cgralloc {command} ")
+    assert err.endswith(f"cgralloc {command}: error: unrecognized arguments: --temperature 1\n")
+
+
 def test_dse_rejects_invalid_dims(single_add_path, capsys):
     assert main(["dse", single_add_path, "-L", "0", "-W", "2"]) == 2
     assert "Traceback" not in capsys.readouterr().err

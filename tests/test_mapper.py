@@ -1,6 +1,6 @@
 import pytest
 
-from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg, op_width
+from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
@@ -50,10 +50,13 @@ def assert_well_formed(vc, dims):
 
 
 def test_op_width():
-    assert op_width(Opcode.ADD) == 1
-    assert op_width(Opcode.LOAD) == 4
-    assert op_width(Opcode.STORE) == 4
-    assert all(op_width(k) == 1 for k in Opcode if not k.is_memory)
+    # one op of every opcode, each reading only inputs
+    ops = tuple(Operation(i, k, (input_ref(0), input_ref(1))[:k.arity])
+                for i, k in enumerate(Opcode))
+    vc = map_dfg(Dfg(name="all", num_inputs=2, ops=ops, outputs=()),
+                 FabricDims(num_cols=16, num_rows=len(ops)))
+    widths = {op.opcode: vc.placement(op.id).width for op in ops}
+    assert widths == {k: 4 if k in (Opcode.LOAD, Opcode.STORE) else 1 for k in Opcode}
 
 
 def test_dims_defaults_and_validation():

@@ -23,6 +23,7 @@ from cgralloc.workload import (
     serialize_workload,
     validate_dfg,
 )
+from serialize_oracle import serialize_by_encoder
 
 MINIMAL = json.dumps({
     "format": 1,
@@ -123,6 +124,13 @@ MALFORMED = {
                   "dfgs[0].ops[0].srcs[1]: kind must be 'input' or 'op'"),
     "bool index": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref("input", True)]}]),
                    "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
+    # ("input", 1) is parsed first, and true and 1.0 hash and compare equal to 1
+    "bool index after its int": (
+        _doc([{**_ADD, "srcs": [_ref("input", 1), _ref("input", True)]}]),
+        "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
+    "float index after its int": (
+        _doc([{**_ADD, "srcs": [_ref("input", 1), _ref("input", 1.0)]}]),
+        "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
     "bool trace entry": (_doc([_ADD], trace=([0, True],)),
                          "trace[0]: must be [dfg_index, repeat_count]"),
     "short trace entry": (_doc([_ADD], trace=([0],)),
@@ -254,6 +262,45 @@ def test_roundtrip_random_workloads():
         assert parse_workload(serialize_workload(w)) == w
 
 
+def test_parse_shares_one_ref_per_kind_and_index_within_a_parse_only():
+    text = serialize_workload(generate_random_workload(GeneratorParams(num_dfgs=10), 4))
+    refs = [r for d in parse_workload(text).dfgs for op in d.ops for r in op.sources]
+    assert len({id(r) for r in refs}) == len(set(refs)) < len(refs)
+    again = [r for d in parse_workload(text).dfgs for op in d.ops for r in op.sources]
+    assert again == refs and not {id(r) for r in again} & {id(r) for r in refs}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("params", [
+    GeneratorParams(num_dfgs=1, ops_per_dfg=(1, 1), trace_length=1),
+    GeneratorParams(num_dfgs=30),
+    GeneratorParams(num_dfgs=20, ops_per_dfg=(20, 60), num_inputs=8, max_repeat=4),
+    GeneratorParams(num_dfgs=10, memory_op_fraction=1.0, num_inputs=1, max_repeat=1000),
+], ids=["one op", "default sizes", "map_heavy sizes", "memory only"])
+def test_serialize_equals_json_encoder_on_generated_workloads(params, seed):
+    w = generate_random_workload(params, seed)
+    assert serialize_workload(w) == serialize_by_encoder(w)
+
+
+def test_serialize_equals_json_encoder_on_edge_cases():
+    add = Operation(0, Opcode.ADD, (input_ref(0), input_ref(1)))
+    names = ["", 'say "hi"', "back\\slash", "tab\tnew\nline\x01\x1f\x7f", "caf\u00e9",
+             "\u65e5\u672c", "\U0001f600", "\ud800"]
+    w = Workload(dfgs=(
+        Dfg(name="no ops", num_inputs=2, ops=(), outputs=(input_ref(1),)),
+        Dfg(name="no outputs", num_inputs=2, ops=(add,), outputs=()),
+        Dfg(name="nothing", num_inputs=0, ops=(), outputs=()),
+        *(Dfg(name=n, num_inputs=2, ops=(add,), outputs=(op_ref(0), input_ref(0)))
+          for n in names),
+    ), trace=())
+    text = serialize_workload(w)
+    assert text == serialize_by_encoder(w)
+    assert text.isascii()
+    empty = Workload(dfgs=(), trace=())
+    assert serialize_workload(empty) == serialize_by_encoder(empty) == (
+        '{\n  "format": 1,\n  "dfgs": [],\n  "trace": []\n}\n')
+
+
 def test_validate_accepts_chain():
     assert validate_dfg(chain_dfg(3)) == []
 
@@ -333,7 +380,7 @@ def test_generator_deterministic():
 def test_generator_zero_memory_fraction():
     w = generate_random_workload(GeneratorParams(memory_op_fraction=0.0, num_dfgs=30), 3)
     for d in w.dfgs:
-        assert all(not op.opcode.is_memory for op in d.ops)
+        assert all(op.opcode not in (Opcode.LOAD, Opcode.STORE) for op in d.ops)
 
 
 def test_generator_output_validity():
