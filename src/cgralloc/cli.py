@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 invalid arguments, 3 input/output failure,
 4 mapping infeasibility.  All randomness flows from --seed.
 
+Each command runs with the cyclic garbage collector paused: its data is acyclic,
+so reference counting frees it, and rescans of the parsed workload are waste.
+
 `map --dump` placement grammar: one header line `dfg <index> <name>` per
 DFG followed by one `(op, row, col_start, width)` tuple line per op.
 """
@@ -10,6 +13,7 @@ DFG followed by one `(op, row, col_start, width)` tuple line per op.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -112,8 +116,8 @@ def cmd_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for i, dfg in enumerate(workload.dfgs):
         try:
             vc = map_dfg(dfg, dims)
-        except DoesNotFitError as e:
-            misfits.append((i, dfg.name, e))
+        except DoesNotFitError as e:  # keep the text: e's traceback would hold this frame
+            misfits.append(f"dfg {i} {dfg.name}: {e}")
             continue
         if args.dump:
             dump.append(f"dfg {i} {dfg.name}")
@@ -121,8 +125,7 @@ def cmd_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if dump:  # one write; a print() per line is about 3x slower on 1000-DFG dumps
         print("\n".join(dump))
     if misfits:
-        for i, name, e in misfits:
-            print(f"dfg {i} {name}: {e}", file=sys.stderr)
+        print("\n".join(misfits), file=sys.stderr)
         return EXIT_NO_FIT
     return EXIT_OK
 
@@ -267,15 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:  # reported by the subcommand's parser, so its usage line is shown
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         return args.func(args, args.parser)
-    except SystemExit as e:  # parser.error inside a command, with its subcommand's usage
+    except SystemExit as e:  # parser.error, inside a command with its subcommand's usage
         return int(e.code or 0)
     except WorkloadError as e:
         print(f"bad workload file: {e}", file=sys.stderr)
@@ -283,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(str(e), file=sys.stderr)
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -126,8 +126,9 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
             if ports is not None and col in ports:
                 continue
             used = taken[col]
-            for c in range(col + 1, col + width):
-                used |= taken[c]
+            if width > 1:
+                for c in range(col + 1, col + width):
+                    used |= taken[c]
             free = all_rows & ~used
             if free:
                 break

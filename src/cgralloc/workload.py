@@ -139,6 +139,7 @@ def validate_dfg(d: Dfg) -> list[str]:
     """
     violations: list[str] = []
     n = len(d.ops)
+    input_kind, store = RefKind.INPUT, Opcode.STORE  # read once, as in mapper.map_dfg
     if d.num_inputs < 0:
         violations.append(f"num_inputs is {d.num_inputs}, must be >= 0")
 
@@ -150,14 +151,14 @@ def validate_dfg(d: Dfg) -> list[str]:
 
     def ref_problem(ref: ValueRef, before: int) -> str | None:
         """What is wrong with a ref read at list position `before` (n for outputs)."""
-        if ref.kind is RefKind.INPUT:
+        if ref.kind is input_kind:
             if not 0 <= ref.index < d.num_inputs:
                 return f"references nonexistent input {ref.index} (have {d.num_inputs})"
         elif not 0 <= ref.index < n:
             return f"references nonexistent op {ref.index}"
         elif ref.index >= before:
             return f"references op {ref.index}, which is not listed before it"
-        elif ids_ok and d.ops[ref.index].opcode is Opcode.STORE:
+        elif ids_ok and d.ops[ref.index].opcode is store:
             return f"sources op {ref.index}, a store, which produces no value"
         return None
 
@@ -188,6 +189,8 @@ def parse_workload(text: str) -> Workload:
         raise WorkloadSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError:
         raise WorkloadSyntaxError("nesting too deep") from None
+    except ValueError as e:  # an int over the digit limit; its subclass JSONDecodeError is above
+        raise WorkloadSyntaxError(str(e)) from None
 
     problems: list[str] = []
     if not isinstance(doc, dict):

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -222,6 +223,20 @@ def test_non_utf8_workload_exits_3(tmp_path, capsys, command):
     assert main([command, str(path), "--preset", "BE"]) == 3
     err = capsys.readouterr().err
     assert "bad workload file:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no integer digit limit")
+@pytest.mark.parametrize("command", ["map", "simulate", "dse"])
+def test_integer_over_the_digit_limit_exits_3(tmp_path, capsys, command):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(SINGLE_ADD_WORKLOAD).replace('"num_inputs": 2',
+                                                            f'"num_inputs": {digits}'))
+    assert main([command, str(path), "--preset", "BE"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("bad workload file: ")
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,17 @@ def test_parse_syntax_error_reports_position():
 def test_parse_deep_nesting_is_a_syntax_error():
     with pytest.raises(WorkloadSyntaxError, match="nesting"):
         parse_workload("[" * 100000 + "]" * 100000)
+
+
+# 0 when the interpreter has no limit on int() of a decimal string, or it is switched off
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit")
+def test_parse_integer_over_the_digit_limit_is_a_syntax_error():
+    text = MINIMAL.replace('"num_inputs": 2', '"num_inputs": ' + "9" * (DIGIT_LIMIT + 1))
+    with pytest.raises(WorkloadSyntaxError, match="digits"):
+        parse_workload(text)
 
 
 def test_parse_rejects_unknown_format():
