@@ -73,10 +73,10 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
     if not (0 <= pivot.row < num_rows and 0 <= pivot.col < num_cols):
         raise ValueError(f"pivot {pivot} outside {num_cols}x{num_rows} fabric")
     cell_map: dict[int, tuple[tuple[int, int], ...]] = {}
-    for p in vc.placements:
-        row = (p.row + pivot.row) % num_rows
-        cell_map[p.op_id] = tuple(
-            (row, (c + pivot.col) % num_cols) for c in range(p.col_start, p.col_end)
+    for op_id, row, col_start, width in vc.placements:
+        row = (row + pivot.row) % num_rows
+        cell_map[op_id] = tuple(
+            (row, (c + pivot.col) % num_cols) for c in range(col_start, col_start + width)
         )
     return PhysicalAllocation(vc=vc, pivot=pivot, dims=dims, cell_map=cell_map)
 

@@ -166,33 +166,33 @@ def execute(
 
     words = [v & WORD_MASK for v in inputs]
     values: dict[int, int] = {}
+    input_kind, load, store = RefKind.INPUT, Opcode.LOAD, Opcode.STORE  # read once, as in map_dfg
 
     def resolve(ref: ValueRef) -> int:
-        if ref.kind is RefKind.INPUT:
-            return words[ref.index]
-        return values[ref.index]
+        kind, index = ref
+        if kind is input_kind:
+            return words[index]
+        return values[index]
 
-    def start_col(op_id: int) -> int:
-        physical = (vc.placement(op_id).col_start + pivot.col) % num_cols
-        return (physical - pivot.col) % num_cols
-
-    order = sorted(range(len(dfg.ops)), key=lambda i: (start_col(i), i))
+    # per op id, its start column recovered from its physical cell under the pivot
+    starts = [((col_start + pivot.col) % num_cols - pivot.col) % num_cols
+              for _, _, col_start, _ in vc.placements]
     pending: list[tuple[int, int, int, int]] = []  # (boundary, seq, addr, word)
     seq = 0
-    for op_id in order:
-        op = dfg.ops[op_id]
-        start = start_col(op_id)
+    for op_id in sorted(range(len(dfg.ops)), key=starts.__getitem__):  # stable: ties by op id
+        _, opcode, sources = dfg.ops[op_id]
+        start = starts[op_id]
         while pending and pending[0][0] <= start:
             _, _, addr, word = heapq.heappop(pending)
             mem.write(addr, word)
-        if op.opcode is Opcode.LOAD:
-            values[op_id] = mem.read(resolve(op.sources[0]))
-        elif op.opcode is Opcode.STORE:
+        if opcode is load:
+            values[op_id] = mem.read(resolve(sources[0]))
+        elif opcode is store:
             boundary = vc.placement(op_id).col_end
-            heapq.heappush(pending, (boundary, seq, resolve(op.sources[0]), resolve(op.sources[1])))
+            heapq.heappush(pending, (boundary, seq, resolve(sources[0]), resolve(sources[1])))
             seq += 1
         else:
-            values[op_id] = _alu(op.opcode, resolve(op.sources[0]), resolve(op.sources[1]))
+            values[op_id] = _alu(opcode, resolve(sources[0]), resolve(sources[1]))
     while pending:
         _, _, addr, word = heapq.heappop(pending)
         mem.write(addr, word)
@@ -218,27 +218,27 @@ def check_physical_legality(
 
     logical_cells: set[tuple[int, int]] = set()
     physical_cells: list[tuple[int, int]] = []
-    for p in vc.placements:
-        cells = alloc.cell_map.get(p.op_id)
-        if cells is None or len(cells) != p.width:
-            violations.append(f"op {p.op_id}: cell map does not cover its {p.width} column(s)")
+    for op_id, row, col_start, width in vc.placements:
+        cells = alloc.cell_map.get(op_id)
+        if cells is None or len(cells) != width:
+            violations.append(f"op {op_id}: cell map does not cover its {width} column(s)")
             continue
         for k, (pr, pc) in enumerate(cells):
-            lc = p.col_start + k
-            logical_cells.add((p.row, lc))
+            lc = col_start + k
+            logical_cells.add((row, lc))
             physical_cells.append((pr, pc))
             if not (0 <= pr < num_rows and 0 <= pc < num_cols):
-                violations.append(f"op {p.op_id}: physical cell ({pr}, {pc}) out of bounds")
+                violations.append(f"op {op_id}: physical cell ({pr}, {pc}) out of bounds")
                 continue
             if plan.line_select[pc] != lc % n:
                 violations.append(
                     f"column {pc}: line select {plan.line_select[pc]}, "
-                    f"op {p.op_id} needs {lc % n}"
+                    f"op {op_id} needs {lc % n}"
                 )
-            if plan.barrel_shift_rows[pc] != (pr - p.row) % num_rows:
+            if plan.barrel_shift_rows[pc] != (pr - row) % num_rows:
                 violations.append(
                     f"column {pc}: barrel shift {plan.barrel_shift_rows[pc]}, "
-                    f"op {p.op_id} needs {(pr - p.row) % num_rows}"
+                    f"op {op_id} needs {(pr - row) % num_rows}"
                 )
 
     if len(set(physical_cells)) != len(physical_cells):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .workload import Dfg, Opcode, RefKind, WorkloadSemanticError
 
@@ -41,8 +42,9 @@ class FabricDims:
         return self.num_cols * self.num_rows
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
+    """Where one op sits: an immutable named tuple that unpacks in field order."""
+
     op_id: int
     row: int
     col_start: int
@@ -67,9 +69,9 @@ class VirtualConfiguration:
     @cached_property
     def occupied_cells(self) -> frozenset[tuple[int, int]]:
         cells = set()
-        for p in self.placements:
-            for c in range(p.col_start, p.col_end):
-                cells.add((p.row, c))
+        for _, row, col_start, width in self.placements:
+            for c in range(col_start, col_start + width):
+                cells.add((row, c))
         return frozenset(cells)
 
 
@@ -106,21 +108,21 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
 
     # read once: on 3.10 and 3.11, reading an Enum member off its class runs Python code
     load, store, op_kind = Opcode.LOAD, Opcode.STORE, RefKind.OP
-    for op_id, op in enumerate(d.ops):
-        if op.opcode is load:
+    for op_id, (_, opcode, sources) in enumerate(d.ops):
+        if opcode is load:
             width, ports = MEMORY_WIDTH, load_cols
-        elif op.opcode is store:
+        elif opcode is store:
             width, ports = MEMORY_WIDTH, store_cols
         else:
             width, ports = ALU_WIDTH, None
         earliest = 0
-        for ref in op.sources:
-            if ref.kind is op_kind:
-                if not 0 <= ref.index < op_id:  # ends[-1] or an unplaced op would read as a column
+        for kind, index in sources:
+            if kind is op_kind:
+                if not 0 <= index < op_id:  # ends[-1] or an unplaced op would read as a column
                     raise WorkloadSemanticError(
-                        [f"op {op_id} references op {ref.index}, which is not listed before it"])
-                if ends[ref.index] > earliest:
-                    earliest = ends[ref.index]
+                        [f"op {op_id} references op {index}, which is not listed before it"])
+                if ends[index] > earliest:
+                    earliest = ends[index]
 
         for col in range(earliest, num_cols - width + 1):
             if ports is not None and col in ports:
@@ -141,8 +143,7 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
         if ports is not None:
             ports.add(col)
         ends[op_id] = col + width
-        placements[op_id] = Placement(op_id=op_id, row=row_bit.bit_length() - 1,
-                                      col_start=col, width=width)
+        placements[op_id] = Placement(op_id, row_bit.bit_length() - 1, col, width)
 
-    return VirtualConfiguration(dfg=d, placements=tuple(placements))
+    return VirtualConfiguration(d, tuple(placements))
 

@@ -39,6 +39,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 WORKLOAD_FORMAT = 1
 WORD_MASK = 0xFFFFFFFF
@@ -74,11 +75,10 @@ class Opcode(Enum):
 
     @property
     def arity(self) -> int:
-        if self is Opcode.LOAD:
-            return 1
-        return 2
+        return 1 if self is _LOAD else 2
 
 
+_LOAD = Opcode.LOAD  # read by arity; on 3.10 and 3.11 a member read off the class runs Python code
 ALU_OPCODES = tuple(op for op in Opcode if op not in (Opcode.LOAD, Opcode.STORE))
 
 
@@ -92,12 +92,11 @@ _OPCODES = {op.value: op for op in Opcode}
 _REF_KINDS = {kind.value: kind for kind in RefKind}
 
 
-@dataclass(frozen=True)
-class ValueRef:
+class ValueRef(NamedTuple):
     """Reference to a value: an external input slot or a producer op id."""
 
     kind: RefKind
-    index: int
+    index: int  # shadows tuple.index, which nothing calls on a ref
 
 
 def input_ref(index: int) -> ValueRef:
@@ -108,23 +107,20 @@ def op_ref(index: int) -> ValueRef:
     return ValueRef(RefKind.OP, index)
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     id: int
     opcode: Opcode
     sources: tuple[ValueRef, ...]
 
 
-@dataclass(frozen=True)
-class Dfg:
+class Dfg(NamedTuple):
     name: str
     num_inputs: int
     ops: tuple[Operation, ...]
     outputs: tuple[ValueRef, ...]
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(NamedTuple):
     dfgs: tuple[Dfg, ...]
     trace: tuple[tuple[int, int], ...]
 
@@ -144,33 +140,34 @@ def validate_dfg(d: Dfg) -> list[str]:
         violations.append(f"num_inputs is {d.num_inputs}, must be >= 0")
 
     ids_ok = True
-    for pos, op in enumerate(d.ops):
-        if op.id != pos:
-            violations.append(f"op at position {pos} has id {op.id}; ids must be dense 0..{n - 1}")
+    for pos, (op_id, _, _) in enumerate(d.ops):
+        if op_id != pos:
+            violations.append(f"op at position {pos} has id {op_id}; ids must be dense 0..{n - 1}")
             ids_ok = False
 
     def ref_problem(ref: ValueRef, before: int) -> str | None:
         """What is wrong with a ref read at list position `before` (n for outputs)."""
-        if ref.kind is input_kind:
-            if not 0 <= ref.index < d.num_inputs:
-                return f"references nonexistent input {ref.index} (have {d.num_inputs})"
-        elif not 0 <= ref.index < n:
-            return f"references nonexistent op {ref.index}"
-        elif ref.index >= before:
-            return f"references op {ref.index}, which is not listed before it"
-        elif ids_ok and d.ops[ref.index].opcode is store:
-            return f"sources op {ref.index}, a store, which produces no value"
+        kind, index = ref
+        if kind is input_kind:
+            if not 0 <= index < d.num_inputs:
+                return f"references nonexistent input {index} (have {d.num_inputs})"
+        elif not 0 <= index < n:
+            return f"references nonexistent op {index}"
+        elif index >= before:
+            return f"references op {index}, which is not listed before it"
+        elif ids_ok and d.ops[index].opcode is store:
+            return f"sources op {index}, a store, which produces no value"
         return None
 
-    for pos, op in enumerate(d.ops):
-        want = op.opcode.arity
-        if len(op.sources) != want:
+    for pos, (op_id, opcode, sources) in enumerate(d.ops):
+        want = opcode.arity
+        if len(sources) != want:
             violations.append(
-                f"op {op.id}: {op.opcode.value} takes {want} source(s), got {len(op.sources)}"
+                f"op {op_id}: {opcode.value} takes {want} source(s), got {len(sources)}"
             )
-        for ref in op.sources:
+        for ref in sources:
             if problem := ref_problem(ref, pos):
-                violations.append(f"op {op.id} {problem}")
+                violations.append(f"op {op_id} {problem}")
     for k, ref in enumerate(d.outputs):
         if problem := ref_problem(ref, n):
             violations.append(f"output {k} {problem}")
@@ -236,7 +233,7 @@ def parse_workload(text: str) -> Workload:
 
     if problems:
         raise WorkloadSemanticError(problems)
-    return Workload(dfgs=tuple(dfgs), trace=tuple(trace))
+    return Workload(tuple(dfgs), tuple(trace))
 
 
 def _parse_dfg(raw: object, where: str, problems: list[str], refs: dict) -> Dfg | None:
@@ -280,14 +277,14 @@ def _parse_dfg(raw: object, where: str, problems: list[str], refs: dict) -> Dfg 
         except _BadRef as e:
             problems.append(f"{where}.ops[{oi}].srcs[{e.args[0]}]: {e.args[1]}")
             return None
-        ops.append(Operation(id=op_id, opcode=opcode, sources=srcs))
+        ops.append(Operation(op_id, opcode, srcs))
 
     try:
         outputs = _parse_refs(raw_outputs, refs)
     except _BadRef as e:
         problems.append(f"{where}.outputs[{e.args[0]}]: {e.args[1]}")
         return None
-    return Dfg(name=name, num_inputs=num_inputs, ops=tuple(ops), outputs=outputs)
+    return Dfg(name, num_inputs, tuple(ops), outputs)
 
 
 class _BadRef(Exception):
@@ -408,16 +405,15 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
             else:
                 opcode = rng.choice(ALU_OPCODES)
             srcs = tuple(rng.choice(available) for _ in range(opcode.arity))
-            ops.append(Operation(id=oid, opcode=opcode, sources=srcs))
+            ops.append(Operation(oid, opcode, srcs))
             if opcode is not Opcode.STORE:
                 available.append(op_ref(oid))
         k = min(len(available), rng.randint(1, MAX_OUTPUTS))
         outputs = tuple(rng.sample(available, k))
-        dfgs.append(Dfg(name=f"dfg{di}", num_inputs=params.num_inputs,
-                        ops=tuple(ops), outputs=outputs))
+        dfgs.append(Dfg(f"dfg{di}", params.num_inputs, tuple(ops), outputs))
 
     trace = tuple(
         (rng.randrange(params.num_dfgs), rng.randint(1, params.max_repeat))
         for _ in range(params.trace_length)
     )
-    return Workload(dfgs=tuple(dfgs), trace=trace)
+    return Workload(tuple(dfgs), trace)

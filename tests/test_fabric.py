@@ -265,6 +265,47 @@ def test_misplaced_wrap_feedback_is_flagged_at_every_moved_pivot():
                     assert any(v.startswith("wrap feedback") for v in violations), (pivot, wrap)
 
 
+def _corruptible_allocation():
+    # rows (0, 1, 0) differ from op ids (0, 1, 2), so a mix-up of the two shows in the text;
+    # at pivot (1, 2) op 0 sits on (1, 2), op 1 on (0, 2) and op 2 on (1, 3)..(1, 6)
+    d = Dfg(name="three", num_inputs=2, ops=(
+        Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),
+        Operation(1, Opcode.ADD, (input_ref(0), input_ref(1))),
+        Operation(2, Opcode.LOAD, (op_ref(0),)),
+    ), outputs=(op_ref(1), op_ref(2)))
+    pivot = Pivot(1, 2)
+    return allocate(map_dfg(d, DIMS_8x2), pivot, DIMS_8x2), reconfig_plan(pivot, DIMS_8x2)
+
+
+def test_legality_reports_exact_messages_for_corrupted_allocations():
+    alloc, plan = _corruptible_allocation()
+    assert check_physical_legality(alloc, plan, DIMS_8x2) == []
+    cells = alloc.cell_map
+
+    missing = dataclasses.replace(alloc, cell_map={0: cells[0], 1: cells[1]})
+    assert check_physical_legality(missing, plan, DIMS_8x2) == [
+        "op 2: cell map does not cover its 4 column(s)",
+    ]
+
+    out_of_bounds = dataclasses.replace(alloc, cell_map={**cells, 1: ((2, 2),)})
+    assert check_physical_legality(out_of_bounds, plan, DIMS_8x2) == [
+        "op 1: physical cell (2, 2) out of bounds",
+    ]
+
+    shifts = list(plan.barrel_shift_rows)
+    shifts[4] = 0
+    wrong_shift = dataclasses.replace(plan, barrel_shift_rows=tuple(shifts))
+    assert check_physical_legality(alloc, wrong_shift, DIMS_8x2) == [
+        "column 4: barrel shift 0, op 2 needs 1",
+    ]
+
+    overlapping = dataclasses.replace(alloc, cell_map={**cells, 1: cells[0]})
+    assert check_physical_legality(overlapping, plan, DIMS_8x2) == [
+        "column 2: barrel shift 1, op 1 needs 0",
+        "physical cells overlap (cell map not injective)",
+    ]
+
+
 def test_memory_model_equality_ignores_zero_writes():
     a = MemoryModel()
     a.write(4, 0)

@@ -1,0 +1,68 @@
+"""The contract of the records that parse and map build once per op or ref.
+
+`ValueRef`, `Operation`, `Dfg`, `Workload` and `Placement` are immutable,
+hashable and equal by value, and they unpack in field order: the loops that
+read them and the `map --dump` line rely on that order.  These tests need no
+pytest, so other interpreters can run them as plain functions.
+"""
+
+from cgralloc.mapper import FabricDims, map_dfg
+from cgralloc.workload import (
+    GeneratorParams,
+    generate_random_workload,
+    input_ref,
+    parse_workload,
+    serialize_workload,
+)
+
+DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
+PARAMS = GeneratorParams(num_dfgs=8, ops_per_dfg=(4, 12), memory_op_fraction=0.3)
+
+
+def _text() -> str:
+    return serialize_workload(generate_random_workload(PARAMS, 3))
+
+
+def _records() -> dict[str, tuple[object, tuple[str, ...]]]:
+    """One parsed or mapped instance of each record, with its field names in order."""
+    w = parse_workload(_text())
+    d = w.dfgs[0]
+    vc = map_dfg(d, DIMS_16x2)
+    return {
+        "ValueRef": (d.ops[0].sources[0], ("kind", "index")),
+        "Operation": (d.ops[0], ("id", "opcode", "sources")),
+        "Dfg": (d, ("name", "num_inputs", "ops", "outputs")),
+        "Workload": (w, ("dfgs", "trace")),
+        "Placement": (vc.placements[-1], ("op_id", "row", "col_start", "width")),
+    }
+
+
+def test_every_field_of_every_record_rejects_assignment():
+    for name, (record, fields) in _records().items():
+        for field in fields:
+            try:
+                setattr(record, field, getattr(record, field))
+            except AttributeError:
+                continue
+            raise AssertionError(f"{name}.{field} accepted an assignment")
+
+
+def test_two_parses_of_one_text_are_equal_and_hash_alike():
+    text = _text()
+    first, second = parse_workload(text), parse_workload(text)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+
+
+def test_placements_unpack_in_field_order():
+    w = parse_workload(_text())
+    placements = [p for d in w.dfgs for p in map_dfg(d, DIMS_16x2).placements]
+    assert any(p.row != p.col_start for p in placements)  # so a swap of the two would show
+    for p in placements:
+        assert tuple(p) == (p.op_id, p.row, p.col_start, p.width)
+        assert p.col_end == p.col_start + p.width
+
+
+def test_value_ref_index_is_the_field():
+    assert input_ref(3).index == 3
