@@ -47,6 +47,12 @@ def pivot_at(policy: AllocationPolicy, k: int, dims: FabricDims) -> Pivot:
     return Pivot(*divmod(k % pivot_period(policy, dims), dims.num_cols))
 
 
+def check_pivot(pivot: Pivot, dims: FabricDims) -> None:
+    """Raise ValueError unless the pivot names a cell of the fabric."""
+    if not (0 <= pivot.row < dims.num_rows and 0 <= pivot.col < dims.num_cols):
+        raise ValueError(f"pivot {pivot} outside {dims.num_cols}x{dims.num_rows} fabric")
+
+
 @dataclass
 class PhysicalAllocation:
     """Toroidal translation of a virtual configuration by one pivot.
@@ -69,9 +75,8 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
     stays overlap-free at every pivot; memory ops may straddle the physical
     right edge via wrap-around.
     """
+    check_pivot(pivot, dims)
     num_rows, num_cols = dims.num_rows, dims.num_cols
-    if not (0 <= pivot.row < num_rows and 0 <= pivot.col < num_cols):
-        raise ValueError(f"pivot {pivot} outside {num_cols}x{num_rows} fabric")
     cell_map: dict[int, tuple[tuple[int, int], ...]] = {}
     for op_id, row, col_start, width in vc.placements:
         row = (row + pivot.row) % num_rows

@@ -14,10 +14,10 @@ moving a configuration costs no extra reconfiguration time.
 
 from __future__ import annotations
 
-import heapq
+import operator
 from dataclasses import dataclass
 
-from .allocation import PhysicalAllocation, Pivot
+from .allocation import PhysicalAllocation, Pivot, check_pivot
 from .mapper import FabricDims, VirtualConfiguration
 from .workload import WORD_MASK, Opcode, RefKind, ValueRef
 
@@ -44,9 +44,8 @@ def reconfig_plan(pivot: Pivot, dims: FabricDims) -> ReconfigPlan:
     down by pivot.row; the column hosting logical column 0 takes the initial
     input context through the feedback mux whenever the start column moved.
     """
-    num_cols, num_rows, n = dims.num_cols, dims.num_rows, dims.num_config_lines
-    if not (0 <= pivot.row < num_rows and 0 <= pivot.col < num_cols):
-        raise ValueError(f"pivot {pivot} outside {num_cols}x{num_rows} fabric")
+    check_pivot(pivot, dims)
+    num_cols, n = dims.num_cols, dims.num_config_lines
     line_select = tuple(((pc - pivot.col) % num_cols) % n for pc in range(num_cols))
     shifts = tuple(pivot.row for _ in range(num_cols))
     wrap = tuple(pc == pivot.col and pivot.col != 0 for pc in range(num_cols))
@@ -117,28 +116,17 @@ class ExecResult:
     memory: MemoryModel
 
 
-def _signed(v: int) -> int:
-    return v - 0x100000000 if v & 0x80000000 else v
-
-
-def _alu(opcode: Opcode, a: int, b: int) -> int:
-    if opcode is Opcode.ADD:
-        return (a + b) & WORD_MASK
-    if opcode is Opcode.SUB:
-        return (a - b) & WORD_MASK
-    if opcode is Opcode.AND:
-        return a & b
-    if opcode is Opcode.OR:
-        return a | b
-    if opcode is Opcode.XOR:
-        return a ^ b
-    if opcode is Opcode.SHL:
-        return (a << (b & 31)) & WORD_MASK
-    if opcode is Opcode.SHR:
-        return a >> (b & 31)
-    if opcode is Opcode.CMPLT:
-        return int(_signed(a) < _signed(b))
-    raise ValueError(f"not an ALU opcode: {opcode}")
+_ALU = {
+    Opcode.ADD: lambda a, b: (a + b) & WORD_MASK,
+    Opcode.SUB: lambda a, b: (a - b) & WORD_MASK,
+    Opcode.AND: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.XOR: operator.xor,
+    Opcode.SHL: lambda a, b: (a << (b & 31)) & WORD_MASK,
+    Opcode.SHR: lambda a, b: a >> (b & 31),  # logical: words are never negative
+    # flipping the sign bit orders two's-complement words as unsigned ones
+    Opcode.CMPLT: lambda a, b: int((a ^ 0x80000000) < (b ^ 0x80000000)),
+}
 
 
 def execute(
@@ -150,19 +138,20 @@ def execute(
 ) -> ExecResult:
     """Run one configuration; mutates and returns `mem` as the final state.
 
-    Ops are evaluated in ascending column order, with the column of each op
-    recovered from its physical cell under the pivot (the round trip through
-    the physical mapping is the identity, which is exactly why moving a
-    configuration preserves its semantics).  A store's write becomes visible
-    at its completion boundary: a load sees it iff the store completes at or
-    before the load's starting column.
+    The pivot is only range-checked.  A torus translation keeps every op's
+    column relative to the start column, so the result cannot depend on it;
+    check_physical_legality is the check that can fail for a moved load.
+
+    Ops run in one walk over events sorted by column.  A store writes at its
+    completion boundary, before the ops starting on that column, so a load
+    sees it iff it completes at or before the load's start.  Its operands are
+    resolved there too: values are assigned once, and every producer completes
+    by the store's start.
     """
     dfg = vc.dfg
     if len(inputs) != dfg.num_inputs:
         raise ValueError(f"expected {dfg.num_inputs} inputs, got {len(inputs)}")
-    num_rows, num_cols = dims.num_rows, dims.num_cols
-    if not (0 <= pivot.row < num_rows and 0 <= pivot.col < num_cols):
-        raise ValueError(f"pivot {pivot} outside {num_cols}x{num_rows} fabric")
+    check_pivot(pivot, dims)
 
     words = [v & WORD_MASK for v in inputs]
     values: dict[int, int] = {}
@@ -174,28 +163,18 @@ def execute(
             return words[index]
         return values[index]
 
-    # per op id, its start column recovered from its physical cell under the pivot
-    starts = [((col_start + pivot.col) % num_cols - pivot.col) % num_cols
-              for _, _, col_start, _ in vc.placements]
-    pending: list[tuple[int, int, int, int]] = []  # (boundary, seq, addr, word)
-    seq = 0
-    for op_id in sorted(range(len(dfg.ops)), key=starts.__getitem__):  # stable: ties by op id
-        _, opcode, sources = dfg.ops[op_id]
-        start = starts[op_id]
-        while pending and pending[0][0] <= start:
-            _, _, addr, word = heapq.heappop(pending)
-            mem.write(addr, word)
-        if opcode is load:
+    ops = dfg.ops
+    # (column, 0 for a store's write or 1 for an op's start, op id)
+    events = sorted((col + width, 0, op_id) if ops[op_id].opcode is store else (col, 1, op_id)
+                    for op_id, _, col, width in vc.placements)
+    for _, _, op_id in events:
+        _, opcode, sources = ops[op_id]
+        if opcode is store:
+            mem.write(resolve(sources[0]), resolve(sources[1]))
+        elif opcode is load:
             values[op_id] = mem.read(resolve(sources[0]))
-        elif opcode is store:
-            boundary = vc.placement(op_id).col_end
-            heapq.heappush(pending, (boundary, seq, resolve(sources[0]), resolve(sources[1])))
-            seq += 1
         else:
-            values[op_id] = _alu(opcode, resolve(sources[0]), resolve(sources[1]))
-    while pending:
-        _, _, addr, word = heapq.heappop(pending)
-        mem.write(addr, word)
+            values[op_id] = _ALU[opcode](resolve(sources[0]), resolve(sources[1]))
 
     return ExecResult(outputs=tuple(resolve(ref) for ref in dfg.outputs), memory=mem)
 

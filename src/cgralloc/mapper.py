@@ -63,9 +63,6 @@ class VirtualConfiguration:
     dfg: Dfg
     placements: tuple[Placement, ...]  # indexed by op id
 
-    def placement(self, op_id: int) -> Placement:
-        return self.placements[op_id]
-
     @cached_property
     def occupied_cells(self) -> frozenset[tuple[int, int]]:
         cells = set()

@@ -247,6 +247,9 @@ def _parse_dfg(raw: object, where: str, problems: list[str], refs: dict) -> Dfg 
     if not isinstance(name, str):
         problems.append(f"{where}: 'name' must be a string")
         return None
+    if not name.isprintable():
+        problems.append(f"{where}: 'name' must be printable text")
+        return None
     if type(num_inputs) is not int:
         problems.append(f"{where}: 'num_inputs' must be an integer")
         return None

@@ -1,0 +1,67 @@
+"""Column-stepping execution: the reference that `fabric.execute` is checked against.
+
+It walks the fabric's column boundaries 0..num_cols.  At each boundary it
+first applies, in op-id order, the stores that complete there, and then
+runs, in op-id order, the ops that start there: an ALU op or a load computes
+its value at once, and a store reads its address and word at its start and
+queues the write for its completion boundary.  The ALU semantics are
+written out from the `workload` module docstring, not taken from the
+package: 32-bit wrapping arithmetic, shift amounts from the low 5 bits,
+signed `cmplt` yielding 0 or 1, and a logical `shr`.
+"""
+
+from cgralloc.mapper import VirtualConfiguration
+from cgralloc.workload import RefKind
+
+MOD = 2 ** 32
+
+
+def _signed(v: int) -> int:
+    return v - MOD if v >= MOD // 2 else v
+
+
+ALU = {
+    "add": lambda a, b: (a + b) % MOD,
+    "sub": lambda a, b: (a - b) % MOD,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: (a * 2 ** (b % 32)) % MOD,
+    "shr": lambda a, b: a // 2 ** (b % 32),
+    "cmplt": lambda a, b: 1 if _signed(a) < _signed(b) else 0,
+}
+
+
+def execute_by_columns(
+    vc: VirtualConfiguration, inputs: list[int], memory: dict[int, int], num_cols: int
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Outputs and final nonzero memory of one run of `vc` from `memory`."""
+    words = [v % MOD for v in inputs]
+    mem = {addr % MOD: word % MOD for addr, word in memory.items() if word % MOD}
+    values: dict[int, int] = {}
+    queued: dict[int, tuple[int, int]] = {}  # store op id -> (addr, word)
+
+    def value(ref):
+        return words[ref.index] if ref.kind is RefKind.INPUT else values[ref.index]
+
+    for col in range(num_cols + 1):
+        for p in vc.placements:
+            if p.op_id in queued and p.col_start + p.width == col:
+                addr, word = queued.pop(p.op_id)
+                if word:
+                    mem[addr] = word
+                else:
+                    mem.pop(addr, None)
+        for p in vc.placements:
+            if p.col_start != col:
+                continue
+            op = vc.dfg.ops[p.op_id]
+            name = op.opcode.value
+            if name == "load":
+                values[op.id] = mem.get(value(op.sources[0]), 0)
+            elif name == "store":
+                queued[op.id] = (value(op.sources[0]), value(op.sources[1]))
+            else:
+                values[op.id] = ALU[name](value(op.sources[0]), value(op.sources[1]))
+    assert not queued, "a store completes past the last column boundary"
+    return tuple(value(ref) for ref in vc.dfg.outputs), mem

@@ -22,6 +22,8 @@ from cgralloc.workload import (
     op_ref,
 )
 
+from execute_oracle import execute_by_columns
+
 DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 DIMS_8x2 = FabricDims(num_cols=8, num_rows=2)
 
@@ -135,7 +137,7 @@ def store_then_load_dfg() -> Dfg:
 
 def test_store_visible_to_strictly_later_load():
     vc = map_dfg(store_then_load_dfg(), DIMS_16x2)
-    store, load = vc.placement(0), vc.placement(5)
+    store, load = vc.placements[0], vc.placements[5]
     assert load.col_start >= store.col_start + store.width
     # in0=16 address, in1=7 stored word, in2=0 keeps the chain at 16
     result = execute(vc, ORIGIN, [16, 7, 0], MemoryModel(), DIMS_16x2)
@@ -151,7 +153,7 @@ def test_store_invisible_to_overlapping_load():
         Operation(1, Opcode.LOAD, (input_ref(0),)),
     ), outputs=(op_ref(1),))
     vc = map_dfg(d, DIMS_16x2)
-    assert vc.placement(0).col_start == vc.placement(1).col_start
+    assert vc.placements[0].col_start == vc.placements[1].col_start
     result = execute(vc, ORIGIN, [16, 7], MemoryModel(), DIMS_16x2)
     assert result.outputs == (0,)
     assert result.memory.read(16) == 7  # the store still lands afterwards
@@ -163,7 +165,7 @@ def test_later_store_wins_final_memory():
         Operation(1, Opcode.STORE, (input_ref(0), input_ref(2))),
     ), outputs=())
     vc = map_dfg(d, DIMS_16x2)
-    first, second = vc.placement(0), vc.placement(1)
+    first, second = vc.placements[0], vc.placements[1]
     assert first.col_start < second.col_start  # port rule staggers them
     result = execute(vc, ORIGIN, [8, 11, 22], MemoryModel(), DIMS_16x2)
     assert result.memory.read(8) == 22
@@ -181,6 +183,22 @@ def test_execute_rejects_wrong_input_count():
     vc = map_dfg(store_then_load_dfg(), DIMS_16x2)
     with pytest.raises(ValueError):
         execute(vc, ORIGIN, [1, 2], MemoryModel(), DIMS_16x2)
+
+
+PIVOT_TAKERS = {
+    "allocate": lambda vc, pivot: allocate(vc, pivot, DIMS_8x2),
+    "reconfig_plan": lambda vc, pivot: reconfig_plan(pivot, DIMS_8x2),
+    "execute": lambda vc, pivot: execute(vc, pivot, [16, 7, 0], MemoryModel(), DIMS_8x2),
+}
+
+
+@pytest.mark.parametrize("row, col", [(-1, 0), (2, 0), (0, -1), (0, 8)])
+@pytest.mark.parametrize("taker", PIVOT_TAKERS)
+def test_pivot_outside_fabric_is_rejected(taker, row, col):
+    vc = map_dfg(store_then_load_dfg(), DIMS_8x2)
+    with pytest.raises(ValueError) as info:
+        PIVOT_TAKERS[taker](vc, Pivot(row, col))
+    assert str(info.value) == f"pivot Pivot(row={row}, col={col}) outside 8x2 fabric"
 
 
 def fitted_random_vcs(dims, count, seed, params=None):
@@ -213,6 +231,25 @@ def test_pivot_invariance_against_origin_oracle():
                 got = execute(vc, Pivot(r, c), inputs, MemoryModel(seed_mem), DIMS_8x2)
                 assert got.outputs == oracle.outputs
                 assert got.memory == oracle.memory
+
+
+@pytest.mark.parametrize("dims", [DIMS_8x2, DIMS_16x2, FabricDims(num_cols=32, num_rows=4)],
+                         ids=lambda d: f"{d.num_cols}x{d.num_rows}")
+def test_execute_matches_column_stepping_oracle(dims):
+    # two inputs, mostly small, so load and store addresses alias often; an
+    # occasional full word and the preset memory words reach the sign bit
+    params = GeneratorParams(num_dfgs=300, ops_per_dfg=(4, 12), memory_op_fraction=0.5,
+                             num_inputs=2)
+    vcs = fitted_random_vcs(dims, 60, seed=31, params=params)
+    rng = random.Random(dims.num_cols)
+    for vc in vcs:
+        inputs = [rng.getrandbits(32) if rng.random() < 0.25 else rng.randrange(4)
+                  for _ in range(vc.dfg.num_inputs)]
+        seed_mem = {addr: rng.getrandbits(32) for addr in range(4)}
+        expected = execute_by_columns(vc, inputs, seed_mem, dims.num_cols)
+        for pivot in (ORIGIN, Pivot(rng.randrange(dims.num_rows), rng.randrange(dims.num_cols))):
+            got = execute(vc, pivot, inputs, MemoryModel(seed_mem), dims)
+            assert (got.outputs, got.memory.as_dict()) == expected, (vc.dfg.name, pivot)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,10 @@ def assert_well_formed(vc, dims):
     assert all(n <= 1 for n in loads.values())
     assert all(n <= 1 for n in stores.values())
     for op in vc.dfg.ops:
-        consumer = vc.placement(op.id)
+        consumer = vc.placements[op.id]
         for ref in op.sources:
             if ref.kind is RefKind.OP:
-                producer = vc.placement(ref.index)
+                producer = vc.placements[ref.index]
                 assert producer.col_start + producer.width <= consumer.col_start
 
 
@@ -55,7 +55,7 @@ def test_op_width():
                 for i, k in enumerate(Opcode))
     vc = map_dfg(Dfg(name="all", num_inputs=2, ops=ops, outputs=()),
                  FabricDims(num_cols=16, num_rows=len(ops)))
-    widths = {op.opcode: vc.placement(op.id).width for op in ops}
+    widths = {op.opcode: vc.placements[op.id].width for op in ops}
     assert widths == {k: 4 if k in (Opcode.LOAD, Opcode.STORE) else 1 for k in Opcode}
 
 
@@ -71,7 +71,7 @@ def test_dims_defaults_and_validation():
 
 def test_single_add_goes_to_origin():
     vc = map_dfg(single_add(), DIMS_16x2)
-    p = vc.placement(0)
+    p = vc.placements[0]
     assert (p.row, p.col_start, p.width) == (0, 0, 1)
     assert vc.occupied_cells == {(0, 0)}
 
@@ -128,7 +128,7 @@ def test_memory_port_rule_separates_load_col_starts():
         Operation(1, Opcode.LOAD, (input_ref(0),)),
     ), outputs=(op_ref(0), op_ref(1)))
     vc = map_dfg(d, DIMS_16x2)
-    assert vc.placement(0).col_start != vc.placement(1).col_start
+    assert vc.placements[0].col_start != vc.placements[1].col_start
     assert_well_formed(vc, DIMS_16x2)
 
 
@@ -138,8 +138,8 @@ def test_load_and_store_may_share_col_start():
         Operation(1, Opcode.STORE, (input_ref(0), input_ref(1))),
     ), outputs=(op_ref(0),))
     vc = map_dfg(d, DIMS_16x2)
-    assert vc.placement(0).col_start == vc.placement(1).col_start == 0
-    assert vc.placement(0).row != vc.placement(1).row
+    assert vc.placements[0].col_start == vc.placements[1].col_start == 0
+    assert vc.placements[0].row != vc.placements[1].row
 
 
 def test_map_is_deterministic():

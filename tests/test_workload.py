@@ -112,9 +112,9 @@ def _ref(kind, index):
     return {"kind": kind, "index": index}
 
 
-def _doc(ops, trace=([0, 1],), outputs=(("op", 0),), num_inputs=2):
+def _doc(ops, trace=([0, 1],), outputs=(("op", 0),), num_inputs=2, name="d"):
     return {"format": 1,
-            "dfgs": [{"name": "d", "num_inputs": num_inputs, "ops": list(ops),
+            "dfgs": [{"name": name, "num_inputs": num_inputs, "ops": list(ops),
                       "outputs": [_ref(k, i) for k, i in outputs]}],
             "trace": list(trace)}
 
@@ -124,6 +124,11 @@ _ADD = {"id": 0, "opcode": "add", "srcs": [_ref("input", 0), _ref("input", 1)]}
 # (document, exact WorkloadSemanticError message), recorded before the parser
 # switched to dict lookups; every problem is reported, in document order
 MALFORMED = {
+    # a newline would forge lines of `map --dump`; a lone surrogate cannot be printed
+    "name with newlines": (_doc([_ADD], name="a\n(0, 0, 0, 1)\ndfg 7 forged"),
+                           "dfgs[0]: 'name' must be printable text"),
+    "name with a lone surrogate": (_doc([_ADD], name="\ud800"),
+                                   "dfgs[0]: 'name' must be printable text"),
     "bad opcode": (_doc([{**_ADD, "opcode": "mul"}]),
                    "dfgs[0].ops[0]: unknown opcode 'mul'"),
     "list opcode": (_doc([{**_ADD, "opcode": []}]),
