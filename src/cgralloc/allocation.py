@@ -64,7 +64,6 @@ class PhysicalAllocation:
 
     vc: VirtualConfiguration
     pivot: Pivot
-    dims: FabricDims
     cell_map: dict[int, tuple[tuple[int, int], ...]]
 
 
@@ -83,5 +82,5 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
         cell_map[op_id] = tuple(
             (row, (c + pivot.col) % num_cols) for c in range(col_start, col_start + width)
         )
-    return PhysicalAllocation(vc=vc, pivot=pivot, dims=dims, cell_map=cell_map)
+    return PhysicalAllocation(vc=vc, pivot=pivot, cell_map=cell_map)
 

@@ -143,12 +143,12 @@ def replay_trace(
     Trace entries whose DFG was skipped are dropped entirely; the execution
     counter advances once per executed configuration.  Execution k lands on
     pivot_at(policy, k, dims), which repeats with period P = pivot_period(
-    policy, dims), so only the first P pivots are built.  A run of `repeats`
-    executions starting at k puts ceil((repeats - i) / P) of them on pivot
-    number (k + i) mod P for each i < P.  Executions are counted per (DFG,
-    pivot); each DFG's occupancy is then added once per pivot it landed on,
-    so the cost is bounded by DFGs x min(executions, P) x cells, whatever the
-    repeat counts.
+    policy, dims), so only the pivots below P that the trace hits are built.
+    A run of `repeats` executions starting at k puts ceil((repeats - i) / P)
+    of them on pivot number (k + i) mod P for each i < P.  Executions are
+    counted per (DFG, pivot); each DFG's occupancy is then added once per
+    pivot it landed on, so the cost is bounded by DFGs x min(executions, P) x
+    cells, whatever the repeat counts.
     """
     period = pivot_period(policy, dims)
     hits: dict[int, dict[int, int]] = {}
@@ -164,7 +164,7 @@ def replay_trace(
         umap.total_executions += repeats
     counts = umap.active_count
     num_rows, num_cols = dims.num_rows, dims.num_cols
-    pivots = [pivot_at(policy, k, dims) for k in range(period)]
+    pivots = {k: pivot_at(policy, k, dims) for k in set().union(*hits.values())}
     for dfg_index, per_pivot in hits.items():
         cells = mapped[dfg_index].occupied_cells
         for k, n in per_pivot.items():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .allocation import PhysicalAllocation, Pivot, check_pivot
 from .mapper import FabricDims, VirtualConfiguration
-from .workload import WORD_MASK, Opcode, RefKind, ValueRef
+from .workload import WORD_MASK, ValueRef
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,15 @@ class ExecResult:
 
 
 _ALU = {
-    Opcode.ADD: lambda a, b: (a + b) & WORD_MASK,
-    Opcode.SUB: lambda a, b: (a - b) & WORD_MASK,
-    Opcode.AND: operator.and_,
-    Opcode.OR: operator.or_,
-    Opcode.XOR: operator.xor,
-    Opcode.SHL: lambda a, b: (a << (b & 31)) & WORD_MASK,
-    Opcode.SHR: lambda a, b: a >> (b & 31),  # logical: words are never negative
+    "add": lambda a, b: (a + b) & WORD_MASK,
+    "sub": lambda a, b: (a - b) & WORD_MASK,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "shl": lambda a, b: (a << (b & 31)) & WORD_MASK,
+    "shr": lambda a, b: a >> (b & 31),  # logical: words are never negative
     # flipping the sign bit orders two's-complement words as unsigned ones
-    Opcode.CMPLT: lambda a, b: int((a ^ 0x80000000) < (b ^ 0x80000000)),
+    "cmplt": lambda a, b: int((a ^ 0x80000000) < (b ^ 0x80000000)),
 }
 
 
@@ -155,23 +155,22 @@ def execute(
 
     words = [v & WORD_MASK for v in inputs]
     values: dict[int, int] = {}
-    input_kind, load, store = RefKind.INPUT, Opcode.LOAD, Opcode.STORE  # read once, as in map_dfg
 
     def resolve(ref: ValueRef) -> int:
         kind, index = ref
-        if kind is input_kind:
+        if kind == "input":
             return words[index]
         return values[index]
 
     ops = dfg.ops
     # (column, 0 for a store's write or 1 for an op's start, op id)
-    events = sorted((col + width, 0, op_id) if ops[op_id].opcode is store else (col, 1, op_id)
+    events = sorted((col + width, 0, op_id) if ops[op_id].opcode == "store" else (col, 1, op_id)
                     for op_id, _, col, width in vc.placements)
     for _, _, op_id in events:
         _, opcode, sources = ops[op_id]
-        if opcode is store:
+        if opcode == "store":
             mem.write(resolve(sources[0]), resolve(sources[1]))
-        elif opcode is load:
+        elif opcode == "load":
             values[op_id] = mem.read(resolve(sources[0]))
         else:
             values[op_id] = _ALU[opcode](resolve(sources[0]), resolve(sources[1]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .workload import Dfg, Opcode, RefKind, WorkloadSemanticError
+from .workload import Dfg, WorkloadSemanticError
 
 ALU_WIDTH = 1
 MEMORY_WIDTH = 4
@@ -49,11 +49,6 @@ class Placement(NamedTuple):
     row: int
     col_start: int
     width: int
-
-    @property
-    def col_end(self) -> int:
-        """First column boundary after the op; its result is available here."""
-        return self.col_start + self.width
 
 
 @dataclass(frozen=True)
@@ -102,19 +97,16 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
     load_cols, store_cols = set(), set()  # columns where a load, or a store, already begins
     ends = [0] * len(d.ops)  # per op id, its completion boundary once placed
     placements = [None] * len(d.ops)  # indexed by op id
-
-    # read once: on 3.10 and 3.11, reading an Enum member off its class runs Python code
-    load, store, op_kind = Opcode.LOAD, Opcode.STORE, RefKind.OP
     for op_id, (_, opcode, sources) in enumerate(d.ops):
-        if opcode is load:
+        if opcode == "load":
             width, ports = MEMORY_WIDTH, load_cols
-        elif opcode is store:
+        elif opcode == "store":
             width, ports = MEMORY_WIDTH, store_cols
         else:
             width, ports = ALU_WIDTH, None
         earliest = 0
         for kind, index in sources:
-            if kind is op_kind:
+            if kind == "op":
                 if not 0 <= index < op_id:  # ends[-1] or an unplaced op would read as a column
                     raise WorkloadSemanticError(
                         [f"op {op_id} references op {index}, which is not listed before it"])

@@ -28,7 +28,7 @@ Workload file format (JSON, ``"format": 1``)::
       "trace": [[0, 1]]
     }
 
-Opcode strings are the lowercase enum names.  ``load`` takes one source (the
+``OPCODES`` lists the opcode strings.  ``load`` takes one source (the
 address); ``store`` takes two (address, value) and produces no value; every
 other opcode takes exactly two sources.
 """
@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 WORKLOAD_FORMAT = 1
@@ -61,55 +60,36 @@ class WorkloadSemanticError(WorkloadError):
         self.violations = list(violations)
 
 
-class Opcode(Enum):
-    ADD = "add"
-    SUB = "sub"
-    AND = "and"
-    OR = "or"
-    XOR = "xor"
-    SHL = "shl"
-    SHR = "shr"
-    CMPLT = "cmplt"
-    LOAD = "load"
-    STORE = "store"
+ALU_OPCODES = ("add", "sub", "and", "or", "xor", "shl", "shr", "cmplt")
+OPCODES = ALU_OPCODES + ("load", "store")
 
-    @property
-    def arity(self) -> int:
-        return 1 if self is _LOAD else 2
+# one shared str per opcode: json.loads makes a new string for every value it reads
+_OPCODES = {op: op for op in OPCODES}
 
 
-_LOAD = Opcode.LOAD  # read by arity; on 3.10 and 3.11 a member read off the class runs Python code
-ALU_OPCODES = tuple(op for op in Opcode if op not in (Opcode.LOAD, Opcode.STORE))
-
-
-class RefKind(Enum):
-    INPUT = "input"
-    OP = "op"
-
-
-# file spelling -> member; looked up only with str keys, so any JSON value is safe
-_OPCODES = {op.value: op for op in Opcode}
-_REF_KINDS = {kind.value: kind for kind in RefKind}
+def arity(opcode: str) -> int:
+    """Number of sources an opcode takes."""
+    return 1 if opcode == "load" else 2
 
 
 class ValueRef(NamedTuple):
     """Reference to a value: an external input slot or a producer op id."""
 
-    kind: RefKind
+    kind: str  # "input" or "op"
     index: int  # shadows tuple.index, which nothing calls on a ref
 
 
 def input_ref(index: int) -> ValueRef:
-    return ValueRef(RefKind.INPUT, index)
+    return ValueRef("input", index)
 
 
 def op_ref(index: int) -> ValueRef:
-    return ValueRef(RefKind.OP, index)
+    return ValueRef("op", index)
 
 
 class Operation(NamedTuple):
     id: int
-    opcode: Opcode
+    opcode: str
     sources: tuple[ValueRef, ...]
 
 
@@ -128,14 +108,13 @@ class Workload(NamedTuple):
 def validate_dfg(d: Dfg) -> list[str]:
     """Check all DFG invariants; returns violation messages (empty = valid).
 
-    Checks: dense ids matching list positions, per-opcode source arity,
+    Checks: dense ids matching list positions, known opcodes, their source arity,
     reference bounds, every op reading only ops listed before it, and stores
     never sourced as values.  So the list order of a valid DFG is a
     dependency order.
     """
     violations: list[str] = []
     n = len(d.ops)
-    input_kind, store = RefKind.INPUT, Opcode.STORE  # read once, as in mapper.map_dfg
     if d.num_inputs < 0:
         violations.append(f"num_inputs is {d.num_inputs}, must be >= 0")
 
@@ -148,23 +127,23 @@ def validate_dfg(d: Dfg) -> list[str]:
     def ref_problem(ref: ValueRef, before: int) -> str | None:
         """What is wrong with a ref read at list position `before` (n for outputs)."""
         kind, index = ref
-        if kind is input_kind:
+        if kind == "input":
             if not 0 <= index < d.num_inputs:
                 return f"references nonexistent input {index} (have {d.num_inputs})"
         elif not 0 <= index < n:
             return f"references nonexistent op {index}"
         elif index >= before:
             return f"references op {index}, which is not listed before it"
-        elif ids_ok and d.ops[index].opcode is store:
+        elif ids_ok and d.ops[index].opcode == "store":
             return f"sources op {index}, a store, which produces no value"
         return None
 
     for pos, (op_id, opcode, sources) in enumerate(d.ops):
-        want = opcode.arity
-        if len(sources) != want:
-            violations.append(
-                f"op {op_id}: {opcode.value} takes {want} source(s), got {len(sources)}"
-            )
+        want = arity(opcode)
+        if opcode not in OPCODES:  # parse rejects these first; a hand-built Dfg may hold one
+            violations.append(f"op {op_id}: unknown opcode {opcode!r}")
+        elif len(sources) != want:
+            violations.append(f"op {op_id}: {opcode} takes {want} source(s), got {len(sources)}")
         for ref in sources:
             if problem := ref_problem(ref, pos):
                 violations.append(f"op {op_id} {problem}")
@@ -305,12 +284,11 @@ def _parse_refs(raws: list, known: dict[tuple[str, int], ValueRef]) -> tuple[Val
         key = (kind, index) if type(kind) is str and type(index) is int else None
         ref = known.get(key)
         if ref is None:
-            ref_kind = _REF_KINDS.get(kind) if type(kind) is str else None
-            if ref_kind is None:
+            if kind != "input" and kind != "op":
                 raise _BadRef(i, "kind must be 'input' or 'op'")
             if type(index) is not int:
                 raise _BadRef(i, "'index' must be an integer")
-            ref = known[key] = ValueRef(ref_kind, index)
+            ref = known[key] = ValueRef(kind, index)
         refs.append(ref)
     return tuple(refs)
 
@@ -327,14 +305,14 @@ def serialize_workload(w: Workload) -> str:
         for r in rs:
             text = texts.get(r)
             if text is None:
-                text = texts[r] = (f'{{\n{p}  "kind": "{r.kind.value}",\n'
+                text = texts[r] = (f'{{\n{p}  "kind": "{r.kind}",\n'
                                    f'{p}  "index": {r.index}\n{p}}}')
             items.append(text)
         return _json_list(items, pad)
 
     dfgs = []
     for d in w.dfgs:
-        ops = [f'{{\n          "id": {op.id},\n          "opcode": "{op.opcode.value}",\n'
+        ops = [f'{{\n          "id": {op.id},\n          "opcode": "{op.opcode}",\n'
                f'          "srcs": {refs(op.sources, " " * 10)}\n        }}'
                for op in d.ops]
         dfgs.append(f'{{\n      "name": {json.dumps(d.name)},\n'
@@ -404,12 +382,12 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
         ops = []
         for oid in range(n_ops):
             if rng.random() < params.memory_op_fraction:
-                opcode = Opcode.LOAD if rng.random() < 0.5 else Opcode.STORE
+                opcode = "load" if rng.random() < 0.5 else "store"
             else:
                 opcode = rng.choice(ALU_OPCODES)
-            srcs = tuple(rng.choice(available) for _ in range(opcode.arity))
+            srcs = tuple(rng.choice(available) for _ in range(arity(opcode)))
             ops.append(Operation(oid, opcode, srcs))
-            if opcode is not Opcode.STORE:
+            if opcode != "store":
                 available.append(op_ref(oid))
         k = min(len(available), rng.randint(1, MAX_OUTPUTS))
         outputs = tuple(rng.sample(available, k))

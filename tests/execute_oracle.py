@@ -11,7 +11,6 @@ signed `cmplt` yielding 0 or 1, and a logical `shr`.
 """
 
 from cgralloc.mapper import VirtualConfiguration
-from cgralloc.workload import RefKind
 
 MOD = 2 ** 32
 
@@ -42,7 +41,7 @@ def execute_by_columns(
     queued: dict[int, tuple[int, int]] = {}  # store op id -> (addr, word)
 
     def value(ref):
-        return words[ref.index] if ref.kind is RefKind.INPUT else values[ref.index]
+        return words[ref.index] if ref.kind == "input" else values[ref.index]
 
     for col in range(num_cols + 1):
         for p in vc.placements:
@@ -56,7 +55,7 @@ def execute_by_columns(
             if p.col_start != col:
                 continue
             op = vc.dfg.ops[p.op_id]
-            name = op.opcode.value
+            name = op.opcode
             if name == "load":
                 values[op.id] = mem.get(value(op.sources[0]), 0)
             elif name == "store":

@@ -8,12 +8,12 @@ grows with ops x columns x rows x width, so tests keep their fabrics small.
 import heapq
 
 from cgralloc.mapper import DoesNotFitError, FabricDims, Placement
-from cgralloc.workload import Dfg, Opcode, RefKind
+from cgralloc.workload import Dfg
 
 
-def columns(opcode: Opcode) -> int:
+def columns(opcode: str) -> int:
     """Columns an op occupies, as README states: 4 for load and store, 1 for ALU ops."""
-    return 4 if opcode in (Opcode.LOAD, Opcode.STORE) else 1
+    return 4 if opcode in ("load", "store") else 1
 
 
 def heap_topological_order(d: Dfg) -> list[int]:
@@ -22,7 +22,7 @@ def heap_topological_order(d: Dfg) -> list[int]:
     producers: list[set[int]] = []
     consumers: dict[int, set[int]] = {i: set() for i in range(n)}
     for op in d.ops:
-        prods = {r.index for r in op.sources if r.kind is RefKind.OP}
+        prods = {r.index for r in op.sources if r.kind == "op"}
         producers.append(prods)
         for p in prods:
             consumers[p].add(op.id)
@@ -56,14 +56,14 @@ def map_dfg_per_cell(d: Dfg, dims: FabricDims) -> tuple[Placement, ...]:
         width = columns(op.opcode)
         earliest = 0
         for ref in op.sources:
-            if ref.kind is RefKind.OP:
-                earliest = max(earliest, placed[ref.index].col_end)
+            if ref.kind == "op":
+                earliest = max(earliest, placed[ref.index].col_start + placed[ref.index].width)
 
         spot = None
         for col in range(earliest, num_cols - width + 1):
-            if op.opcode is Opcode.LOAD and col in load_cols:
+            if op.opcode == "load" and col in load_cols:
                 continue
-            if op.opcode is Opcode.STORE and col in store_cols:
+            if op.opcode == "store" and col in store_cols:
                 continue
             for row in range(num_rows):
                 if all(free[row][c] for c in range(col, col + width)):
@@ -77,9 +77,9 @@ def map_dfg_per_cell(d: Dfg, dims: FabricDims) -> tuple[Placement, ...]:
         row, col = spot
         for c in range(col, col + width):
             free[row][c] = False
-        if op.opcode is Opcode.LOAD:
+        if op.opcode == "load":
             load_cols.add(col)
-        elif op.opcode is Opcode.STORE:
+        elif op.opcode == "store":
             store_cols.add(col)
         placed[op_id] = Placement(op_id=op_id, row=row, col_start=col, width=width)
 

@@ -21,12 +21,12 @@ def serialize_by_encoder(w: Workload) -> str:
                 "ops": [
                     {
                         "id": op.id,
-                        "opcode": op.opcode.value,
-                        "srcs": [{"kind": r.kind.value, "index": r.index} for r in op.sources],
+                        "opcode": op.opcode,
+                        "srcs": [{"kind": r.kind, "index": r.index} for r in op.sources],
                     }
                     for op in d.ops
                 ],
-                "outputs": [{"kind": r.kind.value, "index": r.index} for r in d.outputs],
+                "outputs": [{"kind": r.kind, "index": r.index} for r in d.outputs],
             }
             for d in w.dfgs
         ],

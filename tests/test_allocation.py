@@ -7,7 +7,6 @@ from cgralloc.mapper import FabricDims, Placement, VirtualConfiguration, map_dfg
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
-    Opcode,
     Operation,
     generate_random_workload,
     input_ref,
@@ -20,7 +19,7 @@ ROTATING = AllocationPolicy.ROTATING
 
 def vc_single_cell_at(row: int, col: int) -> VirtualConfiguration:
     d = Dfg(name="cell", num_inputs=2,
-            ops=(Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),),
+            ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
             outputs=(op_ref(0),))
     p = Placement(op_id=0, row=row, col_start=col, width=1)
     return VirtualConfiguration(dfg=d, placements=(p,))
@@ -73,7 +72,7 @@ def test_allocate_modular_translation():
 
 def test_allocate_wraps_memory_op_past_right_edge():
     d = Dfg(name="m", num_inputs=1,
-            ops=(Operation(0, Opcode.LOAD, (input_ref(0),)),), outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (input_ref(0),)),), outputs=(op_ref(0),))
     p = Placement(op_id=0, row=0, col_start=12, width=4)
     vc = VirtualConfiguration(dfg=d, placements=(p,))
     alloc = allocate(vc, Pivot(row=0, col=2), DIMS_16x2)

@@ -18,7 +18,6 @@ from cgralloc.mapper import FabricDims
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
-    Opcode,
     Operation,
     Workload,
     generate_random_workload,
@@ -32,14 +31,14 @@ DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 
 def single_op_workload(executions: int) -> Workload:
     d = Dfg(name="one", num_inputs=2,
-            ops=(Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),),
+            ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
             outputs=(op_ref(0),))
     return Workload(dfgs=(d,), trace=((0, executions),))
 
 
 def memory_only_workload() -> Workload:
     d = Dfg(name="mem", num_inputs=1,
-            ops=(Operation(0, Opcode.LOAD, (input_ref(0),)),),
+            ops=(Operation(0, "load", (input_ref(0),)),),
             outputs=(op_ref(0),))
     return Workload(dfgs=(d,), trace=((0, 10),))
 
@@ -96,10 +95,10 @@ def test_run_scenario_skips_unmappable_dfgs():
 
 def test_skipped_trace_entries_are_dropped():
     fits = Dfg(name="fits", num_inputs=2,
-               ops=(Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),),
+               ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
                outputs=(op_ref(0),))
     too_big = Dfg(name="toobig", num_inputs=1,
-                  ops=(Operation(0, Opcode.LOAD, (input_ref(0),)),),
+                  ops=(Operation(0, "load", (input_ref(0),)),),
                   outputs=(op_ref(0),))
     w = Workload(dfgs=(fits, too_big), trace=((0, 3), (1, 5), (0, 2)))
     dims = FabricDims(num_cols=2, num_rows=2)

@@ -15,7 +15,6 @@ from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
-    Opcode,
     Operation,
     generate_random_workload,
     input_ref,
@@ -91,33 +90,33 @@ def test_reconfig_cycles_pivot_independent():
 # ---------------------------------------------------------------------------
 
 def test_add_outputs_sum():
-    assert run_single_op(Opcode.ADD, 2, 3) == 5
+    assert run_single_op("add", 2, 3) == 5
 
 
 def test_alu_semantics_32bit():
-    assert run_single_op(Opcode.ADD, 0xFFFFFFFF, 1) == 0
-    assert run_single_op(Opcode.SUB, 0, 1) == 0xFFFFFFFF
-    assert run_single_op(Opcode.AND, 0b1100, 0b1010) == 0b1000
-    assert run_single_op(Opcode.OR, 0b1100, 0b1010) == 0b1110
-    assert run_single_op(Opcode.XOR, 0b1100, 0b1010) == 0b0110
-    assert run_single_op(Opcode.SHL, 1, 33) == 2       # shift uses low 5 bits
-    assert run_single_op(Opcode.SHL, 1, 31) == 0x80000000
-    assert run_single_op(Opcode.SHR, 0x80000000, 31) == 1  # logical shift
-    assert run_single_op(Opcode.CMPLT, 0xFFFFFFFF, 0) == 1  # -1 < 0 signed
-    assert run_single_op(Opcode.CMPLT, 0, 1) == 1
-    assert run_single_op(Opcode.CMPLT, 1, 0) == 0
+    assert run_single_op("add", 0xFFFFFFFF, 1) == 0
+    assert run_single_op("sub", 0, 1) == 0xFFFFFFFF
+    assert run_single_op("and", 0b1100, 0b1010) == 0b1000
+    assert run_single_op("or", 0b1100, 0b1010) == 0b1110
+    assert run_single_op("xor", 0b1100, 0b1010) == 0b0110
+    assert run_single_op("shl", 1, 33) == 2       # shift uses low 5 bits
+    assert run_single_op("shl", 1, 31) == 0x80000000
+    assert run_single_op("shr", 0x80000000, 31) == 1  # logical shift
+    assert run_single_op("cmplt", 0xFFFFFFFF, 0) == 1  # -1 < 0 signed
+    assert run_single_op("cmplt", 0, 1) == 1
+    assert run_single_op("cmplt", 1, 0) == 0
 
 
 def test_load_of_unwritten_address_is_zero():
     d = Dfg(name="l", num_inputs=1,
-            ops=(Operation(0, Opcode.LOAD, (input_ref(0),)),), outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (input_ref(0),)),), outputs=(op_ref(0),))
     vc = map_dfg(d, DIMS_16x2)
     assert execute(vc, ORIGIN, [1234], MemoryModel(), DIMS_16x2).outputs == (0,)
 
 
 def test_load_reads_preexisting_memory():
     d = Dfg(name="l", num_inputs=1,
-            ops=(Operation(0, Opcode.LOAD, (input_ref(0),)),), outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (input_ref(0),)),), outputs=(op_ref(0),))
     vc = map_dfg(d, DIMS_16x2)
     mem = MemoryModel({16: 99})
     assert execute(vc, ORIGIN, [16], mem, DIMS_16x2).outputs == (99,)
@@ -126,12 +125,12 @@ def test_load_reads_preexisting_memory():
 def store_then_load_dfg() -> Dfg:
     # the load's address comes through a 4-deep ALU chain, forcing its
     # starting column to the store's completion boundary
-    ops = [Operation(0, Opcode.STORE, (input_ref(0), input_ref(1)))]
+    ops = [Operation(0, "store", (input_ref(0), input_ref(1)))]
     prev = input_ref(0)
     for i in range(1, 5):
-        ops.append(Operation(i, Opcode.ADD, (prev, input_ref(2))))
+        ops.append(Operation(i, "add", (prev, input_ref(2))))
         prev = op_ref(i)
-    ops.append(Operation(5, Opcode.LOAD, (prev,)))
+    ops.append(Operation(5, "load", (prev,)))
     return Dfg(name="sl", num_inputs=3, ops=tuple(ops), outputs=(op_ref(5),))
 
 
@@ -149,8 +148,8 @@ def test_store_invisible_to_overlapping_load():
     # load and store both begin at column 0: the store completes after the
     # load reads, so the load sees the old contents
     d = Dfg(name="overlap", num_inputs=2, ops=(
-        Operation(0, Opcode.STORE, (input_ref(0), input_ref(1))),
-        Operation(1, Opcode.LOAD, (input_ref(0),)),
+        Operation(0, "store", (input_ref(0), input_ref(1))),
+        Operation(1, "load", (input_ref(0),)),
     ), outputs=(op_ref(1),))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start == vc.placements[1].col_start
@@ -161,8 +160,8 @@ def test_store_invisible_to_overlapping_load():
 
 def test_later_store_wins_final_memory():
     d = Dfg(name="ww", num_inputs=3, ops=(
-        Operation(0, Opcode.STORE, (input_ref(0), input_ref(1))),
-        Operation(1, Opcode.STORE, (input_ref(0), input_ref(2))),
+        Operation(0, "store", (input_ref(0), input_ref(1))),
+        Operation(1, "store", (input_ref(0), input_ref(2))),
     ), outputs=())
     vc = map_dfg(d, DIMS_16x2)
     first, second = vc.placements[0], vc.placements[1]
@@ -306,9 +305,9 @@ def _corruptible_allocation():
     # rows (0, 1, 0) differ from op ids (0, 1, 2), so a mix-up of the two shows in the text;
     # at pivot (1, 2) op 0 sits on (1, 2), op 1 on (0, 2) and op 2 on (1, 3)..(1, 6)
     d = Dfg(name="three", num_inputs=2, ops=(
-        Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),
-        Operation(1, Opcode.ADD, (input_ref(0), input_ref(1))),
-        Operation(2, Opcode.LOAD, (op_ref(0),)),
+        Operation(0, "add", (input_ref(0), input_ref(1))),
+        Operation(1, "add", (input_ref(0), input_ref(1))),
+        Operation(2, "load", (op_ref(0),)),
     ), outputs=(op_ref(1), op_ref(2)))
     pivot = Pivot(1, 2)
     return allocate(map_dfg(d, DIMS_8x2), pivot, DIMS_8x2), reconfig_plan(pivot, DIMS_8x2)

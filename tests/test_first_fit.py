@@ -12,8 +12,8 @@ from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
 from cgralloc.workload import (
     ALU_OPCODES,
     Dfg,
-    Opcode,
     Operation,
+    arity,
     input_ref,
     op_ref,
 )
@@ -26,14 +26,14 @@ def dfgs(draw):
     """A valid DFG: every op reads inputs or earlier non-store ops."""
     num_inputs = draw(st.integers(1, 3))
     n = draw(st.integers(0, 24))
-    opcodes = st.sampled_from(ALU_OPCODES + (Opcode.LOAD, Opcode.STORE))
+    opcodes = st.sampled_from(ALU_OPCODES + ("load", "store"))
     available = [input_ref(i) for i in range(num_inputs)]
     ops = []
     for i in range(n):
         opcode = draw(opcodes)
-        srcs = tuple(draw(st.sampled_from(available)) for _ in range(opcode.arity))
+        srcs = tuple(draw(st.sampled_from(available)) for _ in range(arity(opcode)))
         ops.append(Operation(i, opcode, srcs))
-        if opcode is not Opcode.STORE:
+        if opcode != "store":
             available.append(op_ref(i))
     return Dfg(name="g", num_inputs=num_inputs, ops=tuple(ops), outputs=())
 

@@ -119,3 +119,20 @@ def map_digests(tmp: Path) -> dict[str, object]:
 
 def test_map_dump_and_misfit_report_are_byte_identical(tmp_path):
     assert map_digests(tmp_path) == MAP_EXPECTED
+
+
+# The same checks without pytest: PYTHONPATH=src python3 tests/test_golden.py
+if __name__ == "__main__":
+    import sys
+    import tempfile
+
+    mismatched = []
+    for digests, expected in ((golden_digests, EXPECTED), (map_digests, MAP_EXPECTED)):
+        with tempfile.TemporaryDirectory() as tmp:
+            got = digests(Path(tmp))
+        mismatched += [f"{digests.__name__}: {key}: got {got.get(key)!r}, "
+                       f"expected {expected.get(key)!r}"
+                       for key in sorted(got.keys() | expected.keys())
+                       if got.get(key) != expected.get(key)]
+    print("\n".join(mismatched) or "golden digests match")
+    sys.exit(1 if mismatched else 0)

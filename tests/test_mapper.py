@@ -2,13 +2,13 @@ import pytest
 
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
 from cgralloc.workload import (
+    OPCODES,
     Dfg,
     GeneratorParams,
-    Opcode,
     Operation,
-    RefKind,
     WorkloadSemanticError,
     generate_random_workload,
+    arity,
     input_ref,
     op_ref,
 )
@@ -18,7 +18,7 @@ DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 
 def single_add() -> Dfg:
     return Dfg(name="a", num_inputs=2,
-               ops=(Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),),
+               ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
                outputs=(op_ref(0),))
 
 
@@ -35,28 +35,28 @@ def assert_well_formed(vc, dims):
             assert (p.row, c) not in seen
             seen.add((p.row, c))
         op = vc.dfg.ops[p.op_id]
-        if op.opcode is Opcode.LOAD:
+        if op.opcode == "load":
             loads[p.col_start] = loads.get(p.col_start, 0) + 1
-        elif op.opcode is Opcode.STORE:
+        elif op.opcode == "store":
             stores[p.col_start] = stores.get(p.col_start, 0) + 1
     assert all(n <= 1 for n in loads.values())
     assert all(n <= 1 for n in stores.values())
     for op in vc.dfg.ops:
         consumer = vc.placements[op.id]
         for ref in op.sources:
-            if ref.kind is RefKind.OP:
+            if ref.kind == "op":
                 producer = vc.placements[ref.index]
                 assert producer.col_start + producer.width <= consumer.col_start
 
 
 def test_op_width():
     # one op of every opcode, each reading only inputs
-    ops = tuple(Operation(i, k, (input_ref(0), input_ref(1))[:k.arity])
-                for i, k in enumerate(Opcode))
+    ops = tuple(Operation(i, k, (input_ref(0), input_ref(1))[:arity(k)])
+                for i, k in enumerate(OPCODES))
     vc = map_dfg(Dfg(name="all", num_inputs=2, ops=ops, outputs=()),
                  FabricDims(num_cols=16, num_rows=len(ops)))
     widths = {op.opcode: vc.placements[op.id].width for op in ops}
-    assert widths == {k: 4 if k in (Opcode.LOAD, Opcode.STORE) else 1 for k in Opcode}
+    assert widths == {k: 4 if k in ("load", "store") else 1 for k in OPCODES}
 
 
 def test_dims_defaults_and_validation():
@@ -80,9 +80,9 @@ def test_greedy_hand_trace():
     # a=ADD(in0,in1); b=ADD(a,in0); c=LOAD(addr=a): b takes the column right
     # of a, c cannot use row 0 there (b holds it) and drops to row 1
     d = Dfg(name="t", num_inputs=2, ops=(
-        Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),
-        Operation(1, Opcode.ADD, (op_ref(0), input_ref(0))),
-        Operation(2, Opcode.LOAD, (op_ref(0),)),
+        Operation(0, "add", (input_ref(0), input_ref(1))),
+        Operation(1, "add", (op_ref(0), input_ref(0))),
+        Operation(2, "load", (op_ref(0),)),
     ), outputs=(op_ref(1), op_ref(2)))
     vc = map_dfg(d, DIMS_16x2)
     a, b, c = vc.placements
@@ -94,7 +94,7 @@ def test_greedy_hand_trace():
 
 
 def test_capacity_error_reports_op_and_frontier():
-    ops = tuple(Operation(i, Opcode.ADD, (input_ref(0), input_ref(1))) for i in range(5))
+    ops = tuple(Operation(i, "add", (input_ref(0), input_ref(1))) for i in range(5))
     d = Dfg(name="wide", num_inputs=2, ops=ops, outputs=())
     with pytest.raises(DoesNotFitError) as exc:
         map_dfg(d, FabricDims(num_cols=1, num_rows=2))
@@ -106,9 +106,9 @@ def test_capacity_error_reports_op_and_frontier():
 def test_op_ref_not_listed_before_its_reader_is_rejected_not_placed(bad):
     # validate_dfg is bypassed: a library caller hands map_dfg the DFG directly
     d = Dfg(name="bad", num_inputs=2, ops=(
-        Operation(0, Opcode.ADD, (input_ref(0), input_ref(1))),
-        Operation(1, Opcode.SUB, (op_ref(0), op_ref(bad))),
-        Operation(2, Opcode.XOR, (op_ref(0), input_ref(1))),
+        Operation(0, "add", (input_ref(0), input_ref(1))),
+        Operation(1, "sub", (op_ref(0), op_ref(bad))),
+        Operation(2, "xor", (op_ref(0), input_ref(1))),
     ), outputs=())
     with pytest.raises(WorkloadSemanticError,
                        match=f"^op 1 references op {bad}, which is not listed before it$"):
@@ -117,15 +117,15 @@ def test_op_ref_not_listed_before_its_reader_is_rejected_not_placed(bad):
 
 def test_memory_op_never_fits_narrow_fabric():
     d = Dfg(name="m", num_inputs=1,
-            ops=(Operation(0, Opcode.LOAD, (input_ref(0),)),), outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (input_ref(0),)),), outputs=(op_ref(0),))
     with pytest.raises(DoesNotFitError):
         map_dfg(d, FabricDims(num_cols=3, num_rows=4))
 
 
 def test_memory_port_rule_separates_load_col_starts():
     d = Dfg(name="2loads", num_inputs=1, ops=(
-        Operation(0, Opcode.LOAD, (input_ref(0),)),
-        Operation(1, Opcode.LOAD, (input_ref(0),)),
+        Operation(0, "load", (input_ref(0),)),
+        Operation(1, "load", (input_ref(0),)),
     ), outputs=(op_ref(0), op_ref(1)))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start != vc.placements[1].col_start
@@ -134,8 +134,8 @@ def test_memory_port_rule_separates_load_col_starts():
 
 def test_load_and_store_may_share_col_start():
     d = Dfg(name="ls", num_inputs=2, ops=(
-        Operation(0, Opcode.LOAD, (input_ref(0),)),
-        Operation(1, Opcode.STORE, (input_ref(0), input_ref(1))),
+        Operation(0, "load", (input_ref(0),)),
+        Operation(1, "store", (input_ref(0), input_ref(1))),
     ), outputs=(op_ref(0),))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start == vc.placements[1].col_start == 0

@@ -6,8 +6,11 @@ read them and the `map --dump` line rely on that order.  These tests need no
 pytest, so other interpreters can run them as plain functions.
 """
 
+from dataclasses import replace
+
 from cgralloc.mapper import FabricDims, map_dfg
 from cgralloc.workload import (
+    OPCODES,
     GeneratorParams,
     generate_random_workload,
     input_ref,
@@ -61,7 +64,14 @@ def test_placements_unpack_in_field_order():
     assert any(p.row != p.col_start for p in placements)  # so a swap of the two would show
     for p in placements:
         assert tuple(p) == (p.op_id, p.row, p.col_start, p.width)
-        assert p.col_end == p.col_start + p.width
+
+
+def test_parsed_ops_share_one_string_per_opcode():
+    text = serialize_workload(generate_random_workload(replace(PARAMS, num_dfgs=2), 3))
+    ops = [op for d in parse_workload(text).dfgs for op in d.ops]
+    assert len(ops) > len(OPCODES)  # so some opcode is read more than once
+    for op in ops:
+        assert op.opcode is OPCODES[OPCODES.index(op.opcode)], op
 
 
 def test_value_ref_index_is_the_field():

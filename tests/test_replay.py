@@ -3,6 +3,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cgralloc import dse
 from cgralloc.allocation import AllocationPolicy
 from cgralloc.dse import map_workload, replay_trace
 from cgralloc.mapper import FabricDims
@@ -51,3 +52,21 @@ def test_counted_replay_matches_per_execution_replay(scenario, policy):
     want = replay_per_execution(workload, mapped, dims, policy)
     assert got.total_executions == want.total_executions
     assert got.active_count == want.active_count
+
+
+def test_replay_builds_only_the_pivots_the_trace_hits(monkeypatch):
+    built = []
+    pivot_at = dse.pivot_at
+
+    def counting_pivot_at(policy, k, dims):
+        built.append(k)
+        return pivot_at(policy, k, dims)
+
+    monkeypatch.setattr(dse, "pivot_at", counting_pivot_at)
+    dims = FabricDims(num_cols=64, num_rows=64)
+    workload = _one_op_workload(((0, 3),))
+    mapped, _ = map_workload(workload, dims)
+    got = replay_trace(workload, mapped, dims, AllocationPolicy.ROTATING)
+    assert got.active_count == replay_per_execution(
+        workload, mapped, dims, AllocationPolicy.ROTATING).active_count
+    assert len(built) <= 3, f"{len(built)} pivots built for 3 executions"
