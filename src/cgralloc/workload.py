@@ -5,7 +5,8 @@ graph executes and how many times in a row.  Each graph is a straight-line
 region written in program order: each operation reads external inputs or
 results of operations listed before it in the same graph, with no loops and
 no branches.  So the list order is the dependency order; a reference to the
-reading op itself or to a later op is a validation error.
+reading op itself or to a later op is an error.  ``parse_workload`` checks every
+rule as it reads the file; a hand-built ``Dfg`` meets only ``map_dfg``'s order guard.
 
 Value semantics are 32-bit two's-complement with wrapping arithmetic.  Shift
 amounts use the low 5 bits.  ``cmplt`` compares signed values and yields 0/1.
@@ -105,54 +106,6 @@ class Workload(NamedTuple):
     trace: tuple[tuple[int, int], ...]
 
 
-def validate_dfg(d: Dfg) -> list[str]:
-    """Check all DFG invariants; returns violation messages (empty = valid).
-
-    Checks: dense ids matching list positions, known opcodes, their source arity,
-    reference bounds, every op reading only ops listed before it, and stores
-    never sourced as values.  So the list order of a valid DFG is a
-    dependency order.
-    """
-    violations: list[str] = []
-    n = len(d.ops)
-    if d.num_inputs < 0:
-        violations.append(f"num_inputs is {d.num_inputs}, must be >= 0")
-
-    ids_ok = True
-    for pos, (op_id, _, _) in enumerate(d.ops):
-        if op_id != pos:
-            violations.append(f"op at position {pos} has id {op_id}; ids must be dense 0..{n - 1}")
-            ids_ok = False
-
-    def ref_problem(ref: ValueRef, before: int) -> str | None:
-        """What is wrong with a ref read at list position `before` (n for outputs)."""
-        kind, index = ref
-        if kind == "input":
-            if not 0 <= index < d.num_inputs:
-                return f"references nonexistent input {index} (have {d.num_inputs})"
-        elif not 0 <= index < n:
-            return f"references nonexistent op {index}"
-        elif index >= before:
-            return f"references op {index}, which is not listed before it"
-        elif ids_ok and d.ops[index].opcode == "store":
-            return f"sources op {index}, a store, which produces no value"
-        return None
-
-    for pos, (op_id, opcode, sources) in enumerate(d.ops):
-        want = arity(opcode)
-        if opcode not in OPCODES:  # parse rejects these first; a hand-built Dfg may hold one
-            violations.append(f"op {op_id}: unknown opcode {opcode!r}")
-        elif len(sources) != want:
-            violations.append(f"op {op_id}: {opcode} takes {want} source(s), got {len(sources)}")
-        for ref in sources:
-            if problem := ref_problem(ref, pos):
-                violations.append(f"op {op_id} {problem}")
-    for k, ref in enumerate(d.outputs):
-        if problem := ref_problem(ref, n):
-            violations.append(f"output {k} {problem}")
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
@@ -168,7 +121,6 @@ def parse_workload(text: str) -> Workload:
     except ValueError as e:  # an int over the digit limit; its subclass JSONDecodeError is above
         raise WorkloadSyntaxError(str(e)) from None
 
-    problems: list[str] = []
     if not isinstance(doc, dict):
         raise WorkloadSemanticError(["top level must be an object"])
     fmt = doc.get("format")
@@ -183,90 +135,115 @@ def parse_workload(text: str) -> Workload:
         raise WorkloadSemanticError(["'trace' must be a list"])
 
     refs: dict[tuple[str, int], ValueRef] = {}  # (kind, index) -> its one ValueRef in this file
+    malformed: list[str] = []
+    violations: list[str] = []  # reported only if every DFG is well-formed
     dfgs = []
     for di, raw in enumerate(raw_dfgs):
-        dfg = _parse_dfg(raw, f"dfgs[{di}]", problems, refs)
-        if dfg is not None:
-            dfgs.append(dfg)
-    if problems:
-        raise WorkloadSemanticError(problems)
-
-    for di, dfg in enumerate(dfgs):
-        for v in validate_dfg(dfg):
-            problems.append(f"dfgs[{di}]: {v}")
+        try:
+            dfgs.append(_parse_dfg(raw, f"dfgs[{di}]", violations, refs))
+        except _Malformed as e:
+            malformed.append(e.args[0])
+    if malformed:
+        raise WorkloadSemanticError(malformed)
 
     if not raw_trace:
-        problems.append("empty trace")
+        violations.append("empty trace")
     trace = []
     for ti, entry in enumerate(raw_trace):
         if (not isinstance(entry, list) or len(entry) != 2
                 or type(entry[0]) is not int or type(entry[1]) is not int):
-            problems.append(f"trace[{ti}]: must be [dfg_index, repeat_count]")
+            violations.append(f"trace[{ti}]: must be [dfg_index, repeat_count]")
             continue
         idx, reps = entry
         if not 0 <= idx < len(dfgs):
-            problems.append(f"trace[{ti}]: dfg index {idx} out of range")
+            violations.append(f"trace[{ti}]: dfg index {idx} out of range")
         if reps < 1:
-            problems.append(f"trace[{ti}]: repeat count {reps} must be >= 1")
+            violations.append(f"trace[{ti}]: repeat count {reps} must be >= 1")
         trace.append((idx, reps))
 
-    if problems:
-        raise WorkloadSemanticError(problems)
+    if violations:
+        raise WorkloadSemanticError(violations)
     return Workload(tuple(dfgs), tuple(trace))
 
 
-def _parse_dfg(raw: object, where: str, problems: list[str], refs: dict) -> Dfg | None:
+def _parse_dfg(raw: object, where: str, violations: list[str], refs: dict) -> Dfg:
+    """One DFG, its broken rules appended to `violations`; raises _Malformed on a shape problem."""
     if not isinstance(raw, dict):
-        problems.append(f"{where}: must be an object")
-        return None
+        raise _Malformed(f"{where}: must be an object")
     name = raw.get("name")
     num_inputs = raw.get("num_inputs")
     raw_ops = raw.get("ops")
     raw_outputs = raw.get("outputs")
     if not isinstance(name, str):
-        problems.append(f"{where}: 'name' must be a string")
-        return None
+        raise _Malformed(f"{where}: 'name' must be a string")
     if not name.isprintable():
-        problems.append(f"{where}: 'name' must be printable text")
-        return None
+        raise _Malformed(f"{where}: 'name' must be printable text")
     if type(num_inputs) is not int:
-        problems.append(f"{where}: 'num_inputs' must be an integer")
-        return None
+        raise _Malformed(f"{where}: 'num_inputs' must be an integer")
     if not isinstance(raw_ops, list) or not isinstance(raw_outputs, list):
-        problems.append(f"{where}: 'ops' and 'outputs' must be lists")
-        return None
+        raise _Malformed(f"{where}: 'ops' and 'outputs' must be lists")
+    if num_inputs < 0:
+        violations.append(f"{where}: num_inputs is {num_inputs}, must be >= 0")
 
+    n = len(raw_ops)
     ops = []
     for oi, rop in enumerate(raw_ops):
         if not isinstance(rop, dict):
-            problems.append(f"{where}.ops[{oi}]: must be an object")
-            return None
+            raise _Malformed(f"{where}.ops[{oi}]: must be an object")
         raw_opcode = rop.get("opcode")
         opcode = _OPCODES.get(raw_opcode) if type(raw_opcode) is str else None
         if opcode is None:
-            problems.append(f"{where}.ops[{oi}]: unknown opcode {raw_opcode!r}")
-            return None
+            raise _Malformed(f"{where}.ops[{oi}]: unknown opcode {raw_opcode!r}")
         op_id = rop.get("id")
         raw_srcs = rop.get("srcs")
         if type(op_id) is not int:
-            problems.append(f"{where}.ops[{oi}]: 'id' must be an integer")
-            return None
+            raise _Malformed(f"{where}.ops[{oi}]: 'id' must be an integer")
         if not isinstance(raw_srcs, list):
-            problems.append(f"{where}.ops[{oi}]: 'srcs' must be a list")
-            return None
+            raise _Malformed(f"{where}.ops[{oi}]: 'srcs' must be a list")
         try:
             srcs = _parse_refs(raw_srcs, refs)
         except _BadRef as e:
-            problems.append(f"{where}.ops[{oi}].srcs[{e.args[0]}]: {e.args[1]}")
-            return None
+            raise _Malformed(f"{where}.ops[{oi}].srcs[{e.args[0]}]: {e.args[1]}") from None
+        if op_id != oi:
+            violations.append(f"{where}: op at position {oi} has id {op_id}; "
+                              f"ids must be dense 0..{n - 1}")
+        if len(srcs) != arity(opcode):
+            violations.append(f"{where}: op {op_id}: {opcode} takes {arity(opcode)} source(s), "
+                              f"got {len(srcs)}")
+        for kind, index in srcs:
+            if kind == "input":
+                if not 0 <= index < num_inputs:
+                    violations.append(f"{where}: op {op_id} references nonexistent input "
+                                      f"{index} (have {num_inputs})")
+            elif not 0 <= index < n:
+                violations.append(f"{where}: op {op_id} references nonexistent op {index}")
+            elif index >= oi:
+                violations.append(f"{where}: op {op_id} references op {index}, "
+                                  f"which is not listed before it")
+            elif ops[index].opcode == "store":
+                violations.append(f"{where}: op {op_id} sources op {index}, a store, "
+                                  f"which produces no value")
         ops.append(Operation(op_id, opcode, srcs))
 
     try:
         outputs = _parse_refs(raw_outputs, refs)
     except _BadRef as e:
-        problems.append(f"{where}.outputs[{e.args[0]}]: {e.args[1]}")
-        return None
+        raise _Malformed(f"{where}.outputs[{e.args[0]}]: {e.args[1]}") from None
+    for k, (kind, index) in enumerate(outputs):  # read after every op, so none is listed later
+        if kind == "input":
+            if not 0 <= index < num_inputs:
+                violations.append(f"{where}: output {k} references nonexistent input "
+                                  f"{index} (have {num_inputs})")
+        elif not 0 <= index < n:
+            violations.append(f"{where}: output {k} references nonexistent op {index}")
+        elif ops[index].opcode == "store":
+            violations.append(f"{where}: output {k} sources op {index}, a store, "
+                              f"which produces no value")
     return Dfg(name, num_inputs, tuple(ops), outputs)
+
+
+class _Malformed(Exception):
+    """A DFG whose shape cannot be read; args: (the problem, with its location)."""
 
 
 class _BadRef(Exception):
@@ -295,7 +272,8 @@ def _parse_refs(raws: list, known: dict[tuple[str, int], ValueRef]) -> tuple[Val
 
 def serialize_workload(w: Workload) -> str:
     """Canonical text form, exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
-    document the module docstring shows; parse_workload(serialize_workload(w)) == w."""
+    document the module docstring shows; parse_workload(serialize_workload(w)) == w.
+    An opcode or a ref kind that the format cannot spell raises WorkloadError."""
     rendered: dict[str, dict[ValueRef, str]] = {}  # per indent, the text of each ref
 
     def refs(rs: tuple[ValueRef, ...], pad: str) -> str:
@@ -305,6 +283,8 @@ def serialize_workload(w: Workload) -> str:
         for r in rs:
             text = texts.get(r)
             if text is None:
+                if r.kind != "input" and r.kind != "op":
+                    raise WorkloadError(f"cannot write ref kind {r.kind!r}")
                 text = texts[r] = (f'{{\n{p}  "kind": "{r.kind}",\n'
                                    f'{p}  "index": {r.index}\n{p}}}')
             items.append(text)
@@ -312,9 +292,12 @@ def serialize_workload(w: Workload) -> str:
 
     dfgs = []
     for d in w.dfgs:
-        ops = [f'{{\n          "id": {op.id},\n          "opcode": "{op.opcode}",\n'
-               f'          "srcs": {refs(op.sources, " " * 10)}\n        }}'
-               for op in d.ops]
+        ops = []
+        for op_id, opcode, sources in d.ops:
+            if type(opcode) is not str or opcode not in _OPCODES:  # a dict test, not a scan
+                raise WorkloadError(f"cannot write opcode {opcode!r}")
+            ops.append(f'{{\n          "id": {op_id},\n          "opcode": "{opcode}",\n'
+                       f'          "srcs": {refs(sources, " " * 10)}\n        }}')
         dfgs.append(f'{{\n      "name": {json.dumps(d.name)},\n'
                     f'      "num_inputs": {d.num_inputs},\n'
                     f'      "ops": {_json_list(ops, " " * 6)},\n'

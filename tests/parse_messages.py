@@ -1,0 +1,128 @@
+"""Malformed workload documents and the exact message `parse_workload` must give for each.
+
+`tests/test_workload.py` runs every case under pytest.  The table needs no
+pytest, so interpreters without it check the same messages by running this file:
+
+    PYTHONPATH=src:tests python tests/parse_messages.py
+
+It prints each mismatch and exits 1 if there is any.
+"""
+
+import json
+import sys
+
+from cgralloc.workload import WorkloadSemanticError, parse_workload
+
+
+def _ref(kind, index):
+    return {"kind": kind, "index": index}
+
+
+def _doc(ops, trace=([0, 1],), outputs=(("op", 0),), num_inputs=2, name="d"):
+    return {"format": 1,
+            "dfgs": [{"name": name, "num_inputs": num_inputs, "ops": list(ops),
+                      "outputs": [_ref(k, i) for k, i in outputs]}],
+            "trace": list(trace)}
+
+
+_ADD = {"id": 0, "opcode": "add", "srcs": [_ref("input", 0), _ref("input", 1)]}
+
+# (document, exact WorkloadSemanticError message), recorded before the parser
+# switched to dict lookups; every problem is reported, in document order.
+# The last four cases were recorded when the DFG rules moved into the parse walk.
+MALFORMED = {
+    # a newline would forge lines of `map --dump`; a lone surrogate cannot be printed
+    "name with newlines": (_doc([_ADD], name="a\n(0, 0, 0, 1)\ndfg 7 forged"),
+                           "dfgs[0]: 'name' must be printable text"),
+    "name with a lone surrogate": (_doc([_ADD], name="\ud800"),
+                                   "dfgs[0]: 'name' must be printable text"),
+    "bad opcode": (_doc([{**_ADD, "opcode": "mul"}]),
+                   "dfgs[0].ops[0]: unknown opcode 'mul'"),
+    "list opcode": (_doc([{**_ADD, "opcode": []}]),
+                    "dfgs[0].ops[0]: unknown opcode []"),
+    "missing opcode": (_doc([{"id": 0, "srcs": _ADD["srcs"]}]),
+                       "dfgs[0].ops[0]: unknown opcode None"),
+    "bad kind": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref("const", 1)]}]),
+                 "dfgs[0].ops[0].srcs[1]: kind must be 'input' or 'op'"),
+    "dict kind": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref({}, 1)]}]),
+                  "dfgs[0].ops[0].srcs[1]: kind must be 'input' or 'op'"),
+    "bool index": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref("input", True)]}]),
+                   "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
+    # ("input", 1) is parsed first, and true and 1.0 hash and compare equal to 1
+    "bool index after its int": (
+        _doc([{**_ADD, "srcs": [_ref("input", 1), _ref("input", True)]}]),
+        "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
+    "float index after its int": (
+        _doc([{**_ADD, "srcs": [_ref("input", 1), _ref("input", 1.0)]}]),
+        "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
+    "bool trace entry": (_doc([_ADD], trace=([0, True],)),
+                         "trace[0]: must be [dfg_index, repeat_count]"),
+    "short trace entry": (_doc([_ADD], trace=([0],)),
+                          "trace[0]: must be [dfg_index, repeat_count]"),
+    "forward reference": (
+        _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
+              {"id": 1, "opcode": "sub", "srcs": [_ref("op", 0), _ref("input", 1)]}]),
+        "dfgs[0]: op 0 references op 1, which is not listed before it"),
+    "forward and self references": (
+        _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
+              {"id": 1, "opcode": "add", "srcs": [_ref("op", 2), _ref("input", 0)]},
+              {"id": 2, "opcode": "xor", "srcs": [_ref("op", 1), _ref("op", 2)]}]),
+        "dfgs[0]: op 0 references op 1, which is not listed before it; "
+        "dfgs[0]: op 1 references op 2, which is not listed before it; "
+        "dfgs[0]: op 2 references op 2, which is not listed before it"),
+    "store used as a value": (
+        _doc([{"id": 0, "opcode": "store", "srcs": [_ref("input", 0), _ref("input", 1)]},
+              {"id": 1, "opcode": "add", "srcs": [_ref("op", 0), _ref("input", 1)]}]),
+        "dfgs[0]: op 1 sources op 0, a store, which produces no value; "
+        "dfgs[0]: output 0 sources op 0, a store, which produces no value"),
+    "several problems": (
+        _doc([{"id": 1, "opcode": "load", "srcs": [_ref("input", 0), _ref("input", 3)]}],
+             trace=([1, 0], "x", [0, 2]), outputs=(("op", 4),), num_inputs=1),
+        "dfgs[0]: op at position 0 has id 1; ids must be dense 0..0; "
+        "dfgs[0]: op 1: load takes 1 source(s), got 2; "
+        "dfgs[0]: op 1 references nonexistent input 3 (have 1); "
+        "dfgs[0]: output 0 references nonexistent op 4; "
+        "trace[0]: dfg index 1 out of range; trace[0]: repeat count 0 must be >= 1; "
+        "trace[1]: must be [dfg_index, repeat_count]"),
+    # one past the last input, read by an op and by an output
+    "input index equal to num_inputs": (
+        _doc([{**_ADD, "srcs": [_ref("input", 0), _ref("input", 2)]}],
+             outputs=(("input", 2),)),
+        "dfgs[0]: op 0 references nonexistent input 2 (have 2); "
+        "dfgs[0]: output 0 references nonexistent input 2 (have 2)"),
+    "negative num_inputs": (_doc([], outputs=(), num_inputs=-1),
+                            "dfgs[0]: num_inputs is -1, must be >= 0"),
+    # each op's problems are reported with that op, its wrong id among them
+    "wrong id reported with its op": (
+        _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 0), _ref("input", 0)]},
+              {"id": 5, "opcode": "add", "srcs": [_ref("input", 0), _ref("input", 0)]}]),
+        "dfgs[0]: op 0 references op 0, which is not listed before it; "
+        "dfgs[0]: op at position 1 has id 5; ids must be dense 0..1"),
+    # a wrong id does not hide a store read as a value
+    "store used as a value among wrong ids": (
+        _doc([{"id": 0, "opcode": "store", "srcs": [_ref("input", 0), _ref("input", 1)]},
+              {"id": 7, "opcode": "add", "srcs": [_ref("op", 0), _ref("input", 0)]}]),
+        "dfgs[0]: op at position 1 has id 7; ids must be dense 0..1; "
+        "dfgs[0]: op 7 sources op 0, a store, which produces no value; "
+        "dfgs[0]: output 0 sources op 0, a store, which produces no value"),
+}
+
+
+def mismatches() -> list[str]:
+    """One line per case whose parse does not raise exactly its recorded message."""
+    found = []
+    for case, (doc, message) in MALFORMED.items():
+        try:
+            parse_workload(json.dumps(doc))
+            got = "no error"
+        except WorkloadSemanticError as e:
+            got = str(e)
+        if got != message:
+            found.append(f"{case}: got {got!r}, expected {message!r}")
+    return found
+
+
+if __name__ == "__main__":
+    lines = mismatches()
+    print("\n".join(lines) or f"{len(MALFORMED)} parse messages match")
+    sys.exit(1 if lines else 0)

@@ -104,7 +104,7 @@ def test_capacity_error_reports_op_and_frontier():
 
 @pytest.mark.parametrize("bad", [2, 1, -1, 9])  # forward, self, negative, out of range
 def test_op_ref_not_listed_before_its_reader_is_rejected_not_placed(bad):
-    # validate_dfg is bypassed: a library caller hands map_dfg the DFG directly
+    # no parse checks it: a library caller hands map_dfg the DFG directly
     d = Dfg(name="bad", num_inputs=2, ops=(
         Operation(0, "add", (input_ref(0), input_ref(1))),
         Operation(1, "sub", (op_ref(0), op_ref(bad))),

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from cgralloc.workload import (
     Dfg,
     GeneratorParams,
     Operation,
+    ValueRef,
     Workload,
     WorkloadError,
     WorkloadSemanticError,
@@ -21,8 +23,8 @@ from cgralloc.workload import (
     op_ref,
     parse_workload,
     serialize_workload,
-    validate_dfg,
 )
+from parse_messages import MALFORMED
 from serialize_oracle import serialize_by_encoder
 
 MINIMAL = json.dumps({
@@ -44,6 +46,17 @@ def chain_dfg(length: int, num_inputs: int = 2) -> Dfg:
         ops.append(Operation(i, "add", (op_ref(i - 1), input_ref(0))))
     return Dfg(name="chain", num_inputs=num_inputs, ops=tuple(ops),
                outputs=(op_ref(length - 1),))
+
+
+def problems(d: Dfg) -> list[str]:
+    """The rules `d` breaks, as `parse_workload` reports them for the file the
+    independent encoder writes for it, without their `dfgs[0]: ` prefix."""
+    try:
+        parse_workload(serialize_by_encoder(Workload((d,), ((0, 1),))))
+    except WorkloadSemanticError as e:
+        assert all(v.startswith("dfgs[0]: ") for v in e.violations), e.violations
+        return [v[len("dfgs[0]: "):] for v in e.violations]
+    return []
 
 
 def test_parse_minimal():
@@ -105,78 +118,6 @@ def test_parse_rejects_bad_trace_entry():
     doc["trace"] = [[5, 1]]
     with pytest.raises(WorkloadSemanticError, match="out of range"):
         parse_workload(json.dumps(doc))
-
-
-def _ref(kind, index):
-    return {"kind": kind, "index": index}
-
-
-def _doc(ops, trace=([0, 1],), outputs=(("op", 0),), num_inputs=2, name="d"):
-    return {"format": 1,
-            "dfgs": [{"name": name, "num_inputs": num_inputs, "ops": list(ops),
-                      "outputs": [_ref(k, i) for k, i in outputs]}],
-            "trace": list(trace)}
-
-
-_ADD = {"id": 0, "opcode": "add", "srcs": [_ref("input", 0), _ref("input", 1)]}
-
-# (document, exact WorkloadSemanticError message), recorded before the parser
-# switched to dict lookups; every problem is reported, in document order
-MALFORMED = {
-    # a newline would forge lines of `map --dump`; a lone surrogate cannot be printed
-    "name with newlines": (_doc([_ADD], name="a\n(0, 0, 0, 1)\ndfg 7 forged"),
-                           "dfgs[0]: 'name' must be printable text"),
-    "name with a lone surrogate": (_doc([_ADD], name="\ud800"),
-                                   "dfgs[0]: 'name' must be printable text"),
-    "bad opcode": (_doc([{**_ADD, "opcode": "mul"}]),
-                   "dfgs[0].ops[0]: unknown opcode 'mul'"),
-    "list opcode": (_doc([{**_ADD, "opcode": []}]),
-                    "dfgs[0].ops[0]: unknown opcode []"),
-    "missing opcode": (_doc([{"id": 0, "srcs": _ADD["srcs"]}]),
-                       "dfgs[0].ops[0]: unknown opcode None"),
-    "bad kind": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref("const", 1)]}]),
-                 "dfgs[0].ops[0].srcs[1]: kind must be 'input' or 'op'"),
-    "dict kind": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref({}, 1)]}]),
-                  "dfgs[0].ops[0].srcs[1]: kind must be 'input' or 'op'"),
-    "bool index": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref("input", True)]}]),
-                   "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
-    # ("input", 1) is parsed first, and true and 1.0 hash and compare equal to 1
-    "bool index after its int": (
-        _doc([{**_ADD, "srcs": [_ref("input", 1), _ref("input", True)]}]),
-        "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
-    "float index after its int": (
-        _doc([{**_ADD, "srcs": [_ref("input", 1), _ref("input", 1.0)]}]),
-        "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
-    "bool trace entry": (_doc([_ADD], trace=([0, True],)),
-                         "trace[0]: must be [dfg_index, repeat_count]"),
-    "short trace entry": (_doc([_ADD], trace=([0],)),
-                          "trace[0]: must be [dfg_index, repeat_count]"),
-    "forward reference": (
-        _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
-              {"id": 1, "opcode": "sub", "srcs": [_ref("op", 0), _ref("input", 1)]}]),
-        "dfgs[0]: op 0 references op 1, which is not listed before it"),
-    "forward and self references": (
-        _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
-              {"id": 1, "opcode": "add", "srcs": [_ref("op", 2), _ref("input", 0)]},
-              {"id": 2, "opcode": "xor", "srcs": [_ref("op", 1), _ref("op", 2)]}]),
-        "dfgs[0]: op 0 references op 1, which is not listed before it; "
-        "dfgs[0]: op 1 references op 2, which is not listed before it; "
-        "dfgs[0]: op 2 references op 2, which is not listed before it"),
-    "store used as a value": (
-        _doc([{"id": 0, "opcode": "store", "srcs": [_ref("input", 0), _ref("input", 1)]},
-              {"id": 1, "opcode": "add", "srcs": [_ref("op", 0), _ref("input", 1)]}]),
-        "dfgs[0]: op 1 sources op 0, a store, which produces no value; "
-        "dfgs[0]: output 0 sources op 0, a store, which produces no value"),
-    "several problems": (
-        _doc([{"id": 1, "opcode": "load", "srcs": [_ref("input", 0), _ref("input", 3)]}],
-             trace=([1, 0], "x", [0, 2]), outputs=(("op", 4),), num_inputs=1),
-        "dfgs[0]: op at position 0 has id 1; ids must be dense 0..0; "
-        "dfgs[0]: op 1: load takes 1 source(s), got 2; "
-        "dfgs[0]: op 1 references nonexistent input 3 (have 1); "
-        "dfgs[0]: output 0 references nonexistent op 4; "
-        "trace[0]: dfg index 1 out of range; trace[0]: repeat count 0 must be >= 1; "
-        "trace[1]: must be [dfg_index, repeat_count]"),
-}
 
 
 @pytest.mark.parametrize("case", MALFORMED)
@@ -267,7 +208,7 @@ def test_roundtrip_all_opcodes():
             srcs = (input_ref(0), input_ref(1))
         ops.append(Operation(i, opcode, srcs))
     d = Dfg(name="all", num_inputs=2, ops=tuple(ops), outputs=(op_ref(0),))
-    assert validate_dfg(d) == []
+    assert problems(d) == []
     w = Workload(dfgs=(d,), trace=((0, 3),))
     assert parse_workload(serialize_workload(w)) == w
 
@@ -317,30 +258,35 @@ def test_serialize_equals_json_encoder_on_edge_cases():
         '{\n  "format": 1,\n  "dfgs": [],\n  "trace": []\n}\n')
 
 
+@pytest.mark.parametrize("opcode, kind, bad", [
+    ('x"y', "input", "opcode 'x\"y'"), ("mul", "input", "opcode 'mul'"),
+    (["add"], "input", "opcode ['add']"),
+    ("add", 'in"put', "ref kind 'in\"put'"), ("add", "const", "ref kind 'const'"),
+])
+def test_serialize_rejects_what_the_format_cannot_spell(opcode, kind, bad):
+    # unchecked, 'x"y' was written between quotes: text that parse_workload rejects
+    op = Operation(0, opcode, (input_ref(0), ValueRef(kind, 1)))
+    w = Workload((Dfg("d", 2, (op,), (op_ref(0),)),), ((0, 1),))
+    with pytest.raises(WorkloadError, match=f"^cannot write {re.escape(bad)}$"):
+        serialize_workload(w)
+
+
 def test_validate_accepts_chain():
-    assert validate_dfg(chain_dfg(3)) == []
+    assert problems(chain_dfg(3)) == []
 
 
 def test_validate_rejects_self_reference():
     d = Dfg(name="loop", num_inputs=1,
             ops=(Operation(0, "add", (op_ref(0), input_ref(0))),),
             outputs=())
-    assert validate_dfg(d) == ["op 0 references op 0, which is not listed before it"]
+    assert problems(d) == ["op 0 references op 0, which is not listed before it"]
 
 
 def test_validate_reports_load_arity():
     d = Dfg(name="badload", num_inputs=2,
             ops=(Operation(0, "load", (input_ref(0), input_ref(1))),),
             outputs=())
-    assert any("load takes 1 source" in v for v in validate_dfg(d))
-
-
-def test_validate_reports_unknown_opcode():
-    d = Dfg(name="mul", num_inputs=2,
-            ops=(Operation(0, "mul", (input_ref(0), input_ref(1))),
-                 Operation(1, "LOAD", (input_ref(0),))),
-            outputs=())
-    assert validate_dfg(d) == ["op 0: unknown opcode 'mul'", "op 1: unknown opcode 'LOAD'"]
+    assert any("load takes 1 source" in v for v in problems(d))
 
 
 def test_validate_reports_store_sourced_as_value():
@@ -348,14 +294,14 @@ def test_validate_reports_store_sourced_as_value():
             ops=(Operation(0, "store", (input_ref(0), input_ref(1))),
                  Operation(1, "add", (op_ref(0), input_ref(0)))),
             outputs=())
-    assert any("store" in v for v in validate_dfg(d))
+    assert any("store" in v for v in problems(d))
 
 
 def test_validate_reports_nondense_ids():
     d = Dfg(name="ids", num_inputs=1,
             ops=(Operation(5, "add", (input_ref(0), input_ref(0))),),
             outputs=())
-    assert any("dense" in v for v in validate_dfg(d))
+    assert any("dense" in v for v in problems(d))
 
 
 def test_topological_order_random_dags_brute_force():
@@ -374,7 +320,7 @@ def test_topological_order_random_dags_brute_force():
                 b = op_ref(rng.randrange(i)) if rng.random() < 0.7 else input_ref(0)
                 srcs = (a, b)
             ops.append(Operation(i, "add", srcs))
-        assert validate_dfg(Dfg(name="dag", num_inputs=1, ops=tuple(ops), outputs=())) == []
+        assert problems(Dfg(name="dag", num_inputs=1, ops=tuple(ops), outputs=())) == []
 
         # shuffle ids so some producer is listed after one of its readers
         perm = list(range(n))
@@ -392,7 +338,7 @@ def test_topological_order_random_dags_brute_force():
                 for op in d.ops for r in op.sources
                 if r.kind == "op" and r.index >= op.id]
         assert late  # a random order of 50 ops almost surely breaks some edge
-        assert validate_dfg(d) == late
+        assert problems(d) == late
 
 
 def test_generator_deterministic():
@@ -414,7 +360,7 @@ def test_generator_output_validity():
     assert len(w.dfgs) == 100
     for d in w.dfgs:
         assert len(d.ops) == 50
-        assert validate_dfg(d) == []
+        assert problems(d) == []
 
 
 def test_generator_trace_invariants():
