@@ -76,11 +76,13 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
     """
     check_pivot(pivot, dims)
     num_rows, num_cols = dims.num_rows, dims.num_cols
+    pivot_row, pivot_col = pivot.row, pivot.col
     cell_map: dict[int, tuple[tuple[int, int], ...]] = {}
     for op_id, row, col_start, width in vc.placements:
-        row = (row + pivot.row) % num_rows
-        cell_map[op_id] = tuple(
-            (row, (c + pivot.col) % num_cols) for c in range(col_start, col_start + width)
-        )
-    return PhysicalAllocation(vc=vc, pivot=pivot, cell_map=cell_map)
-
+        row = (row + pivot_row) % num_rows
+        col = col_start + pivot_col
+        if width == 1:  # ALU ops: this literal is several times cheaper than a generator
+            cell_map[op_id] = ((row, col % num_cols),)
+        else:
+            cell_map[op_id] = tuple((row, c % num_cols) for c in range(col, col + width))
+    return PhysicalAllocation(vc, pivot, cell_map)

@@ -15,15 +15,14 @@ moving a configuration costs no extra reconfiguration time.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .allocation import PhysicalAllocation, Pivot, check_pivot
 from .mapper import FabricDims, VirtualConfiguration
-from .workload import WORD_MASK, ValueRef
+from .workload import WORD_MASK
 
 
-@dataclass(frozen=True)
-class ReconfigPlan:
+class ReconfigPlan(NamedTuple):
     """Per-physical-column wiring to realize a pivoted load.
 
     With pivot (0, 0) this degenerates to the baseline wiring: column i
@@ -46,25 +45,22 @@ def reconfig_plan(pivot: Pivot, dims: FabricDims) -> ReconfigPlan:
     """
     check_pivot(pivot, dims)
     num_cols, n = dims.num_cols, dims.num_config_lines
-    line_select = tuple(((pc - pivot.col) % num_cols) % n for pc in range(num_cols))
-    shifts = tuple(pivot.row for _ in range(num_cols))
-    wrap = tuple(pc == pivot.col and pivot.col != 0 for pc in range(num_cols))
     cycles = -(-num_cols // n)
+    lines = (list(range(n)) * cycles)[:num_cols]  # logical column c listens to line c mod n
+    split = num_cols - pivot.col  # physical column pivot.col hosts logical column 0
     return ReconfigPlan(
-        line_select=line_select,
-        barrel_shift_rows=shifts,
-        wrap_feedback_enabled=wrap,
-        reconfig_cycles=cycles,
+        tuple(lines[split:] + lines[:split]),
+        (pivot.row,) * num_cols,
+        (False,) * pivot.col + (pivot.col != 0,) + (False,) * (split - 1),
+        cycles,
     )
 
 
 def plan_table(plan: ReconfigPlan) -> str:
     """Render a plan as an aligned text table, one row per physical column."""
-    lines = [f"reconfig_cycles={plan.reconfig_cycles}",
-             "column  line_select  shift  wrap"]
-    for pc, (sel, shift, wrap) in enumerate(
-        zip(plan.line_select, plan.barrel_shift_rows, plan.wrap_feedback_enabled)
-    ):
+    line_select, shifts, wrap_on, cycles = plan
+    lines = [f"reconfig_cycles={cycles}", "column  line_select  shift  wrap"]
+    for pc, (sel, shift, wrap) in enumerate(zip(line_select, shifts, wrap_on)):
         lines.append(f"{pc:<6}  {sel:<11}  {shift:<5}  {'yes' if wrap else 'no'}")
     return "\n".join(lines) + "\n"
 
@@ -110,8 +106,7 @@ class MemoryModel:
         return f"MemoryModel({self._words!r})"
 
 
-@dataclass(frozen=True)
-class ExecResult:
+class ExecResult(NamedTuple):
     outputs: tuple[int, ...]
     memory: MemoryModel
 
@@ -142,10 +137,9 @@ def execute(
     column relative to the start column, so the result cannot depend on it;
     check_physical_legality is the check that can fail for a moved load.
 
-    Ops run in one walk over events sorted by column.  A store writes at its
-    completion boundary, before the ops starting on that column, so a load
-    sees it iff it completes at or before the load's start.  Its operands are
-    resolved there too: values are assigned once, and every producer completes
+    Ops run in `vc.schedule` order, so a load sees a store iff the store
+    completes at or before the load's start.  A store's operands are resolved
+    where it writes: values are assigned once, and every producer completes
     by the store's start.
     """
     dfg = vc.dfg
@@ -155,27 +149,23 @@ def execute(
 
     words = [v & WORD_MASK for v in inputs]
     values: dict[int, int] = {}
-
-    def resolve(ref: ValueRef) -> int:
-        kind, index = ref
-        if kind == "input":
-            return words[index]
-        return values[index]
-
     ops = dfg.ops
-    # (column, 0 for a store's write or 1 for an op's start, op id)
-    events = sorted((col + width, 0, op_id) if ops[op_id].opcode == "store" else (col, 1, op_id)
-                    for op_id, _, col, width in vc.placements)
-    for _, _, op_id in events:
+    for op_id in vc.schedule:
         _, opcode, sources = ops[op_id]
+        kind, index = sources[0]
+        a = words[index] if kind == "input" else values[index]
+        if opcode == "load":
+            values[op_id] = mem.read(a)
+            continue
+        kind, index = sources[1]
+        b = words[index] if kind == "input" else values[index]
         if opcode == "store":
-            mem.write(resolve(sources[0]), resolve(sources[1]))
-        elif opcode == "load":
-            values[op_id] = mem.read(resolve(sources[0]))
+            mem.write(a, b)
         else:
-            values[op_id] = _ALU[opcode](resolve(sources[0]), resolve(sources[1]))
+            values[op_id] = _ALU[opcode](a, b)
 
-    return ExecResult(outputs=tuple(resolve(ref) for ref in dfg.outputs), memory=mem)
+    return ExecResult(tuple(words[index] if kind == "input" else values[index]
+                            for kind, index in dfg.outputs), mem)
 
 
 def check_physical_legality(
@@ -183,51 +173,49 @@ def check_physical_legality(
 ) -> list[str]:
     """Verify an allocation is realizable under a plan (empty list = ok).
 
-    Checks that the cell map is a bijection, that every placed cell's column
-    bits are reachable (the plan's line select and barrel shift reproduce the
-    logical column contents at the physical location), and that the wrap
-    feedback mux is engaged exactly at the start column when the pivot moved
-    it, so any dependency crossing the physical right edge has a path.
+    A plan for another fabric width is one violation naming both widths.
+    Otherwise this checks that the cell map is a bijection, that every placed
+    cell's column bits are reachable (the plan's line select and barrel shift
+    reproduce the logical column contents at the physical location), and that
+    the wrap feedback mux is engaged exactly at the start column when the
+    pivot moved it, so any dependency crossing the physical right edge has a path.
     """
-    violations: list[str] = []
     num_rows, num_cols, n = dims.num_rows, dims.num_cols, dims.num_config_lines
-    vc = alloc.vc
-    pivot = alloc.pivot
+    line_select, shifts, wrap, _ = plan
+    for per_column in line_select, shifts, wrap:
+        if len(per_column) != num_cols:
+            return [f"plan covers {len(per_column)} columns, fabric has {num_cols}"]
 
+    violations: list[str] = []
+    cell_map = alloc.cell_map
     logical_cells: set[tuple[int, int]] = set()
     physical_cells: list[tuple[int, int]] = []
-    for op_id, row, col_start, width in vc.placements:
-        cells = alloc.cell_map.get(op_id)
+    for op_id, row, col_start, width in alloc.vc.placements:
+        cells = cell_map.get(op_id)
         if cells is None or len(cells) != width:
             violations.append(f"op {op_id}: cell map does not cover its {width} column(s)")
             continue
-        for k, (pr, pc) in enumerate(cells):
-            lc = col_start + k
+        physical_cells.extend(cells)
+        for lc, (pr, pc) in enumerate(cells, col_start):
             logical_cells.add((row, lc))
-            physical_cells.append((pr, pc))
             if not (0 <= pr < num_rows and 0 <= pc < num_cols):
                 violations.append(f"op {op_id}: physical cell ({pr}, {pc}) out of bounds")
                 continue
-            if plan.line_select[pc] != lc % n:
-                violations.append(
-                    f"column {pc}: line select {plan.line_select[pc]}, "
-                    f"op {op_id} needs {lc % n}"
-                )
-            if plan.barrel_shift_rows[pc] != (pr - row) % num_rows:
-                violations.append(
-                    f"column {pc}: barrel shift {plan.barrel_shift_rows[pc]}, "
-                    f"op {op_id} needs {(pr - row) % num_rows}"
-                )
+            if line_select[pc] != lc % n:
+                violations.append(f"column {pc}: line select {line_select[pc]}, "
+                                  f"op {op_id} needs {lc % n}")
+            if shifts[pc] != (pr - row) % num_rows:
+                violations.append(f"column {pc}: barrel shift {shifts[pc]}, "
+                                  f"op {op_id} needs {(pr - row) % num_rows}")
 
-    if len(set(physical_cells)) != len(physical_cells):
+    distinct = len(set(physical_cells))
+    if distinct != len(physical_cells):
         violations.append("physical cells overlap (cell map not injective)")
-    elif len(set(physical_cells)) != len(logical_cells):
+    elif distinct != len(logical_cells):
         violations.append("physical cell count does not match logical occupancy")
 
-    expected_wrap = {pivot.col} if pivot.col != 0 else set()
-    actual_wrap = {pc for pc, on in enumerate(plan.wrap_feedback_enabled) if on}
+    expected_wrap = [alloc.pivot.col] if alloc.pivot.col else []
+    actual_wrap = [pc for pc, on in enumerate(wrap) if on]
     if actual_wrap != expected_wrap:
-        violations.append(
-            f"wrap feedback at columns {sorted(actual_wrap)}, expected {sorted(expected_wrap)}"
-        )
+        violations.append(f"wrap feedback at columns {actual_wrap}, expected {expected_wrap}")
     return violations

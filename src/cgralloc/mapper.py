@@ -66,6 +66,15 @@ class VirtualConfiguration:
                 cells.add((row, c))
         return frozenset(cells)
 
+    @cached_property
+    def schedule(self) -> tuple[int, ...]:
+        """Op ids sorted by (col_start, 1, op_id), or (col_start + width, 0, op_id) for a
+        store: it writes at its completion boundary, before the ops starting there."""
+        ops = self.dfg.ops
+        return tuple(op_id for _, _, op_id in sorted(
+            (col + width, 0, op_id) if ops[op_id].opcode == "store" else (col, 1, op_id)
+            for op_id, _, col, width in self.placements))
+
 
 class DoesNotFitError(Exception):
     """Some op cannot be placed within the fabric."""

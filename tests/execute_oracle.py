@@ -8,6 +8,9 @@ queues the write for its completion boundary.  The ALU semantics are
 written out from the `workload` module docstring, not taken from the
 package: 32-bit wrapping arithmetic, shift amounts from the low 5 bits,
 signed `cmplt` yielding 0 or 1, and a logical `shr`.
+
+Given a list as `order`, it appends each op id where the op takes effect: a
+store where its write lands, any other op where it computes its value.
 """
 
 from cgralloc.mapper import VirtualConfiguration
@@ -32,12 +35,14 @@ ALU = {
 
 
 def execute_by_columns(
-    vc: VirtualConfiguration, inputs: list[int], memory: dict[int, int], num_cols: int
+    vc: VirtualConfiguration, inputs: list[int], memory: dict[int, int], num_cols: int,
+    order: list[int] | None = None,
 ) -> tuple[tuple[int, ...], dict[int, int]]:
     """Outputs and final nonzero memory of one run of `vc` from `memory`."""
     words = [v % MOD for v in inputs]
     mem = {addr % MOD: word % MOD for addr, word in memory.items() if word % MOD}
     values: dict[int, int] = {}
+    order = [] if order is None else order
     queued: dict[int, tuple[int, int]] = {}  # store op id -> (addr, word)
 
     def value(ref):
@@ -47,6 +52,7 @@ def execute_by_columns(
         for p in vc.placements:
             if p.op_id in queued and p.col_start + p.width == col:
                 addr, word = queued.pop(p.op_id)
+                order.append(p.op_id)
                 if word:
                     mem[addr] = word
                 else:
@@ -56,6 +62,8 @@ def execute_by_columns(
                 continue
             op = vc.dfg.ops[p.op_id]
             name = op.opcode
+            if name != "store":
+                order.append(op.id)
             if name == "load":
                 values[op.id] = mem.get(value(op.sources[0]), 0)
             elif name == "store":

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from cgralloc.allocation import ORIGIN, AllocationPolicy, Pivot, allocate, pivot_at
-from cgralloc.mapper import FabricDims, Placement, VirtualConfiguration, map_dfg
+from cgralloc.mapper import DoesNotFitError, FabricDims, Placement, VirtualConfiguration, map_dfg
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
@@ -141,3 +141,26 @@ def test_full_rotation_occupies_every_cell_equally():
         expected = len(vc.occupied_cells)
         assert all(tally[(r, c)] == expected
                    for r in range(dims.num_rows) for c in range(dims.num_cols))
+
+
+def test_allocate_is_the_torus_shift_of_every_cell_at_every_pivot():
+    w = generate_random_workload(GeneratorParams(num_dfgs=40, ops_per_dfg=(2, 8),
+                                                 memory_op_fraction=0.3), 8)
+    for dims in (FabricDims(num_cols=8, num_rows=2), FabricDims(num_cols=5, num_rows=3)):
+        vcs = []
+        for d in w.dfgs:
+            try:
+                vcs.append(map_dfg(d, dims))
+            except DoesNotFitError:
+                continue
+        assert any(p.width > 1 for vc in vcs for p in vc.placements)  # some op wraps
+        for vc in vcs:
+            for r in range(dims.num_rows):
+                for c in range(dims.num_cols):
+                    expected = {}
+                    for p in vc.placements:
+                        # logical (row, col) lands on ((row + r) mod R, (col + c) mod C)
+                        expected[p.op_id] = tuple(
+                            ((p.row + r) % dims.num_rows, (p.col_start + k + c) % dims.num_cols)
+                            for k in range(p.width))
+                    assert allocate(vc, Pivot(r, c), dims).cell_map == expected

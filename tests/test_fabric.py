@@ -77,6 +77,25 @@ def test_plan_table_rows():
     assert lines[3].split() == ["1", "0", "1", "yes"]  # seam column hosts logical 0
 
 
+@pytest.mark.parametrize("dims", [
+    DIMS_8x2,
+    FabricDims(num_cols=10, num_rows=2, num_config_lines=4),
+    FabricDims(num_cols=3, num_rows=2, num_config_lines=4),
+    FabricDims(num_cols=1, num_rows=1),
+], ids=lambda d: f"{d.num_cols}x{d.num_rows}")
+def test_plan_matches_per_column_definition_at_every_pivot(dims):
+    # physical column pc hosts logical column (pc - col) mod L and listens to
+    # that column's line; every column shifts by row; the mux is on only where
+    # logical column 0 landed, and only if it moved
+    cols, n = dims.num_cols, dims.num_config_lines
+    for row in range(dims.num_rows):
+        for col in range(cols):
+            plan = reconfig_plan(Pivot(row, col), dims)
+            assert plan.line_select == tuple(((pc - col) % cols) % n for pc in range(cols))
+            assert plan.barrel_shift_rows == tuple(row for _ in range(cols))
+            assert plan.wrap_feedback_enabled == tuple(pc == col != 0 for pc in range(cols))
+
+
 def test_reconfig_cycles_pivot_independent():
     for dims in (DIMS_8x2, DIMS_16x2, FabricDims(num_cols=32, num_rows=4)):
         base = reconfig_plan(ORIGIN, dims).reconfig_cycles
@@ -251,6 +270,17 @@ def test_execute_matches_column_stepping_oracle(dims):
             assert (got.outputs, got.memory.as_dict()) == expected, (vc.dfg.name, pivot)
 
 
+@pytest.mark.parametrize("dims", [DIMS_8x2, DIMS_16x2], ids=lambda d: f"{d.num_cols}x{d.num_rows}")
+def test_schedule_is_the_column_stepping_order(dims):
+    params = GeneratorParams(num_dfgs=300, ops_per_dfg=(4, 12), memory_op_fraction=0.5,
+                             num_inputs=2)
+    for vc in fitted_random_vcs(dims, 60, seed=37, params=params):
+        order = []
+        execute_by_columns(vc, [0] * vc.dfg.num_inputs, {}, dims.num_cols, order)
+        assert vc.schedule == tuple(order), vc.dfg.name
+        assert vc.schedule is vc.schedule
+
+
 # ---------------------------------------------------------------------------
 # physical legality
 # ---------------------------------------------------------------------------
@@ -295,10 +325,10 @@ def test_misplaced_wrap_feedback_is_flagged_at_every_moved_pivot():
                 alloc = allocate(vc, pivot, DIMS_8x2)
                 plan = reconfig_plan(pivot, DIMS_8x2)
                 moved = tuple(pc == (c + 1) % cols for pc in range(cols))
-                for wrap in ((False,) * cols, moved):
-                    bad = dataclasses.replace(plan, wrap_feedback_enabled=wrap)
-                    violations = check_physical_legality(alloc, bad, DIMS_8x2)
-                    assert any(v.startswith("wrap feedback") for v in violations), (pivot, wrap)
+                for wrap, on in (((False,) * cols, []), (moved, [(c + 1) % cols])):
+                    bad = plan._replace(wrap_feedback_enabled=wrap)
+                    assert check_physical_legality(alloc, bad, DIMS_8x2) == [
+                        f"wrap feedback at columns {on}, expected [{c}]"], (pivot, wrap)
 
 
 def _corruptible_allocation():
@@ -330,7 +360,7 @@ def test_legality_reports_exact_messages_for_corrupted_allocations():
 
     shifts = list(plan.barrel_shift_rows)
     shifts[4] = 0
-    wrong_shift = dataclasses.replace(plan, barrel_shift_rows=tuple(shifts))
+    wrong_shift = plan._replace(barrel_shift_rows=tuple(shifts))
     assert check_physical_legality(alloc, wrong_shift, DIMS_8x2) == [
         "column 4: barrel shift 0, op 2 needs 1",
     ]
@@ -340,6 +370,46 @@ def test_legality_reports_exact_messages_for_corrupted_allocations():
         "column 2: barrel shift 1, op 1 needs 0",
         "physical cells overlap (cell map not injective)",
     ]
+
+
+def test_wrap_feedback_messages_are_exact():
+    alloc, plan = _corruptible_allocation()  # pivot (1, 2): the mux belongs on column 2
+    origin = allocate(alloc.vc, ORIGIN, DIMS_8x2)
+    origin_plan = reconfig_plan(ORIGIN, DIMS_8x2)
+
+    def wired(plan, on, flag=True):  # the mux engaged at the columns in `on`
+        return plan._replace(wrap_feedback_enabled=tuple(
+            flag if pc in on else False for pc in range(DIMS_8x2.num_cols)))
+
+    for flag in (True, 2):  # any truthy flag engages the mux
+        assert check_physical_legality(origin, wired(origin_plan, {0}, flag), DIMS_8x2) == [
+            "wrap feedback at columns [0], expected []",
+        ]
+        assert check_physical_legality(alloc, wired(plan, {3}, flag), DIMS_8x2) == [
+            "wrap feedback at columns [3], expected [2]",
+        ]
+        assert check_physical_legality(alloc, wired(plan, {2}, flag), DIMS_8x2) == []
+    assert check_physical_legality(alloc, wired(plan, set()), DIMS_8x2) == [
+        "wrap feedback at columns [], expected [2]",
+    ]
+
+
+def test_plan_for_another_fabric_width_is_one_violation():
+    dfg = store_then_load_dfg()
+    wide = allocate(map_dfg(dfg, DIMS_16x2), Pivot(0, 12), DIMS_16x2)
+    narrow = allocate(map_dfg(dfg, DIMS_8x2), Pivot(0, 4), DIMS_8x2)
+    assert check_physical_legality(wide, reconfig_plan(Pivot(0, 4), DIMS_8x2), DIMS_16x2) == [
+        "plan covers 8 columns, fabric has 16",
+    ]
+    assert check_physical_legality(narrow, reconfig_plan(Pivot(0, 4), DIMS_16x2), DIMS_8x2) == [
+        "plan covers 16 columns, fabric has 8",
+    ]
+    plan = reconfig_plan(Pivot(0, 4), DIMS_8x2)
+    for field in ("line_select", "barrel_shift_rows", "wrap_feedback_enabled"):
+        short = plan._replace(**{field: getattr(plan, field)[:-1]})
+        assert check_physical_legality(narrow, short, DIMS_8x2) == [
+            "plan covers 7 columns, fabric has 8",
+        ], field
 
 
 def test_memory_model_equality_ignores_zero_writes():

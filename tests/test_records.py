@@ -1,13 +1,17 @@
-"""The contract of the records that parse and map build once per op or ref.
+"""The contract of the records that parse, map and the fabric build per op, ref or pivot.
 
 `ValueRef`, `Operation`, `Dfg`, `Workload` and `Placement` are immutable,
 hashable and equal by value, and they unpack in field order: the loops that
-read them and the `map --dump` line rely on that order.  These tests need no
-pytest, so other interpreters can run them as plain functions.
+read them and the `map --dump` line rely on that order.  The fabric's
+`ReconfigPlan` and `ExecResult` are immutable and unpack in field order too.
+These tests need no pytest: `PYTHONPATH=src python tests/test_records.py`
+runs them all and exits 1 if one fails.
 """
 
 from dataclasses import replace
 
+from cgralloc.allocation import Pivot
+from cgralloc.fabric import MemoryModel, execute, reconfig_plan
 from cgralloc.mapper import FabricDims, map_dfg
 from cgralloc.workload import (
     OPCODES,
@@ -31,12 +35,19 @@ def _records() -> dict[str, tuple[object, tuple[str, ...]]]:
     w = parse_workload(_text())
     d = w.dfgs[0]
     vc = map_dfg(d, DIMS_16x2)
+    pivot = Pivot(1, 3)
+    inputs = list(range(1, d.num_inputs + 1))
     return {
         "ValueRef": (d.ops[0].sources[0], ("kind", "index")),
         "Operation": (d.ops[0], ("id", "opcode", "sources")),
         "Dfg": (d, ("name", "num_inputs", "ops", "outputs")),
         "Workload": (w, ("dfgs", "trace")),
-        "Placement": (vc.placements[-1], ("op_id", "row", "col_start", "width")),
+        "Placement": (next(p for p in vc.placements if len(set(p)) == 4),
+                      ("op_id", "row", "col_start", "width")),
+        "ReconfigPlan": (reconfig_plan(pivot, DIMS_16x2), (
+            "line_select", "barrel_shift_rows", "wrap_feedback_enabled", "reconfig_cycles")),
+        "ExecResult": (execute(vc, pivot, inputs, MemoryModel({4: 5}), DIMS_16x2),
+                       ("outputs", "memory")),
     }
 
 
@@ -48,6 +59,13 @@ def test_every_field_of_every_record_rejects_assignment():
             except AttributeError:
                 continue
             raise AssertionError(f"{name}.{field} accepted an assignment")
+
+
+def test_every_record_unpacks_in_field_order():
+    for name, (record, fields) in _records().items():
+        values = tuple(getattr(record, field) for field in fields)
+        assert len(set(map(repr, values))) == len(values), name  # so a swap would show
+        assert tuple(record) == values, name
 
 
 def test_two_parses_of_one_text_are_equal_and_hash_alike():
@@ -76,3 +94,17 @@ def test_parsed_ops_share_one_string_per_opcode():
 
 def test_value_ref_index_is_the_field():
     assert input_ref(3).index == 3
+
+
+if __name__ == "__main__":
+    import sys
+
+    tests = [(name, test) for name, test in globals().items() if name.startswith("test_")]
+    failures = []
+    for name, test in tests:
+        try:
+            test()
+        except Exception as e:  # report every failing test, not only the first
+            failures.append(f"{name}: {type(e).__name__}: {e}")
+    print("\n".join(failures) or f"{len(tests)} record tests pass")
+    sys.exit(1 if failures else 0)
