@@ -11,8 +11,10 @@ the two worst-case utilizations.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import add
 
 from . import aging
 from .allocation import AllocationPolicy, pivot_at, pivot_period
@@ -140,37 +142,49 @@ def replay_trace(
 ) -> UtilizationMap:
     """Replay the trace from execution 0, counting per-cell utilization.
 
-    Trace entries whose DFG was skipped are dropped entirely; the execution
-    counter advances once per executed configuration.  Execution k lands on
-    pivot_at(policy, k, dims), which repeats with period P = pivot_period(
-    policy, dims), so only the pivots below P that the trace hits are built.
-    A run of `repeats` executions starting at k puts ceil((repeats - i) / P)
-    of them on pivot number (k + i) mod P for each i < P.  Executions are
-    counted per (DFG, pivot); each DFG's occupancy is then added once per
-    pivot it landed on, so the cost is bounded by DFGs x min(executions, P) x
-    cells, whatever the repeat counts.
+    Skipped DFGs' entries are dropped.  Execution k lands on pivot_at(policy,
+    k, dims), of period P = pivot_period(policy, dims): a run is full periods
+    on every pivot plus one or two ranges of leftover pivots, counted per DFG
+    in C.  Each DFG's cells are added once per pivot hit (only those are built)
+    to a 2 x rows by 2 x cols grid, then folded onto the torus.  Cost: O(trace
+    entries) steps + sum over DFGs of pivots hit x occupied cells grid adds.
     """
     period = pivot_period(policy, dims)
-    hits: dict[int, dict[int, int]] = {}
-    umap = UtilizationMap(dims)
+    full: dict[int, int] = {}  # DFG -> full periods run
+    runs: dict[int, list[range]] = defaultdict(list)  # DFG -> its leftover pivot numbers
+    total = 0
     for dfg_index, repeats in workload.trace:
         if dfg_index not in mapped:
             continue
-        start = umap.total_executions
-        per_pivot = hits.setdefault(dfg_index, {})
-        for i in range(min(repeats, period)):
-            k = (start + i) % period
-            per_pivot[k] = per_pivot.get(k, 0) + (repeats - i - 1) // period + 1
-        umap.total_executions += repeats
-    counts = umap.active_count
-    num_rows, num_cols = dims.num_rows, dims.num_cols
-    pivots = {k: pivot_at(policy, k, dims) for k in set().union(*hits.values())}
-    for dfg_index, per_pivot in hits.items():
-        cells = mapped[dfg_index].occupied_cells
+        start = total % period
+        total += repeats
+        if repeats >= period:
+            q, repeats = divmod(repeats, period)
+            full[dfg_index] = full.get(dfg_index, 0) + q
+        if repeats > period - start:  # the leftover wraps past the end of the period
+            runs[dfg_index] += range(start, period), range(start + repeats - period)
+        elif repeats:
+            runs[dfg_index].append(range(start, start + repeats))
+
+    num_cols, width, half = dims.num_cols, 2 * dims.num_cols, 2 * dims.num_cells
+    grid = [0] * (2 * half)  # 2 x rows by 2 x cols, row-major: a shifted cell needs no modulo
+    bases: dict[int, int] = {}  # pivot number -> its offset on the grid
+    for d in full.keys() | runs.keys():
+        per_pivot = Counter(dict.fromkeys(range(period), full[d]) if d in full else ())
+        per_pivot.update(chain.from_iterable(runs[d]))
+        offsets = [row * width + col for row, col in mapped[d].occupied_cells]
         for k, n in per_pivot.items():
-            pivot_row, pivot_col = pivots[k].row, pivots[k].col  # torus shift, as in allocate
-            for row, col in cells:
-                counts[(row + pivot_row) % num_rows][(col + pivot_col) % num_cols] += n
+            base = bases.get(k)
+            if base is None:
+                pivot = pivot_at(policy, k, dims)
+                base = bases[k] = pivot.row * width + pivot.col
+            for x in offsets:
+                grid[base + x] += n
+    umap = UtilizationMap(dims)
+    umap.total_executions = total
+    rows = list(map(add, grid[:half], grid[half:]))  # fold the rows, then the columns
+    umap.active_count = [list(map(add, rows[i:i + num_cols], rows[i + num_cols:i + width]))
+                         for i in range(0, half, width)]
     return umap
 
 

@@ -174,9 +174,9 @@ def check_physical_legality(
     """Verify an allocation is realizable under a plan (empty list = ok).
 
     A plan for another fabric width is one violation naming both widths.
-    Otherwise this checks that the cell map is a bijection, that every placed
-    cell's column bits are reachable (the plan's line select and barrel shift
-    reproduce the logical column contents at the physical location), and that
+    Otherwise this checks that the cell map is a bijection of the placed ops, that
+    every placed cell's column bits are reachable (the plan's line select and barrel
+    shift reproduce the logical column contents at the physical location), and that
     the wrap feedback mux is engaged exactly at the start column when the
     pivot moved it, so any dependency crossing the physical right edge has a path.
     """
@@ -208,6 +208,8 @@ def check_physical_legality(
                 violations.append(f"column {pc}: barrel shift {shifts[pc]}, "
                                   f"op {op_id} needs {(pr - row) % num_rows}")
 
+    if len(cell_map) > len(alloc.vc.placements):  # every op's key was looked up above
+        violations.append(f"cell map lists {len(cell_map)} ops, {len(alloc.vc.placements)} placed")
     distinct = len(set(physical_cells))
     if distinct != len(physical_cells):
         violations.append("physical cells overlap (cell map not injective)")

@@ -273,7 +273,7 @@ def _parse_refs(raws: list, known: dict[tuple[str, int], ValueRef]) -> tuple[Val
 def serialize_workload(w: Workload) -> str:
     """Canonical text form, exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
     document the module docstring shows; parse_workload(serialize_workload(w)) == w.
-    An opcode or a ref kind that the format cannot spell raises WorkloadError."""
+    An opcode, a ref kind or a non-int number the format cannot spell raises WorkloadError."""
     rendered: dict[str, dict[ValueRef, str]] = {}  # per indent, the text of each ref
 
     def refs(rs: tuple[ValueRef, ...], pad: str) -> str:
@@ -285,6 +285,8 @@ def serialize_workload(w: Workload) -> str:
             if text is None:
                 if r.kind != "input" and r.kind != "op":
                     raise WorkloadError(f"cannot write ref kind {r.kind!r}")
+                if type(r.index) is not int:
+                    raise WorkloadError(f"cannot write ref index {r.index!r}")
                 text = texts[r] = (f'{{\n{p}  "kind": "{r.kind}",\n'
                                    f'{p}  "index": {r.index}\n{p}}}')
             items.append(text)
@@ -292,16 +294,23 @@ def serialize_workload(w: Workload) -> str:
 
     dfgs = []
     for d in w.dfgs:
+        if type(d.num_inputs) is not int:
+            raise WorkloadError(f"cannot write num_inputs {d.num_inputs!r}")
         ops = []
         for op_id, opcode, sources in d.ops:
             if type(opcode) is not str or opcode not in _OPCODES:  # a dict test, not a scan
                 raise WorkloadError(f"cannot write opcode {opcode!r}")
+            if type(op_id) is not int:
+                raise WorkloadError(f"cannot write op id {op_id!r}")
             ops.append(f'{{\n          "id": {op_id},\n          "opcode": "{opcode}",\n'
                        f'          "srcs": {refs(sources, " " * 10)}\n        }}')
         dfgs.append(f'{{\n      "name": {json.dumps(d.name)},\n'
                     f'      "num_inputs": {d.num_inputs},\n'
                     f'      "ops": {_json_list(ops, " " * 6)},\n'
                     f'      "outputs": {refs(d.outputs, " " * 6)}\n    }}')
+    for idx, reps in w.trace:
+        if type(idx) is not int or type(reps) is not int:
+            raise WorkloadError(f"cannot write trace entry {(idx, reps)!r}")
     trace = [f"[\n      {idx},\n      {reps}\n    ]" for idx, reps in w.trace]
     return (f'{{\n  "format": {WORKLOAD_FORMAT},\n  "dfgs": {_json_list(dfgs, "  ")},\n'
             f'  "trace": {_json_list(trace, "  ")}\n}}\n')
@@ -319,6 +328,7 @@ def _json_list(items: list[str], pad: str) -> str:
 # ---------------------------------------------------------------------------
 
 MAX_OUTPUTS = 3  # a generated DFG exposes 1..MAX_OUTPUTS of its values
+MAX_INPUTS = 2**16  # the generator lists every input of a DFG before it draws
 
 
 @dataclass(frozen=True)
@@ -350,8 +360,8 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
         raise ValueError(f"ops_per_dfg range ({lo}, {hi}) must satisfy 1 <= lo <= hi")
     if not 0.0 <= params.memory_op_fraction <= 1.0:
         raise ValueError("memory_op_fraction must be in [0, 1]")
-    if params.num_inputs < 1:
-        raise ValueError("num_inputs must be >= 1 (ops need source values)")
+    if not 1 <= params.num_inputs <= MAX_INPUTS:
+        raise ValueError(f"num_inputs must be in 1..{MAX_INPUTS} (ops need source values)")
     if params.trace_length < 1:
         raise ValueError("trace_length must be >= 1")
     if params.max_repeat < 1:

@@ -1,12 +1,16 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cgralloc
 from cgralloc.cli import main
-from cgralloc.workload import parse_workload, serialize_workload
+from cgralloc.workload import MAX_INPUTS, parse_workload, serialize_workload
 from heatmap_reader import parse_heatmap
 
 SINGLE_ADD_WORKLOAD = {
@@ -47,6 +51,24 @@ def test_gen_output_is_canonical(tmp_path):
 
 def test_gen_rejects_bad_params(tmp_path):
     assert main(["gen", "--dfgs", "0", "-o", str(tmp_path / "w.json")]) == 2
+
+
+@pytest.mark.parametrize("inputs", [MAX_INPUTS + 1, 100_000_000])
+def test_gen_inputs_over_the_cap_exit_2_in_bounded_memory(tmp_path, inputs):
+    # in its own process under a 512 MiB address-space limit, so a missing cap fails
+    # with MemoryError instead of exhausting the host
+    limit = 512 * 2**20
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from cgralloc.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cgralloc.__file__).parents[1])}
+    out = tmp_path / "w.json"
+    argv = ["gen", "--dfgs", "2", "--inputs", str(inputs), "--ops-max", "3", "-o", str(out)]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.endswith(
+        f"cgralloc gen: error: num_inputs must be in 1..{MAX_INPUTS} (ops need source values)\n")
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_2():

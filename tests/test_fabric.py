@@ -372,6 +372,24 @@ def test_legality_reports_exact_messages_for_corrupted_allocations():
     ]
 
 
+def test_cell_map_key_no_op_owns_is_a_violation():
+    d = Dfg(name="one", num_inputs=2, ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
+            outputs=(op_ref(0),))
+    pivot = Pivot(0, 1)
+    alloc = allocate(map_dfg(d, DIMS_8x2), pivot, DIMS_8x2)
+    plan = reconfig_plan(pivot, DIMS_8x2)
+    assert alloc.cell_map == {0: ((0, 1),)}
+    assert check_physical_legality(alloc, plan, DIMS_8x2) == []
+    extra = dataclasses.replace(alloc, cell_map={**alloc.cell_map, 7: ((0, 1),)})
+    assert check_physical_legality(extra, plan, DIMS_8x2) == [
+        "cell map lists 2 ops, 1 placed",
+    ]
+    moved = dataclasses.replace(alloc, cell_map={7: ((0, 1),)})  # the op's own key is gone
+    assert check_physical_legality(moved, plan, DIMS_8x2) == [
+        "op 0: cell map does not cover its 1 column(s)",
+    ]
+
+
 def test_wrap_feedback_messages_are_exact():
     alloc, plan = _corruptible_allocation()  # pivot (1, 2): the mux belongs on column 2
     origin = allocate(alloc.vc, ORIGIN, DIMS_8x2)

@@ -1,5 +1,7 @@
 """Counted replay against the per-execution reference, on random scenarios."""
 
+import time
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -7,11 +9,9 @@ from cgralloc import dse
 from cgralloc.allocation import AllocationPolicy
 from cgralloc.dse import map_workload, replay_trace
 from cgralloc.mapper import FabricDims
-from cgralloc.workload import Dfg, GeneratorParams, Workload, generate_random_workload
+from cgralloc.workload import GeneratorParams, Workload, generate_random_workload
 
-from replay_oracle import replay_per_execution
-
-EMPTY_DFG = Dfg(name="empty", num_inputs=0, ops=(), outputs=())
+from replay_oracle import EMPTY_DFG, mismatches, replay_per_execution
 
 
 @st.composite
@@ -45,6 +45,14 @@ def _one_op_workload(trace):
          policy=AllocationPolicy.ROTATING)
 @example(scenario=(FabricDims(num_cols=1, num_rows=5), _one_op_workload(((0, 7), (0, 4)))),
          policy=AllocationPolicy.ROTATING)
+# on 3x2 (P = 6): leftovers 5 from execution 4 cross the period end; 12 is 2 P;
+# 13 from execution 3 is 2 P plus 1 leftover, starting mid-period
+@example(scenario=(FabricDims(num_cols=3, num_rows=2), _one_op_workload(((0, 4), (0, 5)))),
+         policy=AllocationPolicy.ROTATING)
+@example(scenario=(FabricDims(num_cols=3, num_rows=2), _one_op_workload(((0, 12),))),
+         policy=AllocationPolicy.ROTATING)
+@example(scenario=(FabricDims(num_cols=3, num_rows=2), _one_op_workload(((0, 3), (0, 13)))),
+         policy=AllocationPolicy.ROTATING)
 def test_counted_replay_matches_per_execution_replay(scenario, policy):
     dims, workload = scenario
     mapped, _ = map_workload(workload, dims)
@@ -70,3 +78,20 @@ def test_replay_builds_only_the_pivots_the_trace_hits(monkeypatch):
     assert got.active_count == replay_per_execution(
         workload, mapped, dims, AllocationPolicy.ROTATING).active_count
     assert len(built) <= 3, f"{len(built)} pivots built for 3 executions"
+
+
+def test_replay_cost_does_not_grow_with_repeat_counts():
+    dims = FabricDims(num_cols=2, num_rows=2)
+    policy = AllocationPolicy.ROTATING
+    huge = _one_op_workload(((0, 10**12),))
+    mapped, _ = map_workload(huge, dims)
+    start = time.perf_counter()
+    got = replay_trace(huge, mapped, dims, policy)
+    assert time.perf_counter() - start < 1.0
+    one_period = replay_per_execution(huge._replace(trace=((0, 4),)), mapped, dims, policy)
+    assert got.total_executions == 10**12
+    assert got.active_count == [[n * 10**12 // 4 for n in row] for row in one_period.active_count]
+
+
+def test_seeded_scenarios_match_per_execution_replay():
+    assert mismatches() == []

@@ -258,15 +258,30 @@ def test_serialize_equals_json_encoder_on_edge_cases():
         '{\n  "format": 1,\n  "dfgs": [],\n  "trace": []\n}\n')
 
 
+def _unspellable(op_id=0, opcode="add", kind="input", index=1, num_inputs=2, entry=(0, 1)):
+    op = Operation(op_id, opcode, (input_ref(0), ValueRef(kind, index)))
+    return Workload((Dfg("d", num_inputs, (op,), (op_ref(0),)),), (entry,))
+
+
 @pytest.mark.parametrize("opcode, kind, bad", [
+    # unchecked, 'x"y' was written between quotes: text that parse_workload rejects
     ('x"y', "input", "opcode 'x\"y'"), ("mul", "input", "opcode 'mul'"),
     (["add"], "input", "opcode ['add']"),
     ("add", 'in"put', "ref kind 'in\"put'"), ("add", "const", "ref kind 'const'"),
+    # a number that is not an int, in a whole workload given as `opcode` with kind None:
+    # unchecked, the id '0' came back as 0 and the index text wrote an extra key
+    pytest.param(_unspellable(op_id="0"), None, "op id '0'", id="str op id"),
+    pytest.param(_unspellable(op_id=True), None, "op id True", id="bool op id"),
+    pytest.param(_unspellable(index='1, "x": 5'), None, "ref index '1, \"x\": 5'",
+                 id="index text"),
+    pytest.param(_unspellable(index=1.0), None, "ref index 1.0", id="float index"),
+    pytest.param(_unspellable(num_inputs=2.0), None, "num_inputs 2.0", id="float num_inputs"),
+    pytest.param(_unspellable(entry=("0", 1)), None, "trace entry ('0', 1)", id="str dfg index"),
+    pytest.param(_unspellable(entry=(0, True)), None, "trace entry (0, True)",
+                 id="bool repeats"),
 ])
 def test_serialize_rejects_what_the_format_cannot_spell(opcode, kind, bad):
-    # unchecked, 'x"y' was written between quotes: text that parse_workload rejects
-    op = Operation(0, opcode, (input_ref(0), ValueRef(kind, 1)))
-    w = Workload((Dfg("d", 2, (op,), (op_ref(0),)),), ((0, 1),))
+    w = opcode if kind is None else _unspellable(opcode=opcode, kind=kind)
     with pytest.raises(WorkloadError, match=f"^cannot write {re.escape(bad)}$"):
         serialize_workload(w)
 
