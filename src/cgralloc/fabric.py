@@ -152,20 +152,19 @@ def execute(
     ops = dfg.ops
     for op_id in vc.schedule:
         _, opcode, sources = ops[op_id]
-        kind, index = sources[0]
-        a = words[index] if kind == "input" else values[index]
+        s = sources[0]
+        a = words[~s] if s < 0 else values[s]
         if opcode == "load":
             values[op_id] = mem.read(a)
             continue
-        kind, index = sources[1]
-        b = words[index] if kind == "input" else values[index]
+        s = sources[1]
+        b = words[~s] if s < 0 else values[s]
         if opcode == "store":
             mem.write(a, b)
         else:
             values[op_id] = _ALU[opcode](a, b)
 
-    return ExecResult(tuple(words[index] if kind == "input" else values[index]
-                            for kind, index in dfg.outputs), mem)
+    return ExecResult(tuple(words[~s] if s < 0 else values[s] for s in dfg.outputs), mem)
 
 
 def check_physical_legality(

@@ -114,13 +114,13 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
         else:
             width, ports = ALU_WIDTH, None
         earliest = 0
-        for kind, index in sources:
-            if kind == "op":
-                if not 0 <= index < op_id:  # ends[-1] or an unplaced op would read as a column
+        for s in sources:
+            if s >= 0:  # a negative ref reads an input
+                if s >= op_id:  # an unplaced op's end would read as a column
                     raise WorkloadSemanticError(
-                        [f"op {op_id} references op {index}, which is not listed before it"])
-                if ends[index] > earliest:
-                    earliest = ends[index]
+                        [f"op {op_id} references op {s}, which is not listed before it"])
+                if ends[s] > earliest:
+                    earliest = ends[s]
 
         for col in range(earliest, num_cols - width + 1):
             if ports is not None and col in ports:

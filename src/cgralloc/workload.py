@@ -29,6 +29,9 @@ Workload file format (JSON, ``"format": 1``)::
       "trace": [[0, 1]]
     }
 
+In memory a ref is a plain ``int``: ``k >= 0`` reads op k and ``~i`` (``-1 - i``)
+reads input i, so the output above is ``0`` and the two sources are ``-1, -2``.
+
 ``OPCODES`` lists the opcode strings.  ``load`` takes one source (the
 address); ``store`` takes two (address, value) and produces no value; every
 other opcode takes exactly two sources.
@@ -73,32 +76,17 @@ def arity(opcode: str) -> int:
     return 1 if opcode == "load" else 2
 
 
-class ValueRef(NamedTuple):
-    """Reference to a value: an external input slot or a producer op id."""
-
-    kind: str  # "input" or "op"
-    index: int  # shadows tuple.index, which nothing calls on a ref
-
-
-def input_ref(index: int) -> ValueRef:
-    return ValueRef("input", index)
-
-
-def op_ref(index: int) -> ValueRef:
-    return ValueRef("op", index)
-
-
 class Operation(NamedTuple):
     id: int
     opcode: str
-    sources: tuple[ValueRef, ...]
+    sources: tuple[int, ...]  # refs: k reads op k, ~i reads input i
 
 
 class Dfg(NamedTuple):
     name: str
     num_inputs: int
     ops: tuple[Operation, ...]
-    outputs: tuple[ValueRef, ...]
+    outputs: tuple[int, ...]
 
 
 class Workload(NamedTuple):
@@ -134,13 +122,12 @@ def parse_workload(text: str) -> Workload:
     if not isinstance(raw_trace, list):
         raise WorkloadSemanticError(["'trace' must be a list"])
 
-    refs: dict[tuple[str, int], ValueRef] = {}  # (kind, index) -> its one ValueRef in this file
     malformed: list[str] = []
     violations: list[str] = []  # reported only if every DFG is well-formed
     dfgs = []
     for di, raw in enumerate(raw_dfgs):
         try:
-            dfgs.append(_parse_dfg(raw, f"dfgs[{di}]", violations, refs))
+            dfgs.append(_parse_dfg(raw, f"dfgs[{di}]", violations))
         except _Malformed as e:
             malformed.append(e.args[0])
     if malformed:
@@ -166,7 +153,7 @@ def parse_workload(text: str) -> Workload:
     return Workload(tuple(dfgs), tuple(trace))
 
 
-def _parse_dfg(raw: object, where: str, violations: list[str], refs: dict) -> Dfg:
+def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
     """One DFG, its broken rules appended to `violations`; raises _Malformed on a shape problem."""
     if not isinstance(raw, dict):
         raise _Malformed(f"{where}: must be an object")
@@ -200,45 +187,22 @@ def _parse_dfg(raw: object, where: str, violations: list[str], refs: dict) -> Df
             raise _Malformed(f"{where}.ops[{oi}]: 'id' must be an integer")
         if not isinstance(raw_srcs, list):
             raise _Malformed(f"{where}.ops[{oi}]: 'srcs' must be a list")
-        try:
-            srcs = _parse_refs(raw_srcs, refs)
-        except _BadRef as e:
-            raise _Malformed(f"{where}.ops[{oi}].srcs[{e.args[0]}]: {e.args[1]}") from None
         if op_id != oi:
             violations.append(f"{where}: op at position {oi} has id {op_id}; "
                               f"ids must be dense 0..{n - 1}")
-        if len(srcs) != arity(opcode):
+        if len(raw_srcs) != arity(opcode):
             violations.append(f"{where}: op {op_id}: {opcode} takes {arity(opcode)} source(s), "
-                              f"got {len(srcs)}")
-        for kind, index in srcs:
-            if kind == "input":
-                if not 0 <= index < num_inputs:
-                    violations.append(f"{where}: op {op_id} references nonexistent input "
-                                      f"{index} (have {num_inputs})")
-            elif not 0 <= index < n:
-                violations.append(f"{where}: op {op_id} references nonexistent op {index}")
-            elif index >= oi:
-                violations.append(f"{where}: op {op_id} references op {index}, "
-                                  f"which is not listed before it")
-            elif ops[index].opcode == "store":
-                violations.append(f"{where}: op {op_id} sources op {index}, a store, "
-                                  f"which produces no value")
+                              f"got {len(raw_srcs)}")
+        try:
+            srcs = _parse_refs(raw_srcs, op_id, where, num_inputs, ops, n, violations)
+        except _BadRef as e:
+            raise _Malformed(f"{where}.ops[{oi}].srcs[{e.args[0]}]: {e.args[1]}") from None
         ops.append(Operation(op_id, opcode, srcs))
 
-    try:
-        outputs = _parse_refs(raw_outputs, refs)
+    try:  # read after every op, so none is listed later
+        outputs = _parse_refs(raw_outputs, None, where, num_inputs, ops, n, violations)
     except _BadRef as e:
         raise _Malformed(f"{where}.outputs[{e.args[0]}]: {e.args[1]}") from None
-    for k, (kind, index) in enumerate(outputs):  # read after every op, so none is listed later
-        if kind == "input":
-            if not 0 <= index < num_inputs:
-                violations.append(f"{where}: output {k} references nonexistent input "
-                                  f"{index} (have {num_inputs})")
-        elif not 0 <= index < n:
-            violations.append(f"{where}: output {k} references nonexistent op {index}")
-        elif ops[index].opcode == "store":
-            violations.append(f"{where}: output {k} sources op {index}, a store, "
-                              f"which produces no value")
     return Dfg(name, num_inputs, tuple(ops), outputs)
 
 
@@ -250,50 +214,66 @@ class _BadRef(Exception):
     """args: (position of the first bad reference in its list, the problem)."""
 
 
-def _parse_refs(raws: list, known: dict[tuple[str, int], ValueRef]) -> tuple[ValueRef, ...]:
+def _parse_refs(raws: list, op_id: int | None, where: str, num_inputs: int,
+                ops: list[Operation], n: int, violations: list[str]) -> tuple[int, ...]:
+    """The refs that op `op_id` (None: the DFG's outputs) reads, as ints: k for op k, ~i
+    for input i.  Each is checked against the `num_inputs` inputs, the `n` ops and the
+    `ops` listed before the reader, before it is encoded (~-1 would read op 0); a ref to
+    anything else is appended to `violations` and left out."""
     refs = []
     for i, raw in enumerate(raws):
         if not isinstance(raw, dict):
             raise _BadRef(i, "must be an object")
         kind = raw.get("kind")
         index = raw.get("index")
-        # the type test comes first: true and 1.0 hash and compare equal to 1
-        key = (kind, index) if type(kind) is str and type(index) is int else None
-        ref = known.get(key)
-        if ref is None:
-            if kind != "input" and kind != "op":
-                raise _BadRef(i, "kind must be 'input' or 'op'")
-            if type(index) is not int:
-                raise _BadRef(i, "'index' must be an integer")
-            ref = known[key] = ValueRef(kind, index)
-        refs.append(ref)
+        if kind != "input" and kind != "op":
+            raise _BadRef(i, "kind must be 'input' or 'op'")
+        if type(index) is not int:  # true and 1.0 compare equal to 1
+            raise _BadRef(i, "'index' must be an integer")
+        if kind == "input":
+            if 0 <= index < num_inputs:
+                refs.append(~index)
+                continue
+            problem = f"references nonexistent input {index} (have {num_inputs})"
+        elif not 0 <= index < n:
+            problem = f"references nonexistent op {index}"
+        elif index >= len(ops):
+            problem = f"references op {index}, which is not listed before it"
+        elif ops[index].opcode == "store":
+            problem = f"sources op {index}, a store, which produces no value"
+        else:
+            refs.append(index)
+            continue
+        reader = f"output {i}" if op_id is None else f"op {op_id}"
+        violations.append(f"{where}: {reader} {problem}")
     return tuple(refs)
 
 
 def serialize_workload(w: Workload) -> str:
     """Canonical text form, exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
     document the module docstring shows; parse_workload(serialize_workload(w)) == w.
-    An opcode, a ref kind or a non-int number the format cannot spell raises WorkloadError."""
-    rendered: dict[str, dict[ValueRef, str]] = {}  # per indent, the text of each ref
+    An opcode, a non-int ref or number, or a name the format cannot spell raises WorkloadError."""
+    rendered: dict[str, dict[int, str]] = {}  # per indent, the text of each ref
 
-    def refs(rs: tuple[ValueRef, ...], pad: str) -> str:
+    def refs(rs: tuple[int, ...], pad: str) -> str:
         p = pad + "  "
         texts = rendered.setdefault(p, {})
         items = []
         for r in rs:
+            if type(r) is not int:  # true and 1.0 would find the text of 1
+                raise WorkloadError(f"cannot write ref {r!r}")
             text = texts.get(r)
             if text is None:
-                if r.kind != "input" and r.kind != "op":
-                    raise WorkloadError(f"cannot write ref kind {r.kind!r}")
-                if type(r.index) is not int:
-                    raise WorkloadError(f"cannot write ref index {r.index!r}")
-                text = texts[r] = (f'{{\n{p}  "kind": "{r.kind}",\n'
-                                   f'{p}  "index": {r.index}\n{p}}}')
+                kind, index = ("input", ~r) if r < 0 else ("op", r)
+                text = texts[r] = (f'{{\n{p}  "kind": "{kind}",\n'
+                                   f'{p}  "index": {index}\n{p}}}')
             items.append(text)
         return _json_list(items, pad)
 
     dfgs = []
     for d in w.dfgs:
+        if type(d.name) is not str or not d.name.isprintable():
+            raise WorkloadError(f"cannot write name {d.name!r}")
         if type(d.num_inputs) is not int:
             raise WorkloadError(f"cannot write num_inputs {d.num_inputs!r}")
         ops = []
@@ -371,7 +351,7 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
     dfgs = []
     for di in range(params.num_dfgs):
         n_ops = rng.randint(lo, hi)
-        available = [input_ref(i) for i in range(params.num_inputs)]
+        available = [~i for i in range(params.num_inputs)]
         ops = []
         for oid in range(n_ops):
             if rng.random() < params.memory_op_fraction:
@@ -381,7 +361,7 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
             srcs = tuple(rng.choice(available) for _ in range(arity(opcode)))
             ops.append(Operation(oid, opcode, srcs))
             if opcode != "store":
-                available.append(op_ref(oid))
+                available.append(oid)
         k = min(len(available), rng.randint(1, MAX_OUTPUTS))
         outputs = tuple(rng.sample(available, k))
         dfgs.append(Dfg(f"dfg{di}", params.num_inputs, tuple(ops), outputs))

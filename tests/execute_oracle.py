@@ -46,7 +46,7 @@ def execute_by_columns(
     queued: dict[int, tuple[int, int]] = {}  # store op id -> (addr, word)
 
     def value(ref):
-        return words[ref.index] if ref.kind == "input" else values[ref.index]
+        return words[-1 - ref] if ref < 0 else values[ref]
 
     for col in range(num_cols + 1):
         for p in vc.placements:

@@ -1,11 +1,10 @@
 """Per-cell first-fit placement: the reference that `mapper.map_dfg` is checked against.
 
 It keeps one boolean per fabric cell and probes every (row, column) spot
-cell by cell, in the order of a heap-based Kahn topological sort.  Its cost
-grows with ops x columns x rows x width, so tests keep their fabrics small.
+cell by cell, placing the ops in list order: a workload lists every op after
+the ops it reads, so that order is a dependency order.  Its cost grows with
+ops x columns x rows x width, so tests keep their fabrics small.
 """
-
-import heapq
 
 from cgralloc.mapper import DoesNotFitError, FabricDims, Placement
 from cgralloc.workload import Dfg
@@ -16,33 +15,6 @@ def columns(opcode: str) -> int:
     return 4 if opcode in ("load", "store") else 1
 
 
-def heap_topological_order(d: Dfg) -> list[int]:
-    """Kahn's algorithm with a min-heap of ready ops: ties go to the smallest id."""
-    n = len(d.ops)
-    producers: list[set[int]] = []
-    consumers: dict[int, set[int]] = {i: set() for i in range(n)}
-    for op in d.ops:
-        prods = {r.index for r in op.sources if r.kind == "op"}
-        producers.append(prods)
-        for p in prods:
-            consumers[p].add(op.id)
-
-    indegree = [len(p) for p in producers]
-    ready = [i for i in range(n) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for c in sorted(consumers[node]):
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) != n:
-        raise ValueError("cycle")
-    return order
-
-
 def map_dfg_per_cell(d: Dfg, dims: FabricDims) -> tuple[Placement, ...]:
     """First-fit placements indexed by op id, or DoesNotFitError."""
     num_rows, num_cols = dims.num_rows, dims.num_cols
@@ -51,13 +23,12 @@ def map_dfg_per_cell(d: Dfg, dims: FabricDims) -> tuple[Placement, ...]:
     store_cols: set[int] = set()
     placed: dict[int, Placement] = {}
 
-    for op_id in heap_topological_order(d):
-        op = d.ops[op_id]
+    for op_id, op in enumerate(d.ops):
         width = columns(op.opcode)
         earliest = 0
         for ref in op.sources:
-            if ref.kind == "op":
-                earliest = max(earliest, placed[ref.index].col_start + placed[ref.index].width)
+            if ref >= 0:  # an op; a negative ref reads an input
+                earliest = max(earliest, placed[ref].col_start + placed[ref].width)
 
         spot = None
         for col in range(earliest, num_cols - width + 1):

@@ -29,7 +29,8 @@ _ADD = {"id": 0, "opcode": "add", "srcs": [_ref("input", 0), _ref("input", 1)]}
 
 # (document, exact WorkloadSemanticError message), recorded before the parser
 # switched to dict lookups; every problem is reported, in document order.
-# The last four cases were recorded when the DFG rules moved into the parse walk.
+# The four cases before the negative indexes were recorded when the DFG rules moved
+# into the parse walk, and the negative indexes before refs became ints in memory.
 MALFORMED = {
     # a newline would forge lines of `map --dump`; a lone surrogate cannot be printed
     "name with newlines": (_doc([_ADD], name="a\n(0, 0, 0, 1)\ndfg 7 forged"),
@@ -48,7 +49,7 @@ MALFORMED = {
                   "dfgs[0].ops[0].srcs[1]: kind must be 'input' or 'op'"),
     "bool index": (_doc([{**_ADD, "srcs": [_ref("input", 0), _ref("input", True)]}]),
                    "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
-    # ("input", 1) is parsed first, and true and 1.0 hash and compare equal to 1
+    # ("input", 1) is read first, and true and 1.0 compare equal to 1
     "bool index after its int": (
         _doc([{**_ADD, "srcs": [_ref("input", 1), _ref("input", True)]}]),
         "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"),
@@ -105,6 +106,18 @@ MALFORMED = {
         "dfgs[0]: op at position 1 has id 7; ids must be dense 0..1; "
         "dfgs[0]: op 7 sources op 0, a store, which produces no value; "
         "dfgs[0]: output 0 sources op 0, a store, which produces no value"),
+    # a negative index read as a ref would be another value: ~-1 is op 0, -1 is input 0
+    "negative input index in srcs": (
+        _doc([{**_ADD, "srcs": [_ref("input", 0), _ref("input", -1)]}]),
+        "dfgs[0]: op 0 references nonexistent input -1 (have 2)"),
+    "negative input index in outputs": (
+        _doc([_ADD], outputs=(("input", -1),)),
+        "dfgs[0]: output 0 references nonexistent input -1 (have 2)"),
+    "negative op index": (
+        _doc([_ADD, {"id": 1, "opcode": "add", "srcs": [_ref("op", -1), _ref("input", 0)]}],
+             outputs=(("op", -1),)),
+        "dfgs[0]: op 1 references nonexistent op -1; "
+        "dfgs[0]: output 0 references nonexistent op -1"),
 }
 
 

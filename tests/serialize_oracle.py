@@ -11,6 +11,11 @@ import json
 from cgralloc.workload import WORKLOAD_FORMAT, Workload
 
 
+def _ref(r: int) -> dict:
+    """The file's spelling of a ref: op r when r >= 0, input -1 - r otherwise."""
+    return {"kind": "op", "index": r} if r >= 0 else {"kind": "input", "index": -1 - r}
+
+
 def serialize_by_encoder(w: Workload) -> str:
     doc = {
         "format": WORKLOAD_FORMAT,
@@ -22,11 +27,11 @@ def serialize_by_encoder(w: Workload) -> str:
                     {
                         "id": op.id,
                         "opcode": op.opcode,
-                        "srcs": [{"kind": r.kind, "index": r.index} for r in op.sources],
+                        "srcs": [_ref(r) for r in op.sources],
                     }
                     for op in d.ops
                 ],
-                "outputs": [{"kind": r.kind, "index": r.index} for r in d.outputs],
+                "outputs": [_ref(r) for r in d.outputs],
             }
             for d in w.dfgs
         ],

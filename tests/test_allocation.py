@@ -9,8 +9,6 @@ from cgralloc.workload import (
     GeneratorParams,
     Operation,
     generate_random_workload,
-    input_ref,
-    op_ref,
 )
 
 DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
@@ -19,8 +17,8 @@ ROTATING = AllocationPolicy.ROTATING
 
 def vc_single_cell_at(row: int, col: int) -> VirtualConfiguration:
     d = Dfg(name="cell", num_inputs=2,
-            ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
-            outputs=(op_ref(0),))
+            ops=(Operation(0, "add", (~0, ~1)),),
+            outputs=(0,))
     p = Placement(op_id=0, row=row, col_start=col, width=1)
     return VirtualConfiguration(dfg=d, placements=(p,))
 
@@ -72,7 +70,7 @@ def test_allocate_modular_translation():
 
 def test_allocate_wraps_memory_op_past_right_edge():
     d = Dfg(name="m", num_inputs=1,
-            ops=(Operation(0, "load", (input_ref(0),)),), outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (~0,)),), outputs=(0,))
     p = Placement(op_id=0, row=0, col_start=12, width=4)
     vc = VirtualConfiguration(dfg=d, placements=(p,))
     alloc = allocate(vc, Pivot(row=0, col=2), DIMS_16x2)

@@ -17,8 +17,6 @@ from cgralloc.workload import (
     GeneratorParams,
     Operation,
     generate_random_workload,
-    input_ref,
-    op_ref,
 )
 
 from execute_oracle import execute_by_columns
@@ -29,8 +27,8 @@ DIMS_8x2 = FabricDims(num_cols=8, num_rows=2)
 
 def run_single_op(opcode, a, b, dims=DIMS_16x2):
     d = Dfg(name="one", num_inputs=2,
-            ops=(Operation(0, opcode, (input_ref(0), input_ref(1))),),
-            outputs=(op_ref(0),))
+            ops=(Operation(0, opcode, (~0, ~1)),),
+            outputs=(0,))
     vc = map_dfg(d, dims)
     return execute(vc, ORIGIN, [a, b], MemoryModel(), dims).outputs[0]
 
@@ -128,14 +126,14 @@ def test_alu_semantics_32bit():
 
 def test_load_of_unwritten_address_is_zero():
     d = Dfg(name="l", num_inputs=1,
-            ops=(Operation(0, "load", (input_ref(0),)),), outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (~0,)),), outputs=(0,))
     vc = map_dfg(d, DIMS_16x2)
     assert execute(vc, ORIGIN, [1234], MemoryModel(), DIMS_16x2).outputs == (0,)
 
 
 def test_load_reads_preexisting_memory():
     d = Dfg(name="l", num_inputs=1,
-            ops=(Operation(0, "load", (input_ref(0),)),), outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (~0,)),), outputs=(0,))
     vc = map_dfg(d, DIMS_16x2)
     mem = MemoryModel({16: 99})
     assert execute(vc, ORIGIN, [16], mem, DIMS_16x2).outputs == (99,)
@@ -144,13 +142,13 @@ def test_load_reads_preexisting_memory():
 def store_then_load_dfg() -> Dfg:
     # the load's address comes through a 4-deep ALU chain, forcing its
     # starting column to the store's completion boundary
-    ops = [Operation(0, "store", (input_ref(0), input_ref(1)))]
-    prev = input_ref(0)
+    ops = [Operation(0, "store", (~0, ~1))]
+    prev = ~0
     for i in range(1, 5):
-        ops.append(Operation(i, "add", (prev, input_ref(2))))
-        prev = op_ref(i)
+        ops.append(Operation(i, "add", (prev, ~2)))
+        prev = i
     ops.append(Operation(5, "load", (prev,)))
-    return Dfg(name="sl", num_inputs=3, ops=tuple(ops), outputs=(op_ref(5),))
+    return Dfg(name="sl", num_inputs=3, ops=tuple(ops), outputs=(5,))
 
 
 def test_store_visible_to_strictly_later_load():
@@ -167,9 +165,9 @@ def test_store_invisible_to_overlapping_load():
     # load and store both begin at column 0: the store completes after the
     # load reads, so the load sees the old contents
     d = Dfg(name="overlap", num_inputs=2, ops=(
-        Operation(0, "store", (input_ref(0), input_ref(1))),
-        Operation(1, "load", (input_ref(0),)),
-    ), outputs=(op_ref(1),))
+        Operation(0, "store", (~0, ~1)),
+        Operation(1, "load", (~0,)),
+    ), outputs=(1,))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start == vc.placements[1].col_start
     result = execute(vc, ORIGIN, [16, 7], MemoryModel(), DIMS_16x2)
@@ -179,8 +177,8 @@ def test_store_invisible_to_overlapping_load():
 
 def test_later_store_wins_final_memory():
     d = Dfg(name="ww", num_inputs=3, ops=(
-        Operation(0, "store", (input_ref(0), input_ref(1))),
-        Operation(1, "store", (input_ref(0), input_ref(2))),
+        Operation(0, "store", (~0, ~1)),
+        Operation(1, "store", (~0, ~2)),
     ), outputs=())
     vc = map_dfg(d, DIMS_16x2)
     first, second = vc.placements[0], vc.placements[1]
@@ -335,10 +333,10 @@ def _corruptible_allocation():
     # rows (0, 1, 0) differ from op ids (0, 1, 2), so a mix-up of the two shows in the text;
     # at pivot (1, 2) op 0 sits on (1, 2), op 1 on (0, 2) and op 2 on (1, 3)..(1, 6)
     d = Dfg(name="three", num_inputs=2, ops=(
-        Operation(0, "add", (input_ref(0), input_ref(1))),
-        Operation(1, "add", (input_ref(0), input_ref(1))),
-        Operation(2, "load", (op_ref(0),)),
-    ), outputs=(op_ref(1), op_ref(2)))
+        Operation(0, "add", (~0, ~1)),
+        Operation(1, "add", (~0, ~1)),
+        Operation(2, "load", (0,)),
+    ), outputs=(1, 2))
     pivot = Pivot(1, 2)
     return allocate(map_dfg(d, DIMS_8x2), pivot, DIMS_8x2), reconfig_plan(pivot, DIMS_8x2)
 
@@ -373,8 +371,8 @@ def test_legality_reports_exact_messages_for_corrupted_allocations():
 
 
 def test_cell_map_key_no_op_owns_is_a_violation():
-    d = Dfg(name="one", num_inputs=2, ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
-            outputs=(op_ref(0),))
+    d = Dfg(name="one", num_inputs=2, ops=(Operation(0, "add", (~0, ~1)),),
+            outputs=(0,))
     pivot = Pivot(0, 1)
     alloc = allocate(map_dfg(d, DIMS_8x2), pivot, DIMS_8x2)
     plan = reconfig_plan(pivot, DIMS_8x2)

@@ -1,8 +1,7 @@
 """Column-bitmask placement against its per-cell reference.
 
-The reference places ops in the order of its own heap-based topological
-sort; `map_dfg` walks them in list order.  On the DFGs a workload may hold,
-where every op reads only ops listed before it, the two orders agree.
+Both place ops in list order, which is a dependency order on the DFGs a
+workload may hold: every op reads only inputs and ops listed before it.
 """
 
 from hypothesis import given, settings
@@ -14,8 +13,6 @@ from cgralloc.workload import (
     Dfg,
     Operation,
     arity,
-    input_ref,
-    op_ref,
 )
 
 from mapper_oracle import map_dfg_per_cell
@@ -27,14 +24,14 @@ def dfgs(draw):
     num_inputs = draw(st.integers(1, 3))
     n = draw(st.integers(0, 24))
     opcodes = st.sampled_from(ALU_OPCODES + ("load", "store"))
-    available = [input_ref(i) for i in range(num_inputs)]
+    available = [~i for i in range(num_inputs)]
     ops = []
     for i in range(n):
         opcode = draw(opcodes)
         srcs = tuple(draw(st.sampled_from(available)) for _ in range(arity(opcode)))
         ops.append(Operation(i, opcode, srcs))
         if opcode != "store":
-            available.append(op_ref(i))
+            available.append(i)
     return Dfg(name="g", num_inputs=num_inputs, ops=tuple(ops), outputs=())
 
 

@@ -9,8 +9,6 @@ from cgralloc.workload import (
     WorkloadSemanticError,
     generate_random_workload,
     arity,
-    input_ref,
-    op_ref,
 )
 
 DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
@@ -18,8 +16,8 @@ DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 
 def single_add() -> Dfg:
     return Dfg(name="a", num_inputs=2,
-               ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
-               outputs=(op_ref(0),))
+               ops=(Operation(0, "add", (~0, ~1)),),
+               outputs=(0,))
 
 
 def assert_well_formed(vc, dims):
@@ -43,15 +41,15 @@ def assert_well_formed(vc, dims):
     assert all(n <= 1 for n in stores.values())
     for op in vc.dfg.ops:
         consumer = vc.placements[op.id]
-        for ref in op.sources:
-            if ref.kind == "op":
-                producer = vc.placements[ref.index]
+        for s in op.sources:
+            if s >= 0:
+                producer = vc.placements[s]
                 assert producer.col_start + producer.width <= consumer.col_start
 
 
 def test_op_width():
     # one op of every opcode, each reading only inputs
-    ops = tuple(Operation(i, k, (input_ref(0), input_ref(1))[:arity(k)])
+    ops = tuple(Operation(i, k, (~0, ~1)[:arity(k)])
                 for i, k in enumerate(OPCODES))
     vc = map_dfg(Dfg(name="all", num_inputs=2, ops=ops, outputs=()),
                  FabricDims(num_cols=16, num_rows=len(ops)))
@@ -80,10 +78,10 @@ def test_greedy_hand_trace():
     # a=ADD(in0,in1); b=ADD(a,in0); c=LOAD(addr=a): b takes the column right
     # of a, c cannot use row 0 there (b holds it) and drops to row 1
     d = Dfg(name="t", num_inputs=2, ops=(
-        Operation(0, "add", (input_ref(0), input_ref(1))),
-        Operation(1, "add", (op_ref(0), input_ref(0))),
-        Operation(2, "load", (op_ref(0),)),
-    ), outputs=(op_ref(1), op_ref(2)))
+        Operation(0, "add", (~0, ~1)),
+        Operation(1, "add", (0, ~0)),
+        Operation(2, "load", (0,)),
+    ), outputs=(1, 2))
     vc = map_dfg(d, DIMS_16x2)
     a, b, c = vc.placements
     assert (a.row, a.col_start, a.width) == (0, 0, 1)
@@ -94,7 +92,7 @@ def test_greedy_hand_trace():
 
 
 def test_capacity_error_reports_op_and_frontier():
-    ops = tuple(Operation(i, "add", (input_ref(0), input_ref(1))) for i in range(5))
+    ops = tuple(Operation(i, "add", (~0, ~1)) for i in range(5))
     d = Dfg(name="wide", num_inputs=2, ops=ops, outputs=())
     with pytest.raises(DoesNotFitError) as exc:
         map_dfg(d, FabricDims(num_cols=1, num_rows=2))
@@ -102,13 +100,13 @@ def test_capacity_error_reports_op_and_frontier():
     assert exc.value.frontier_col == 0
 
 
-@pytest.mark.parametrize("bad", [2, 1, -1, 9])  # forward, self, negative, out of range
-def test_op_ref_not_listed_before_its_reader_is_rejected_not_placed(bad):
+@pytest.mark.parametrize("bad", [2, 1, 9])  # forward, self, out of range
+def test_op_read_not_listed_before_its_reader_is_rejected_not_placed(bad):
     # no parse checks it: a library caller hands map_dfg the DFG directly
     d = Dfg(name="bad", num_inputs=2, ops=(
-        Operation(0, "add", (input_ref(0), input_ref(1))),
-        Operation(1, "sub", (op_ref(0), op_ref(bad))),
-        Operation(2, "xor", (op_ref(0), input_ref(1))),
+        Operation(0, "add", (~0, ~1)),
+        Operation(1, "sub", (0, bad)),
+        Operation(2, "xor", (0, ~1)),
     ), outputs=())
     with pytest.raises(WorkloadSemanticError,
                        match=f"^op 1 references op {bad}, which is not listed before it$"):
@@ -117,16 +115,16 @@ def test_op_ref_not_listed_before_its_reader_is_rejected_not_placed(bad):
 
 def test_memory_op_never_fits_narrow_fabric():
     d = Dfg(name="m", num_inputs=1,
-            ops=(Operation(0, "load", (input_ref(0),)),), outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (~0,)),), outputs=(0,))
     with pytest.raises(DoesNotFitError):
         map_dfg(d, FabricDims(num_cols=3, num_rows=4))
 
 
 def test_memory_port_rule_separates_load_col_starts():
     d = Dfg(name="2loads", num_inputs=1, ops=(
-        Operation(0, "load", (input_ref(0),)),
-        Operation(1, "load", (input_ref(0),)),
-    ), outputs=(op_ref(0), op_ref(1)))
+        Operation(0, "load", (~0,)),
+        Operation(1, "load", (~0,)),
+    ), outputs=(0, 1))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start != vc.placements[1].col_start
     assert_well_formed(vc, DIMS_16x2)
@@ -134,9 +132,9 @@ def test_memory_port_rule_separates_load_col_starts():
 
 def test_load_and_store_may_share_col_start():
     d = Dfg(name="ls", num_inputs=2, ops=(
-        Operation(0, "load", (input_ref(0),)),
-        Operation(1, "store", (input_ref(0), input_ref(1))),
-    ), outputs=(op_ref(0),))
+        Operation(0, "load", (~0,)),
+        Operation(1, "store", (~0, ~1)),
+    ), outputs=(0,))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start == vc.placements[1].col_start == 0
     assert vc.placements[0].row != vc.placements[1].row

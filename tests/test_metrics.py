@@ -18,8 +18,6 @@ from cgralloc.workload import (
     Operation,
     Workload,
     generate_random_workload,
-    input_ref,
-    op_ref,
 )
 from heatmap_reader import parse_heatmap
 
@@ -28,15 +26,15 @@ DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 
 def single_add_vc(dims=DIMS_16x2):
     d = Dfg(name="a", num_inputs=2,
-            ops=(Operation(0, "add", (input_ref(0), input_ref(1))),),
-            outputs=(op_ref(0),))
+            ops=(Operation(0, "add", (~0, ~1)),),
+            outputs=(0,))
     return map_dfg(d, dims)
 
 
 def single_load_vc(dims=DIMS_16x2):
     d = Dfg(name="l", num_inputs=1,
-            ops=(Operation(0, "load", (input_ref(0),)),),
-            outputs=(op_ref(0),))
+            ops=(Operation(0, "load", (~0,)),),
+            outputs=(0,))
     return map_dfg(d, dims)
 
 
@@ -163,7 +161,7 @@ def test_summary_dict_fields():
 def test_export_heatmap_minimal():
     dims = FabricDims(num_cols=1, num_rows=1)
     d = Dfg(name="a", num_inputs=2,
-            ops=(Operation(0, "add", (input_ref(0), input_ref(1))),), outputs=())
+            ops=(Operation(0, "add", (~0, ~1)),), outputs=())
     m = replay_one(map_dfg(d, dims), dims)
     assert export_heatmap(m) == "#rows=1,cols=1,executions=1\n1.000000\n"
 

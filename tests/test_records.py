@@ -1,8 +1,8 @@
-"""The contract of the records that parse, map and the fabric build per op, ref or pivot.
+"""The contract of the records that parse, map and the fabric build per op or pivot.
 
-`ValueRef`, `Operation`, `Dfg`, `Workload` and `Placement` are immutable,
-hashable and equal by value, and they unpack in field order: the loops that
-read them and the `map --dump` line rely on that order.  The fabric's
+`Operation`, `Dfg`, `Workload` and `Placement` are immutable, hashable and
+equal by value, and they unpack in field order: the loops that read them and
+the `map --dump` line rely on that order.  A ref is a plain int.  The fabric's
 `ReconfigPlan` and `ExecResult` are immutable and unpack in field order too.
 These tests need no pytest: `PYTHONPATH=src python tests/test_records.py`
 runs them all and exits 1 if one fails.
@@ -17,7 +17,6 @@ from cgralloc.workload import (
     OPCODES,
     GeneratorParams,
     generate_random_workload,
-    input_ref,
     parse_workload,
     serialize_workload,
 )
@@ -38,7 +37,6 @@ def _records() -> dict[str, tuple[object, tuple[str, ...]]]:
     pivot = Pivot(1, 3)
     inputs = list(range(1, d.num_inputs + 1))
     return {
-        "ValueRef": (d.ops[0].sources[0], ("kind", "index")),
         "Operation": (d.ops[0], ("id", "opcode", "sources")),
         "Dfg": (d, ("name", "num_inputs", "ops", "outputs")),
         "Workload": (w, ("dfgs", "trace")),
@@ -92,8 +90,12 @@ def test_parsed_ops_share_one_string_per_opcode():
         assert op.opcode is OPCODES[OPCODES.index(op.opcode)], op
 
 
-def test_value_ref_index_is_the_field():
-    assert input_ref(3).index == 3
+def test_parsed_refs_are_plain_ints():
+    w = parse_workload(_text())
+    refs = [r for d in w.dfgs for op in d.ops for r in op.sources + d.outputs]
+    assert any(r < 0 for r in refs) and any(r >= 0 for r in refs)  # inputs and ops
+    for r in refs:
+        assert type(r) is int, r
 
 
 if __name__ == "__main__":

@@ -13,14 +13,11 @@ from cgralloc.workload import (
     Dfg,
     GeneratorParams,
     Operation,
-    ValueRef,
     Workload,
     WorkloadError,
     WorkloadSemanticError,
     WorkloadSyntaxError,
     generate_random_workload,
-    input_ref,
-    op_ref,
     parse_workload,
     serialize_workload,
 )
@@ -41,11 +38,11 @@ MINIMAL = json.dumps({
 
 
 def chain_dfg(length: int, num_inputs: int = 2) -> Dfg:
-    ops = [Operation(0, "add", (input_ref(0), input_ref(1)))]
+    ops = [Operation(0, "add", (~0, ~1))]
     for i in range(1, length):
-        ops.append(Operation(i, "add", (op_ref(i - 1), input_ref(0))))
+        ops.append(Operation(i, "add", (i - 1, ~0)))
     return Dfg(name="chain", num_inputs=num_inputs, ops=tuple(ops),
-               outputs=(op_ref(length - 1),))
+               outputs=(length - 1,))
 
 
 def problems(d: Dfg) -> list[str]:
@@ -203,11 +200,11 @@ def test_roundtrip_all_opcodes():
     ops = []
     for i, opcode in enumerate(OPCODES):
         if opcode == "load":
-            srcs = (input_ref(0),)
+            srcs = (~0,)
         else:
-            srcs = (input_ref(0), input_ref(1))
+            srcs = (~0, ~1)
         ops.append(Operation(i, opcode, srcs))
-    d = Dfg(name="all", num_inputs=2, ops=tuple(ops), outputs=(op_ref(0),))
+    d = Dfg(name="all", num_inputs=2, ops=tuple(ops), outputs=(0,))
     assert problems(d) == []
     w = Workload(dfgs=(d,), trace=((0, 3),))
     assert parse_workload(serialize_workload(w)) == w
@@ -217,14 +214,6 @@ def test_roundtrip_random_workloads():
     for seed in range(25):
         w = generate_random_workload(GeneratorParams(num_dfgs=10), seed)
         assert parse_workload(serialize_workload(w)) == w
-
-
-def test_parse_shares_one_ref_per_kind_and_index_within_a_parse_only():
-    text = serialize_workload(generate_random_workload(GeneratorParams(num_dfgs=10), 4))
-    refs = [r for d in parse_workload(text).dfgs for op in d.ops for r in op.sources]
-    assert len({id(r) for r in refs}) == len(set(refs)) < len(refs)
-    again = [r for d in parse_workload(text).dfgs for op in d.ops for r in op.sources]
-    assert again == refs and not {id(r) for r in again} & {id(r) for r in refs}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -240,14 +229,13 @@ def test_serialize_equals_json_encoder_on_generated_workloads(params, seed):
 
 
 def test_serialize_equals_json_encoder_on_edge_cases():
-    add = Operation(0, "add", (input_ref(0), input_ref(1)))
-    names = ["", 'say "hi"', "back\\slash", "tab\tnew\nline\x01\x1f\x7f", "caf\u00e9",
-             "\u65e5\u672c", "\U0001f600", "\ud800"]
+    add = Operation(0, "add", (~0, ~1))
+    names = ["", 'say "hi"', "back\\slash", "caf\u00e9", "\u65e5\u672c", "\U0001f600"]
     w = Workload(dfgs=(
-        Dfg(name="no ops", num_inputs=2, ops=(), outputs=(input_ref(1),)),
+        Dfg(name="no ops", num_inputs=2, ops=(), outputs=(~1,)),
         Dfg(name="no outputs", num_inputs=2, ops=(add,), outputs=()),
         Dfg(name="nothing", num_inputs=0, ops=(), outputs=()),
-        *(Dfg(name=n, num_inputs=2, ops=(add,), outputs=(op_ref(0), input_ref(0)))
+        *(Dfg(name=n, num_inputs=2, ops=(add,), outputs=(0, ~0))
           for n in names),
     ), trace=())
     text = serialize_workload(w)
@@ -258,30 +246,33 @@ def test_serialize_equals_json_encoder_on_edge_cases():
         '{\n  "format": 1,\n  "dfgs": [],\n  "trace": []\n}\n')
 
 
-def _unspellable(op_id=0, opcode="add", kind="input", index=1, num_inputs=2, entry=(0, 1)):
-    op = Operation(op_id, opcode, (input_ref(0), ValueRef(kind, index)))
-    return Workload((Dfg("d", num_inputs, (op,), (op_ref(0),)),), (entry,))
+def _unspellable(op_id=0, opcode="add", ref=~1, num_inputs=2, entry=(0, 1), name="d"):
+    op = Operation(op_id, opcode, (~0, ref))
+    return Workload((Dfg(name, num_inputs, (op,), (0,)),), (entry,))
 
 
-@pytest.mark.parametrize("opcode, kind, bad", [
+@pytest.mark.parametrize("w, bad", [
     # unchecked, 'x"y' was written between quotes: text that parse_workload rejects
-    ('x"y', "input", "opcode 'x\"y'"), ("mul", "input", "opcode 'mul'"),
-    (["add"], "input", "opcode ['add']"),
-    ("add", 'in"put', "ref kind 'in\"put'"), ("add", "const", "ref kind 'const'"),
-    # a number that is not an int, in a whole workload given as `opcode` with kind None:
-    # unchecked, the id '0' came back as 0 and the index text wrote an extra key
-    pytest.param(_unspellable(op_id="0"), None, "op id '0'", id="str op id"),
-    pytest.param(_unspellable(op_id=True), None, "op id True", id="bool op id"),
-    pytest.param(_unspellable(index='1, "x": 5'), None, "ref index '1, \"x\": 5'",
-                 id="index text"),
-    pytest.param(_unspellable(index=1.0), None, "ref index 1.0", id="float index"),
-    pytest.param(_unspellable(num_inputs=2.0), None, "num_inputs 2.0", id="float num_inputs"),
-    pytest.param(_unspellable(entry=("0", 1)), None, "trace entry ('0', 1)", id="str dfg index"),
-    pytest.param(_unspellable(entry=(0, True)), None, "trace entry (0, True)",
-                 id="bool repeats"),
+    pytest.param(_unspellable(opcode='x"y'), "opcode 'x\"y'", id="quoted opcode"),
+    pytest.param(_unspellable(opcode="mul"), "opcode 'mul'", id="unknown opcode"),
+    pytest.param(_unspellable(opcode=["add"]), "opcode ['add']", id="list opcode"),
+    # a number that is not an int: unchecked, the id '0' came back as 0, the ref
+    # text wrote an extra key, and true and 1.0 were written as the ref 1
+    pytest.param(_unspellable(op_id="0"), "op id '0'", id="str op id"),
+    pytest.param(_unspellable(op_id=True), "op id True", id="bool op id"),
+    pytest.param(_unspellable(ref='1, "x": 5'), "ref '1, \"x\": 5'", id="index text"),
+    pytest.param(_unspellable(ref=1.0), "ref 1.0", id="float index"),
+    pytest.param(_unspellable(ref=True), "ref True", id="bool ref"),
+    pytest.param(_unspellable(ref="1"), "ref '1'", id="str ref"),
+    pytest.param(_unspellable(num_inputs=2.0), "num_inputs 2.0", id="float num_inputs"),
+    pytest.param(_unspellable(entry=("0", 1)), "trace entry ('0', 1)", id="str dfg index"),
+    pytest.param(_unspellable(entry=(0, True)), "trace entry (0, True)", id="bool repeats"),
+    # a name parse_workload rejects: unchecked, 5 was written as a number, 'a\nb' escaped
+    pytest.param(_unspellable(name=5), "name 5", id="int name"),
+    pytest.param(_unspellable(name="a\nb"), "name 'a\\nb'", id="name with a newline"),
+    pytest.param(_unspellable(name="\ud800"), "name '\\ud800'", id="name with a lone surrogate"),
 ])
-def test_serialize_rejects_what_the_format_cannot_spell(opcode, kind, bad):
-    w = opcode if kind is None else _unspellable(opcode=opcode, kind=kind)
+def test_serialize_rejects_what_the_format_cannot_spell(w, bad):
     with pytest.raises(WorkloadError, match=f"^cannot write {re.escape(bad)}$"):
         serialize_workload(w)
 
@@ -292,29 +283,29 @@ def test_validate_accepts_chain():
 
 def test_validate_rejects_self_reference():
     d = Dfg(name="loop", num_inputs=1,
-            ops=(Operation(0, "add", (op_ref(0), input_ref(0))),),
+            ops=(Operation(0, "add", (0, ~0)),),
             outputs=())
     assert problems(d) == ["op 0 references op 0, which is not listed before it"]
 
 
 def test_validate_reports_load_arity():
     d = Dfg(name="badload", num_inputs=2,
-            ops=(Operation(0, "load", (input_ref(0), input_ref(1))),),
+            ops=(Operation(0, "load", (~0, ~1)),),
             outputs=())
     assert any("load takes 1 source" in v for v in problems(d))
 
 
 def test_validate_reports_store_sourced_as_value():
     d = Dfg(name="storeval", num_inputs=2,
-            ops=(Operation(0, "store", (input_ref(0), input_ref(1))),
-                 Operation(1, "add", (op_ref(0), input_ref(0)))),
+            ops=(Operation(0, "store", (~0, ~1)),
+                 Operation(1, "add", (0, ~0))),
             outputs=())
     assert any("store" in v for v in problems(d))
 
 
 def test_validate_reports_nondense_ids():
     d = Dfg(name="ids", num_inputs=1,
-            ops=(Operation(5, "add", (input_ref(0), input_ref(0))),),
+            ops=(Operation(5, "add", (~0, ~0)),),
             outputs=())
     assert any("dense" in v for v in problems(d))
 
@@ -329,10 +320,10 @@ def test_topological_order_random_dags_brute_force():
         ops = []
         for i in range(n):
             if i == 0 or rng.random() < 0.2:
-                srcs = (input_ref(0), input_ref(0))
+                srcs = (~0, ~0)
             else:
-                a = op_ref(rng.randrange(i))
-                b = op_ref(rng.randrange(i)) if rng.random() < 0.7 else input_ref(0)
+                a = rng.randrange(i)
+                b = rng.randrange(i) if rng.random() < 0.7 else ~0
                 srcs = (a, b)
             ops.append(Operation(i, "add", srcs))
         assert problems(Dfg(name="dag", num_inputs=1, ops=tuple(ops), outputs=())) == []
@@ -343,15 +334,12 @@ def test_topological_order_random_dags_brute_force():
         remap = {old: new for new, old in enumerate(perm)}
         shuffled = [None] * n
         for op in ops:
-            new_srcs = tuple(
-                op_ref(remap[r.index]) if r.kind == "op" else r for r in op.sources
-            )
+            new_srcs = tuple(remap[r] if r >= 0 else r for r in op.sources)
             shuffled[remap[op.id]] = Operation(remap[op.id], op.opcode, new_srcs)
         d = Dfg(name="dag", num_inputs=1, ops=tuple(shuffled), outputs=())
 
-        late = [f"op {op.id} references op {r.index}, which is not listed before it"
-                for op in d.ops for r in op.sources
-                if r.kind == "op" and r.index >= op.id]
+        late = [f"op {op.id} references op {r}, which is not listed before it"
+                for op in d.ops for r in op.sources if r >= op.id]
         assert late  # a random order of 50 ops almost surely breaks some edge
         assert problems(d) == late
 
