@@ -12,7 +12,8 @@ Value semantics are 32-bit two's-complement with wrapping arithmetic.  Shift
 amounts use the low 5 bits.  ``cmplt`` compares signed values and yields 0/1.
 ``shr`` is a logical right shift.
 
-Workload file format (JSON, ``"format": 1``)::
+Workload file format (JSON, ``"format": 1``), indented here for reading;
+``serialize_workload`` (so ``gen``) writes it compact, and any layout reads::
 
     {
       "format": 1,
@@ -130,6 +131,7 @@ def parse_workload(text: str) -> Workload:
             dfgs.append(_parse_dfg(raw, f"dfgs[{di}]", violations))
         except _Malformed as e:
             malformed.append(e.args[0])
+        raw_dfgs[di] = None  # the records just built reuse its memory: the peak is `doc` alone
     if malformed:
         raise WorkloadSemanticError(malformed)
 
@@ -250,25 +252,23 @@ def _parse_refs(raws: list, op_id: int | None, where: str, num_inputs: int,
 
 
 def serialize_workload(w: Workload) -> str:
-    """Canonical text form, exactly ``json.dumps(doc, indent=2) + "\\n"`` of the
-    document the module docstring shows; parse_workload(serialize_workload(w)) == w.
+    """Canonical text form, exactly ``json.dumps(doc, separators=(",", ":")) + "\\n"`` of
+    the document the module docstring shows: compact, no whitespace between tokens;
+    parse_workload(serialize_workload(w)) == w.
     An opcode, a non-int ref or number, or a name the format cannot spell raises WorkloadError."""
-    rendered: dict[str, dict[int, str]] = {}  # per indent, the text of each ref
+    rendered: dict[int, str] = {}  # the text of each ref
 
-    def refs(rs: tuple[int, ...], pad: str) -> str:
-        p = pad + "  "
-        texts = rendered.setdefault(p, {})
+    def refs(rs: tuple[int, ...]) -> str:
         items = []
         for r in rs:
             if type(r) is not int:  # true and 1.0 would find the text of 1
                 raise WorkloadError(f"cannot write ref {r!r}")
-            text = texts.get(r)
+            text = rendered.get(r)
             if text is None:
                 kind, index = ("input", ~r) if r < 0 else ("op", r)
-                text = texts[r] = (f'{{\n{p}  "kind": "{kind}",\n'
-                                   f'{p}  "index": {index}\n{p}}}')
+                text = rendered[r] = f'{{"kind":"{kind}","index":{index}}}'
             items.append(text)
-        return _json_list(items, pad)
+        return ",".join(items)
 
     dfgs = []
     for d in w.dfgs:
@@ -282,25 +282,14 @@ def serialize_workload(w: Workload) -> str:
                 raise WorkloadError(f"cannot write opcode {opcode!r}")
             if type(op_id) is not int:
                 raise WorkloadError(f"cannot write op id {op_id!r}")
-            ops.append(f'{{\n          "id": {op_id},\n          "opcode": "{opcode}",\n'
-                       f'          "srcs": {refs(sources, " " * 10)}\n        }}')
-        dfgs.append(f'{{\n      "name": {json.dumps(d.name)},\n'
-                    f'      "num_inputs": {d.num_inputs},\n'
-                    f'      "ops": {_json_list(ops, " " * 6)},\n'
-                    f'      "outputs": {refs(d.outputs, " " * 6)}\n    }}')
+            ops.append(f'{{"id":{op_id},"opcode":"{opcode}","srcs":[{refs(sources)}]}}')
+        dfgs.append(f'{{"name":{json.dumps(d.name)},"num_inputs":{d.num_inputs},'
+                    f'"ops":[{",".join(ops)}],"outputs":[{refs(d.outputs)}]}}')
     for idx, reps in w.trace:
         if type(idx) is not int or type(reps) is not int:
             raise WorkloadError(f"cannot write trace entry {(idx, reps)!r}")
-    trace = [f"[\n      {idx},\n      {reps}\n    ]" for idx, reps in w.trace]
-    return (f'{{\n  "format": {WORKLOAD_FORMAT},\n  "dfgs": {_json_list(dfgs, "  ")},\n'
-            f'  "trace": {_json_list(trace, "  ")}\n}}\n')
-
-
-def _json_list(items: list[str], pad: str) -> str:
-    """Rendered items as json.dumps(indent=2) lays out a list whose key is at indent `pad`."""
-    if not items:
-        return "[]"
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+    trace = ",".join([f"[{idx},{reps}]" for idx, reps in w.trace])
+    return f'{{"format":{WORKLOAD_FORMAT},"dfgs":[{",".join(dfgs)}],"trace":[{trace}]}}\n'
 
 
 # ---------------------------------------------------------------------------

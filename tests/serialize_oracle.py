@@ -1,14 +1,30 @@
 """The workload text by way of the stdlib JSON encoder: the reference that
-`workload.serialize_workload` is checked against.
+`workload.serialize_workload` is checked against, and the parse's memory check.
 
-It builds the whole document as dicts and lists, then hands it to
-``json.dumps(doc, indent=2)``, so layout, escaping and number spelling are
-the encoder's, not a restatement of the fixed-layout writer.
+`serialize_by_encoder` builds the whole document as dicts and lists, then hands
+it to ``json.dumps(doc, separators=(",", ":"))``, so layout, escaping and
+number spelling are the encoder's, not a restatement of the hand-laid writer.
+
+`peak_failures` bounds the tracemalloc peak of `parse_workload(text)` by that
+of `json.loads(text)`: a parse that drops each decoded DFG once its records are
+built never holds more than the decoded document, so the ratio stays at about 1.
+
+Run as a script (no pytest or Hypothesis needed) to check, on fixed seeds,
+writer == encoder, the round trip and the peak bound; it exits 1 on any
+failure:
+
+    PYTHONPATH=src:tests python tests/serialize_oracle.py
 """
 
 import json
+import sys
+import tracemalloc
 
-from cgralloc.workload import WORKLOAD_FORMAT, Workload
+from cgralloc.workload import (WORKLOAD_FORMAT, Dfg, GeneratorParams, Operation, Workload,
+                               generate_random_workload, parse_workload, serialize_workload)
+
+PEAK_BOUND = 1.05  # parse_workload's peak over json.loads's, on PEAK_PARAMS
+PEAK_PARAMS = GeneratorParams(num_dfgs=200, ops_per_dfg=(20, 60), num_inputs=8)
 
 
 def _ref(r: int) -> dict:
@@ -37,4 +53,68 @@ def serialize_by_encoder(w: Workload) -> str:
         ],
         "trace": [[idx, reps] for idx, reps in w.trace],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _peak(fn, text: str) -> int:
+    """Bytes allocated at the peak of fn(text), its result included."""
+    tracemalloc.start()
+    try:
+        fn(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def peak_failures() -> list[str]:
+    """One line per seed where parse_workload peaks above PEAK_BOUND x json.loads
+    on a PEAK_PARAMS workload; a parse that keeps every decoded DFG to its end
+    peaks at about 1.16-1.19x."""
+    found = []
+    for seed in (1, 101):
+        text = serialize_workload(generate_random_workload(PEAK_PARAMS, seed))
+        ratio = _peak(parse_workload, text) / _peak(json.loads, text)
+        if ratio > PEAK_BOUND:
+            found.append(f"peak seed {seed}: parse_workload peaks at {ratio:.3f}x "
+                         f"json.loads, bound {PEAK_BOUND}")
+    return found
+
+
+def edge_case_workload() -> Workload:
+    """Empty ops and outputs; names that need escaping or are not ASCII."""
+    add = Operation(0, "add", (~0, ~1))
+    names = ["", 'say "hi"', "back\\slash", "caf\u00e9", "\u65e5\u672c", "\U0001f600"]
+    return Workload(dfgs=(
+        Dfg(name="no ops", num_inputs=2, ops=(), outputs=(~1,)),
+        Dfg(name="no outputs", num_inputs=2, ops=(add,), outputs=()),
+        Dfg(name="nothing", num_inputs=0, ops=(), outputs=()),
+        *(Dfg(name=n, num_inputs=2, ops=(add,), outputs=(0, ~0))
+          for n in names),
+    ), trace=((0, 1), (2, 3)))
+
+
+def failures() -> list[str]:
+    """One line per fixed-seed workload where the writer, the round trip or the peak fails."""
+    cases = [("edge cases", edge_case_workload())]
+    for seed in (1, 101):
+        for label, params in (
+                ("map_heavy sizes", GeneratorParams(num_dfgs=1000, ops_per_dfg=(20, 60),
+                                                    num_inputs=8, trace_length=1000,
+                                                    max_repeat=4)),
+                ("memory only", GeneratorParams(num_dfgs=10, memory_op_fraction=1.0,
+                                                num_inputs=1, max_repeat=1000))):
+            cases.append((f"{label} seed {seed}", generate_random_workload(params, seed)))
+    found = []
+    for label, w in cases:
+        text = serialize_workload(w)
+        if text != serialize_by_encoder(w):
+            found.append(f"{label}: serialize_workload differs from the JSON encoder")
+        if parse_workload(text) != w:
+            found.append(f"{label}: parse_workload(serialize_workload(w)) != w")
+    return found + peak_failures()
+
+
+if __name__ == "__main__":
+    lines = failures()
+    print("\n".join(lines) or "writer matches the encoder, round trips and peak hold")
+    sys.exit(1 if lines else 0)

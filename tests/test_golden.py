@@ -4,10 +4,12 @@ The digests in EXPECTED were recorded before the scenario entry points were
 merged; the map digests in MAP_EXPECTED before the mapper's column bitmasks
 and the table-driven parser, and its dse digests (one point that fits
 nothing, one that fits) when a failed point's error text was reduced to its
-label.  A change that alters any byte of the workload file, a
-heatmap CSV, a summary JSON, the DSE JSON, a placement dump, a misfit report
-or the printed text fails here; a change that means to alter an output format
-must re-record them and say so.
+label.  The "gen" digest was re-recorded when `gen` began writing compact
+JSON (``separators=(",", ":")`` in place of ``indent=2``): the same document,
+which ``json.load`` reads equal to the indented file.  A change that alters
+any byte of the workload file, a heatmap CSV, a summary JSON, the DSE JSON,
+a placement dump, a misfit report or the printed text fails here; a change
+that means to alter an output format must re-record them and say so.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ MAP_GEN_ARGS = ["gen", "--seed", "1", "--dfgs", "40", "--ops-min", "20", "--ops-
                 "--inputs", "8", "--trace-len", "10"]
 
 EXPECTED = {
-    "gen": "2c3b3e26680532a02ec17d114df0e28fdf3cc957e2c213c1219a3ba37178c920",
+    "gen": "0b6b6e8a7ed029e95116505c999b68f4b10bca44ffc241376e0d0941f15db8b4",
     "BE-fixed.stdout": "57d1bd7331d1e6d4a8f328fba401587fecec68ea2e009bda665b0bf8dbd0b8ca",
     "BE-fixed.heatmap": "99e56ab53e1866f873f823dbf3be565150a6498c65f7b2e0c1c4d34da1c81ead",
     "BE-fixed.summary": "e0e34637836145998d38ef66a0d4a8ec6d73fb2b197988a71acef5abfdc2da5d",
