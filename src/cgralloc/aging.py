@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-HOURS_PER_YEAR = 8760.0
 _SIXTH = 1.0 / 6.0
 
 

@@ -29,9 +29,6 @@ class Pivot:
     col: int
 
 
-ORIGIN = Pivot(0, 0)
-
-
 def pivot_period(policy: AllocationPolicy, dims: FabricDims) -> int:
     """Number of distinct pivots a policy cycles through: 1 fixed, num_cells rotating."""
     return dims.num_cells if policy is AllocationPolicy.ROTATING else 1

@@ -5,7 +5,7 @@ more allocation policies, and reduces the last run's utilization to summary
 statistics plus the projected lifetime of the worst-stressed cell.  Paired
 runs compare the fixed-origin baseline against the rotating allocator on the
 same workload and report the lifetime improvement, which equals the ratio of
-the two worst-case utilizations.
+the two worst cells' occupied counts (both runs share the execution total).
 """
 
 from __future__ import annotations
@@ -52,7 +52,11 @@ def text_or_unbounded(x: float, fmt: str) -> str:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """One fabric point: the last run's summary, paired with a baseline's worst cell."""
+    """One fabric point: the last run's summary, paired with a baseline's worst cell.
+
+    In a paired run, lifetime_improvement is the baseline's worst-cell count
+    over the last run's (math.inf when the latter is 0).
+    """
 
     dims: FabricDims
     summary: UtilizationSummary = _NOTHING_RUN
@@ -60,6 +64,7 @@ class ScenarioResult:
     lifetime_years: float = 0.0
     skipped_dfgs: tuple[tuple[int, str], ...] = ()
     baseline_max_util: float | None = None
+    lifetime_improvement: float | None = None
     error: str | None = None
 
     @classmethod
@@ -73,12 +78,6 @@ class ScenarioResult:
     @property
     def proposed_max_util(self) -> float | None:
         return None if self.baseline_max_util is None else self.summary.max
-
-    @property
-    def lifetime_improvement(self) -> float | None:
-        if self.baseline_max_util is None:
-            return None
-        return aging.lifetime_improvement(self.baseline_max_util, self.summary.max)
 
     def to_dict(self) -> dict:
         """The `dse -o` record."""
@@ -180,12 +179,9 @@ def replay_trace(
                 base = bases[k] = pivot.row * width + pivot.col
             for x in offsets:
                 grid[base + x] += n
-    umap = UtilizationMap(dims)
-    umap.total_executions = total
     rows = list(map(add, grid[:half], grid[half:]))  # fold the rows, then the columns
-    umap.active_count = [list(map(add, rows[i:i + num_cols], rows[i + num_cols:i + width]))
-                         for i in range(0, half, width)]
-    return umap
+    return UtilizationMap(dims, [list(map(add, rows[i:i + num_cols], rows[i + num_cols:i + width]))
+                                 for i in range(0, half, width)], total)
 
 
 def run_scenario_with_map(
@@ -197,28 +193,32 @@ def run_scenario_with_map(
 ) -> tuple[ScenarioResult, UtilizationMap]:
     """Map once, replay under each policy, summarize the last run.
 
-    Returns the result and the utilization map of the last run.  With two
-    policies the first is the baseline: its worst-case utilization is paired
-    with the second's.  Every run starts at execution 0 and skips exactly the
-    same DFGs, so average utilization matches between them.
+    Returns the result and the utilization map of the last run.  Every run
+    starts at execution 0 and skips exactly the same DFGs, so all share the
+    execution total T and the occupied mass, and the average matches exactly.
+    With two policies the first is the baseline: its worst-cell count b is
+    kept as an int, and the result carries baseline_max_util = b / T and
+    lifetime_improvement = b / (the second run's worst-cell count).
     """
     mapped, skipped = map_workload(workload, dims)
     if not mapped:
         raise EmptyScenarioError(f"{_label(dims)}: no DFG of the workload fits")
-    worst: list[float] = []
+    worst: list[int] = []
     for policy in policies:
         umap = replay_trace(workload, mapped, dims, policy)
         if umap.total_executions == 0:
             raise EmptyScenarioError(f"{_label(dims)}: trace only references skipped DFGs")
-        summary = summarize(umap)
-        worst.append(summary.max)
+        worst.append(max(map(max, umap.active_count)))
+    summary = summarize(umap)
+    base, prop = worst if len(worst) == 2 else (None, None)
     result = ScenarioResult(
         dims=dims,
         summary=summary,
         total_executions=umap.total_executions,
         lifetime_years=aging.lifetime(aging_params, summary.max),
         skipped_dfgs=tuple(skipped),
-        baseline_max_util=worst[0] if len(worst) == 2 else None,
+        baseline_max_util=None if base is None else base / umap.total_executions,
+        lifetime_improvement=None if base is None else (base / prop if prop else math.inf),
     )
     return result, umap
 

@@ -1,39 +1,29 @@
 """Per-cell utilization accounting across configuration executions.
 
 Utilization of a cell is the fraction of executions in which the cell was
-occupied, irrespective of how long each configuration runs.
+occupied, irrespective of how long each configuration runs.  Replay keeps
+integer counts; every reported number is one division of those integers,
+which Python rounds correctly, so it is the float nearest its exact value.
+Rotation moves occupancy without changing its total, so the average comes
+out bit-identical under every policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mapper import FabricDims
 
 HISTOGRAM_BINS = 20  # uniform bins over [0, 1]
 
 
-class EmptyMapError(ValueError):
-    """Rates requested from a map that recorded no executions."""
+class UtilizationMap(NamedTuple):
+    """Per-cell occupied counts (row-major) of one run of total_executions executions."""
 
-
-class UtilizationMap:
-    """Mutable per-cell activity counters; one instance per scenario run."""
-
-    def __init__(self, dims: FabricDims):
-        self.dims = dims
-        self.active_count: list[list[int]] = [
-            [0] * dims.num_cols for _ in range(dims.num_rows)
-        ]
-        self.total_executions = 0
-
-
-def utilization_rates(m: UtilizationMap) -> list[list[float]]:
-    """Per-cell occupancy fraction over everything recorded so far."""
-    if m.total_executions == 0:
-        raise EmptyMapError("no executions recorded")
-    total = m.total_executions
-    return [[count / total for count in row] for row in m.active_count]
+    dims: FabricDims
+    active_count: list[list[int]]
+    total_executions: int
 
 
 @dataclass(frozen=True)
@@ -56,36 +46,29 @@ class UtilizationSummary:
 
 
 def summarize(m: UtilizationMap) -> UtilizationSummary:
-    """Aggregate rates: average, extremes, argmax, fixed-width histogram.
+    """Average, extremes, argmax and histogram of the rates n / T, from the counts.
 
     Argmax ties break by (row, col) lexicographic order.  Histogram bins are
     uniform over [0, 1]; the last bin is closed so a rate of 1.0 lands in it.
     """
-    rates = utilization_rates(m)
-    flat = [(rate, r, c) for r, row in enumerate(rates) for c, rate in enumerate(row)]
-    best_rate, best_r, best_c = flat[0]
-    worst = flat[0][0]
+    total = m.total_executions
+    flat = [n for row in m.active_count for n in row]
+    top = max(flat)
     hist = [0] * HISTOGRAM_BINS
-    # a left-to-right running sum: sum() of floats rounds differently from Python 3.12 on
-    total = 0.0
-    for rate, r, c in flat:
-        total += rate
-        if rate > best_rate:
-            best_rate, best_r, best_c = rate, r, c
-        if rate < worst:
-            worst = rate
-        hist[min(int(rate * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
+    for n in flat:
+        hist[min(HISTOGRAM_BINS * n // total, HISTOGRAM_BINS - 1)] += 1
     return UtilizationSummary(
-        avg=total / len(flat),
-        max=best_rate,
-        min=worst,
-        argmax=(best_r, best_c),
+        avg=sum(flat) / (len(flat) * total),
+        max=top / total,
+        min=min(flat) / total,
+        argmax=divmod(flat.index(top), m.dims.num_cols),
         histogram=tuple(hist),
     )
 
 
 def export_heatmap(m: UtilizationMap) -> str:
-    """CSV heatmap: header, then one line of 6-decimal fractions per row."""
-    lines = [f"#rows={m.dims.num_rows},cols={m.dims.num_cols},executions={m.total_executions}"]
-    lines.extend(",".join(f"{rate:.6f}" for rate in row) for row in utilization_rates(m))
+    """CSV heatmap: header, then one line of 6-decimal fractions n / T per row."""
+    total = m.total_executions
+    lines = [f"#rows={m.dims.num_rows},cols={m.dims.num_cols},executions={total}"]
+    lines.extend(",".join(f"{n / total:.6f}" for n in row) for row in m.active_count)
     return "\n".join(lines) + "\n"

@@ -6,23 +6,33 @@ pivot walk is its own: a row and a column counter, advanced column-fastest
 under ROTATING and never under FIXED_ORIGIN.  Its cost grows with the number
 of executions, so tests keep their traces small.
 
+Its counts are also the input of an exact oracle for the reported numbers:
+each summary rate and bin and the paired lifetime improvement must equal its
+`fractions.Fraction` value rounded once by `float()`, and argmax must name
+the smallest (row, col) of a busiest cell.
+
 Run as a script, it needs neither pytest nor hypothesis: it compares both
-replays on a fixed set of seeded scenarios and exits 1 on any mismatch.
+replays and checks every reported number against the exact oracle on fixed
+sets of seeded scenarios, and exits 1 on any mismatch.
 
     PYTHONPATH=src python tests/replay_oracle.py
 """
 
+import math
 import random
 import sys
+from fractions import Fraction
 
+from cgralloc.aging import AgingParams
 from cgralloc.allocation import AllocationPolicy, Pivot, allocate
-from cgralloc.dse import map_workload, replay_trace
+from cgralloc.dse import map_workload, replay_trace, run_scenario_with_map
 from cgralloc.mapper import FabricDims, VirtualConfiguration
 from cgralloc.metrics import UtilizationMap
 from cgralloc.workload import Dfg, GeneratorParams, Workload, generate_random_workload
 
 EMPTY_DFG = Dfg(name="empty", num_inputs=0, ops=(), outputs=())
 FABRICS = ((1, 1), (1, 5), (5, 1), (8, 2))  # (cols, rows): a point, a column, a row, a grid
+EXACT_FABRICS = ((1, 1), (5, 1), (8, 2), (16, 2), (32, 8))  # up to the BE and BU presets
 
 
 def replay_per_execution(
@@ -33,8 +43,8 @@ def replay_per_execution(
 ) -> UtilizationMap:
     """Replay the trace execution by execution; skipped DFGs are dropped."""
     rotating = policy is AllocationPolicy.ROTATING
-    row = col = 0
-    umap = UtilizationMap(dims)
+    row = col = total = 0
+    grid = [[0] * dims.num_cols for _ in range(dims.num_rows)]
     for dfg_index, repeats in workload.trace:
         vc = mapped.get(dfg_index)
         if vc is None:
@@ -43,26 +53,26 @@ def replay_per_execution(
             alloc = allocate(vc, Pivot(row, col), dims)
             for cells in alloc.cell_map.values():
                 for r, c in cells:
-                    umap.active_count[r][c] += 1
-            umap.total_executions += 1
+                    grid[r][c] += 1
+            total += 1
             if rotating:
                 col += 1
                 if col == dims.num_cols:
                     col, row = 0, row + 1
                     if row == dims.num_rows:
                         row = 0
-    return umap
+    return UtilizationMap(dims, grid, total)
 
 
-def seeded_scenarios():
-    """(dims, workload) on each fabric of FABRICS, for each of 25 seeds.
+def seeded_scenarios(fabrics=FABRICS, seeds=range(25)):
+    """(dims, workload) on each (cols, rows) fabric, for each seed.
 
     Memory ops are four columns wide, so on narrow fabrics some DFGs do not
     fit; the last DFG is empty; repeat counts reach past three pivot periods.
     """
-    for seed in range(25):
+    for seed in seeds:
         rng = random.Random(seed)
-        for cols, rows in FABRICS:
+        for cols, rows in fabrics:
             dims = FabricDims(num_cols=cols, num_rows=rows)
             params = GeneratorParams(num_dfgs=rng.randint(1, 5), ops_per_dfg=(1, 6),
                                      memory_op_fraction=rng.choice((0.0, 0.3)), num_inputs=2)
@@ -89,7 +99,55 @@ def mismatches() -> list[str]:
     return found
 
 
+def exact_summary(counts: list[list[int]], total: int) -> dict:
+    """avg, max, min and histogram of the rates n / total, each exact, then rounded once,
+    and argmax as the smallest (row, col) of a busiest cell."""
+    rates = [Fraction(n, total) for row in counts for n in row]
+    histogram = [0] * 20
+    for rate in rates:
+        histogram[min(math.floor(20 * rate), 19)] += 1
+    top = max(map(max, counts))
+    argmax = min((r, c) for r, row in enumerate(counts) for c, n in enumerate(row) if n == top)
+    return {"avg": float(sum(rates) / len(rates)), "max": float(max(rates)),
+            "min": float(min(rates)), "histogram": histogram, "argmax": list(argmax)}
+
+
+def inexact_numbers() -> list[str]:
+    """One line per reported number that is not its exact value rounded once.
+
+    On 10 seeded scenarios per fabric of EXACT_FABRICS, the counts come from
+    the per-execution replay.  Both policies' summaries are checked, and the
+    paired run's lifetime improvement against the fixed and rotating worst
+    counts b and p: float(Fraction(b, p)), unbounded when p is 0.
+    """
+    found = []
+    aging = AgingParams()
+    for dims, workload in seeded_scenarios(EXACT_FABRICS, range(10)):
+        mapped, _ = map_workload(workload, dims)
+        worst = []
+        for policy in AllocationPolicy:
+            want = replay_per_execution(workload, mapped, dims, policy)
+            if want.total_executions == 0:  # the runner rejects such a trace
+                break
+            worst.append(max(map(max, want.active_count)))
+            got = run_scenario_with_map(dims, workload, aging, (policy,))[0].summary.to_dict()
+            found += [f"{dims.num_cols}x{dims.num_rows} {policy.value} trace {workload.trace}: "
+                      f"{key} {got[key]!r}, exact {value!r}"
+                      for key, value in exact_summary(want.active_count,
+                                                      want.total_executions).items()
+                      if got[key] != value]
+        else:  # both runs counted executions: check the pair
+            base, prop = worst
+            want = float(Fraction(base, prop)) if prop else math.inf
+            got = run_scenario_with_map(dims, workload, aging)[0].lifetime_improvement
+            if got != want:
+                found.append(f"{dims.num_cols}x{dims.num_rows} trace {workload.trace}: "
+                             f"lifetime_improvement {got!r}, exact {want!r}")
+    return found
+
+
 if __name__ == "__main__":
-    lines = mismatches()
-    print("\n".join(lines) or "counted replay matches per-execution replay")
+    lines = mismatches() + inexact_numbers()
+    print("\n".join(lines) or "counted replay matches per-execution replay, "
+          "and every reported number is exact")
     sys.exit(1 if lines else 0)

@@ -4,16 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines alongside pytest's own verdicts.
 """
 
-import math
 import random
 
 import pytest
 
 from cgralloc.aging import AgingParams, delay_increase, delta_vt_raw, lifetime, lifetime_improvement
-from cgralloc.allocation import ORIGIN, AllocationPolicy, Pivot, pivot_at
+from cgralloc.allocation import AllocationPolicy, Pivot, pivot_at
 from cgralloc.fabric import MemoryModel, execute, reconfig_plan
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
-from cgralloc.metrics import summarize, utilization_rates
+from cgralloc.metrics import summarize
 from cgralloc.dse import map_workload, replay_trace
 from cgralloc.workload import GeneratorParams, Workload, generate_random_workload
 
@@ -70,10 +69,10 @@ def test_criterion_3_corner_bias(corpus_200):
     dims = FabricDims(num_cols=16, num_rows=2)
     mapped, skipped = map_workload(corpus_200, dims)
     umap = replay_trace(corpus_200, mapped, dims, AllocationPolicy.FIXED_ORIGIN)
-    rates = utilization_rates(umap)
-    min_rate = min(rate for row in rates for rate in row)
-    ok = rates[0][0] == 1.0 and min_rate < 0.2
-    print(f"[acceptance]   corner={rates[0][0]:.6f} min={min_rate:.6f} "
+    total, counts = umap.total_executions, umap.active_count
+    coldest = min(map(min, counts))
+    ok = counts[0][0] == total > 0 and 5 * coldest < total
+    print(f"[acceptance]   corner={counts[0][0]}/{total} min={coldest}/{total} "
           f"mapped={len(mapped)}/{len(corpus_200.dfgs)}")
     _report(3, "fixed-origin corner at 100%, cold cells below 20%", ok)
 
@@ -101,9 +100,7 @@ def test_criterion_4_uniformization_oracle():
             umap.active_count[r][c] == occupied
             for r in range(dims.num_rows) for c in range(dims.num_cols)
         )
-        rates = utilization_rates(umap)
-        rates_ok = all(rate == occupied / dims.num_cells for row in rates for rate in row)
-        ok = ok and counts_ok and rates_ok
+        ok = ok and counts_ok and umap.total_executions == dims.num_cells
     _report(4, "full rotation spreads one configuration exactly evenly", ok)
 
 
@@ -127,7 +124,7 @@ def test_criterion_5_semantics_preservation():
     for vc in vcs:
         inputs = [rng.getrandbits(32) for _ in range(vc.dfg.num_inputs)]
         seed_mem = {rng.getrandbits(8): rng.getrandbits(32) for _ in range(4)}
-        oracle = execute(vc, ORIGIN, inputs, MemoryModel(seed_mem), dims)
+        oracle = execute(vc, Pivot(0, 0), inputs, MemoryModel(seed_mem), dims)
         for r in range(dims.num_rows):
             for c in range(dims.num_cols):
                 got = execute(vc, Pivot(r, c), inputs, MemoryModel(seed_mem), dims)
@@ -144,7 +141,7 @@ def test_criterion_6_mass_conservation(corpus_200, corpus_memory_heavy):
                 continue
             fixed = summarize(replay_trace(workload, mapped, dims, AllocationPolicy.FIXED_ORIGIN))
             rotating = summarize(replay_trace(workload, mapped, dims, AllocationPolicy.ROTATING))
-            avg_ok = math.isclose(fixed.avg, rotating.avg, rel_tol=1e-9)
+            avg_ok = fixed.avg == rotating.avg
             max_ok = rotating.max <= fixed.max
             ok = ok and avg_ok and max_ok
     _report(6, "average utilization policy-invariant, rotating max never worse", ok)
@@ -153,7 +150,7 @@ def test_criterion_6_mass_conservation(corpus_200, corpus_memory_heavy):
 def test_criterion_7_reconfiguration_parity():
     ok = True
     for dims in SWEPT_DIMS:
-        baseline = reconfig_plan(ORIGIN, dims)
+        baseline = reconfig_plan(Pivot(0, 0), dims)
         ok = ok and baseline.line_select == tuple(
             i % dims.num_config_lines for i in range(dims.num_cols)
         )

@@ -4,7 +4,6 @@ import mpmath as mp
 import pytest
 
 from cgralloc.aging import (
-    HOURS_PER_YEAR,
     AgingParams,
     delay_curve,
     delay_curve_csv,
@@ -15,6 +14,7 @@ from cgralloc.aging import (
 )
 
 DEFAULTS = AgingParams()
+HOURS_PER_YEAR = 8760.0
 
 # frozen from the 50-digit evaluation of the drift model (see oracle below):
 # T=350 K, vdd=1.0 V, t=3 years in hours, u=1.0

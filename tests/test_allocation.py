@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from cgralloc.allocation import ORIGIN, AllocationPolicy, Pivot, allocate, pivot_at
+from cgralloc.allocation import AllocationPolicy, Pivot, allocate, pivot_at
 from cgralloc.mapper import DoesNotFitError, FabricDims, Placement, VirtualConfiguration, map_dfg
 from cgralloc.workload import (
     Dfg,
@@ -54,7 +54,7 @@ def test_allocate_at_origin_is_identity():
     w = generate_random_workload(GeneratorParams(num_dfgs=5), 2)
     for d in w.dfgs:
         vc = map_dfg(d, DIMS_16x2)
-        alloc = allocate(vc, ORIGIN, DIMS_16x2)
+        alloc = allocate(vc, Pivot(0, 0), DIMS_16x2)
         for p in vc.placements:
             assert alloc.cell_map[p.op_id] == tuple(
                 (p.row, c) for c in range(p.col_start, p.col_start + p.width)
@@ -86,7 +86,7 @@ def test_allocate_rejects_out_of_bounds_pivot():
 def test_fixed_policy_pins_origin_and_keeps_scheduler():
     # every execution, across more than one rotating period, loads at the origin
     for k in range(3 * DIMS_16x2.num_cells + 2):
-        assert pivot_at(AllocationPolicy.FIXED_ORIGIN, k, DIMS_16x2) == ORIGIN
+        assert pivot_at(AllocationPolicy.FIXED_ORIGIN, k, DIMS_16x2) == Pivot(0, 0)
 
 
 def test_rotating_policy_advances():
@@ -96,8 +96,8 @@ def test_rotating_policy_advances():
 
 
 def test_rotating_origin_matches_fixed_at_start():
-    assert pivot_at(ROTATING, 0, DIMS_16x2) == ORIGIN
-    assert pivot_at(ROTATING, DIMS_16x2.num_cells, DIMS_16x2) == ORIGIN
+    assert pivot_at(ROTATING, 0, DIMS_16x2) == Pivot(0, 0)
+    assert pivot_at(ROTATING, DIMS_16x2.num_cells, DIMS_16x2) == Pivot(0, 0)
 
 
 def test_allocation_is_bijective_for_every_pivot():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cgralloc.allocation import ORIGIN, Pivot, allocate
+from cgralloc.allocation import Pivot, allocate
 from cgralloc.fabric import (
     MemoryModel,
     check_physical_legality,
@@ -30,7 +30,7 @@ def run_single_op(opcode, a, b, dims=DIMS_16x2):
             ops=(Operation(0, opcode, (~0, ~1)),),
             outputs=(0,))
     vc = map_dfg(d, dims)
-    return execute(vc, ORIGIN, [a, b], MemoryModel(), dims).outputs[0]
+    return execute(vc, Pivot(0, 0), [a, b], MemoryModel(), dims).outputs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ def run_single_op(opcode, a, b, dims=DIMS_16x2):
 # ---------------------------------------------------------------------------
 
 def test_plan_at_origin_is_baseline_wiring():
-    plan = reconfig_plan(ORIGIN, DIMS_16x2)
+    plan = reconfig_plan(Pivot(0, 0), DIMS_16x2)
     assert plan.line_select == tuple(i % 4 for i in range(16))
     assert plan.line_select[:8] == (0, 1, 2, 3, 0, 1, 2, 3)
     assert plan.barrel_shift_rows == (0,) * 16
@@ -59,10 +59,10 @@ def test_plan_vertical_shift_sets_every_barrel_shifter():
 
 
 def test_reconfig_cycles_ceil_division():
-    assert reconfig_plan(ORIGIN, FabricDims(num_cols=10, num_rows=2)).reconfig_cycles == 3
-    assert reconfig_plan(ORIGIN, FabricDims(num_cols=8, num_rows=2)).reconfig_cycles == 2
+    assert reconfig_plan(Pivot(0, 0), FabricDims(num_cols=10, num_rows=2)).reconfig_cycles == 3
+    assert reconfig_plan(Pivot(0, 0), FabricDims(num_cols=8, num_rows=2)).reconfig_cycles == 2
     assert reconfig_plan(
-        ORIGIN, FabricDims(num_cols=5, num_rows=2, num_config_lines=5)
+        Pivot(0, 0), FabricDims(num_cols=5, num_rows=2, num_config_lines=5)
     ).reconfig_cycles == 1
 
 
@@ -96,7 +96,7 @@ def test_plan_matches_per_column_definition_at_every_pivot(dims):
 
 def test_reconfig_cycles_pivot_independent():
     for dims in (DIMS_8x2, DIMS_16x2, FabricDims(num_cols=32, num_rows=4)):
-        base = reconfig_plan(ORIGIN, dims).reconfig_cycles
+        base = reconfig_plan(Pivot(0, 0), dims).reconfig_cycles
         for r in range(dims.num_rows):
             for c in range(dims.num_cols):
                 assert reconfig_plan(Pivot(r, c), dims).reconfig_cycles == base
@@ -128,7 +128,7 @@ def test_load_of_unwritten_address_is_zero():
     d = Dfg(name="l", num_inputs=1,
             ops=(Operation(0, "load", (~0,)),), outputs=(0,))
     vc = map_dfg(d, DIMS_16x2)
-    assert execute(vc, ORIGIN, [1234], MemoryModel(), DIMS_16x2).outputs == (0,)
+    assert execute(vc, Pivot(0, 0), [1234], MemoryModel(), DIMS_16x2).outputs == (0,)
 
 
 def test_load_reads_preexisting_memory():
@@ -136,7 +136,7 @@ def test_load_reads_preexisting_memory():
             ops=(Operation(0, "load", (~0,)),), outputs=(0,))
     vc = map_dfg(d, DIMS_16x2)
     mem = MemoryModel({16: 99})
-    assert execute(vc, ORIGIN, [16], mem, DIMS_16x2).outputs == (99,)
+    assert execute(vc, Pivot(0, 0), [16], mem, DIMS_16x2).outputs == (99,)
 
 
 def store_then_load_dfg() -> Dfg:
@@ -156,7 +156,7 @@ def test_store_visible_to_strictly_later_load():
     store, load = vc.placements[0], vc.placements[5]
     assert load.col_start >= store.col_start + store.width
     # in0=16 address, in1=7 stored word, in2=0 keeps the chain at 16
-    result = execute(vc, ORIGIN, [16, 7, 0], MemoryModel(), DIMS_16x2)
+    result = execute(vc, Pivot(0, 0), [16, 7, 0], MemoryModel(), DIMS_16x2)
     assert result.outputs == (7,)
     assert result.memory.read(16) == 7
 
@@ -170,7 +170,7 @@ def test_store_invisible_to_overlapping_load():
     ), outputs=(1,))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start == vc.placements[1].col_start
-    result = execute(vc, ORIGIN, [16, 7], MemoryModel(), DIMS_16x2)
+    result = execute(vc, Pivot(0, 0), [16, 7], MemoryModel(), DIMS_16x2)
     assert result.outputs == (0,)
     assert result.memory.read(16) == 7  # the store still lands afterwards
 
@@ -183,14 +183,14 @@ def test_later_store_wins_final_memory():
     vc = map_dfg(d, DIMS_16x2)
     first, second = vc.placements[0], vc.placements[1]
     assert first.col_start < second.col_start  # port rule staggers them
-    result = execute(vc, ORIGIN, [8, 11, 22], MemoryModel(), DIMS_16x2)
+    result = execute(vc, Pivot(0, 0), [8, 11, 22], MemoryModel(), DIMS_16x2)
     assert result.memory.read(8) == 22
 
 
 def test_empty_dfg_executes_to_nothing():
     d = Dfg(name="empty", num_inputs=0, ops=(), outputs=())
     vc = map_dfg(d, DIMS_16x2)
-    result = execute(vc, ORIGIN, [], MemoryModel(), DIMS_16x2)
+    result = execute(vc, Pivot(0, 0), [], MemoryModel(), DIMS_16x2)
     assert result.outputs == ()
     assert result.memory == MemoryModel()
 
@@ -198,7 +198,7 @@ def test_empty_dfg_executes_to_nothing():
 def test_execute_rejects_wrong_input_count():
     vc = map_dfg(store_then_load_dfg(), DIMS_16x2)
     with pytest.raises(ValueError):
-        execute(vc, ORIGIN, [1, 2], MemoryModel(), DIMS_16x2)
+        execute(vc, Pivot(0, 0), [1, 2], MemoryModel(), DIMS_16x2)
 
 
 PIVOT_TAKERS = {
@@ -241,7 +241,7 @@ def test_pivot_invariance_against_origin_oracle():
     for vc in fitted_random_vcs(DIMS_8x2, 40, seed=17):
         inputs = [rng.getrandbits(32) for _ in range(vc.dfg.num_inputs)]
         seed_mem = {rng.getrandbits(6): rng.getrandbits(32) for _ in range(4)}
-        oracle = execute(vc, ORIGIN, inputs, MemoryModel(seed_mem), DIMS_8x2)
+        oracle = execute(vc, Pivot(0, 0), inputs, MemoryModel(seed_mem), DIMS_8x2)
         for r in range(2):
             for c in range(8):
                 got = execute(vc, Pivot(r, c), inputs, MemoryModel(seed_mem), DIMS_8x2)
@@ -263,7 +263,8 @@ def test_execute_matches_column_stepping_oracle(dims):
                   for _ in range(vc.dfg.num_inputs)]
         seed_mem = {addr: rng.getrandbits(32) for addr in range(4)}
         expected = execute_by_columns(vc, inputs, seed_mem, dims.num_cols)
-        for pivot in (ORIGIN, Pivot(rng.randrange(dims.num_rows), rng.randrange(dims.num_cols))):
+        moved = Pivot(rng.randrange(dims.num_rows), rng.randrange(dims.num_cols))
+        for pivot in (Pivot(0, 0), moved):
             got = execute(vc, pivot, inputs, MemoryModel(seed_mem), dims)
             assert (got.outputs, got.memory.as_dict()) == expected, (vc.dfg.name, pivot)
 
@@ -285,15 +286,15 @@ def test_schedule_is_the_column_stepping_order(dims):
 
 def test_origin_allocation_legal_under_baseline_plan():
     vc = map_dfg(store_then_load_dfg(), DIMS_16x2)
-    alloc = allocate(vc, ORIGIN, DIMS_16x2)
-    plan = reconfig_plan(ORIGIN, DIMS_16x2)
+    alloc = allocate(vc, Pivot(0, 0), DIMS_16x2)
+    plan = reconfig_plan(Pivot(0, 0), DIMS_16x2)
     assert check_physical_legality(alloc, plan, DIMS_16x2) == []
 
 
 def test_mismatched_plan_reports_line_select_violations():
     vc = map_dfg(store_then_load_dfg(), DIMS_16x2)
     alloc = allocate(vc, Pivot(0, 2), DIMS_16x2)
-    baseline_plan = reconfig_plan(ORIGIN, DIMS_16x2)
+    baseline_plan = reconfig_plan(Pivot(0, 0), DIMS_16x2)
     violations = check_physical_legality(alloc, baseline_plan, DIMS_16x2)
     assert violations
     assert any("line select" in v for v in violations)
@@ -390,8 +391,8 @@ def test_cell_map_key_no_op_owns_is_a_violation():
 
 def test_wrap_feedback_messages_are_exact():
     alloc, plan = _corruptible_allocation()  # pivot (1, 2): the mux belongs on column 2
-    origin = allocate(alloc.vc, ORIGIN, DIMS_8x2)
-    origin_plan = reconfig_plan(ORIGIN, DIMS_8x2)
+    origin = allocate(alloc.vc, Pivot(0, 0), DIMS_8x2)
+    origin_plan = reconfig_plan(Pivot(0, 0), DIMS_8x2)
 
     def wired(plan, on, flag=True):  # the mux engaged at the columns in `on`
         return plan._replace(wrap_feedback_enabled=tuple(

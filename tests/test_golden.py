@@ -6,7 +6,13 @@ and the table-driven parser, and its dse digests (one point that fits
 nothing, one that fits) when a failed point's error text was reduced to its
 label.  The "gen" digest was re-recorded when `gen` began writing compact
 JSON (``separators=(",", ":")`` in place of ``indent=2``): the same document,
-which ``json.load`` reads equal to the indented file.  A change that alters
+which ``json.load`` reads equal to the indented file.  "BP-rotating.summary",
+"BU-fixed.summary", "BU-rotating.summary" and "dse.json" were re-recorded when
+every reported number became one division of the integer counts: ``avg`` is
+now the sum of the counts over cells x executions, where it was a running
+float sum of per-cell rates, and the lifetime improvement is the ratio of the
+two worst counts, where it was the ratio of two rounded rates.  Only last
+digits of ``avg`` and of the improvement moved.  A change that alters
 any byte of the workload file, a heatmap CSV, a summary JSON, the DSE JSON,
 a placement dump, a misfit report or the printed text fails here; a change
 that means to alter an output format must re-record them and say so.
@@ -39,15 +45,15 @@ EXPECTED = {
     "BP-fixed.summary": "27e0180bfd3a86531dead458a575064f77dc3a621615db649702c50698a14120",
     "BP-rotating.stdout": "314e845c09d8a8b6ab268ac00e3b2247a26a3ed00629bb0104493be6ef5cdcea",
     "BP-rotating.heatmap": "24f81c9e4f07b2ee9c2a77afb83e6fbce60887c3eabe77b714905195f8055ca8",
-    "BP-rotating.summary": "5610304606556780373910961d46f81b3ac09f898583645635ad13d97b6271a4",
+    "BP-rotating.summary": "06f2fb7e59d71f9f8fe37c20691b5127fa6112514589b3e8dd5496659f98ece3",
     "BU-fixed.stdout": "4b8ed00076a52a59d00d9f8208faf8071956b05e3090fc44662c067e6f80204f",
     "BU-fixed.heatmap": "51827cba06f894dbb4936702bb6d5fa591a179f7d4a05f23ef22a585ae147f1d",
-    "BU-fixed.summary": "f8e9876fb390c6d13a6c8d0c566a00edb8f8a5a5abd590dff4f7c4d87a711c5c",
+    "BU-fixed.summary": "494da7153fcd25edbea1ae8528f1c536960b0adfd1fc1d4d5d42ce1df63b52de",
     "BU-rotating.stdout": "6f4ffab08474abf71a9520b2914bd20c2041a9e4c84b0b7a15ebf403ba09c234",
     "BU-rotating.heatmap": "58d5c96e6b89c8ee8465f004cedf4411618c66c872c0e399850bddc0cf517b2f",
-    "BU-rotating.summary": "87c4b17dd2e50a8c64849efd4bcb94733e5545707c6da98110148848e215a969",
+    "BU-rotating.summary": "448064260d01c2cfe856e04d71514e269f7fe3c3338cf175cea91324faec38a6",
     "dse.stdout": "0080f1eff49e9b398d1580879f5e63bdda30063b5b7b00f62ca3f0dda60f698a",
-    "dse.json": "ff3af1999965794455852e93227c8b741992222b11af5e265f753aa098d6c3ea",
+    "dse.json": "ea14f23f6ecc2120ae0422066ae2e681acefea23c85851d87f821ee70b50bafa",
 }
 
 

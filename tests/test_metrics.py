@@ -5,13 +5,7 @@ import pytest
 from cgralloc.allocation import AllocationPolicy, allocate, pivot_at
 from cgralloc.dse import replay_trace
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
-from cgralloc.metrics import (
-    EmptyMapError,
-    UtilizationMap,
-    export_heatmap,
-    summarize,
-    utilization_rates,
-)
+from cgralloc.metrics import UtilizationMap, export_heatmap, summarize
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
@@ -51,6 +45,13 @@ def test_record_single_execution():
     assert sum(sum(row) for row in m.active_count) == 1
 
 
+def test_utilization_map_is_an_immutable_named_tuple():
+    m = replay_one(single_add_vc(), executions=3)
+    assert m == (DIMS_16x2, m.active_count, 3)
+    with pytest.raises(AttributeError):
+        m.total_executions = 0
+
+
 def test_memory_op_bumps_all_four_cells():
     m = replay_one(single_load_vc())
     assert m.active_count[0][:4] == [1, 1, 1, 1]
@@ -61,9 +62,9 @@ def test_rates_simple_fraction():
     dims = FabricDims(num_cols=2, num_rows=1)
     # the two-cell fabric alternates the single op between its cells
     m = replay_one(single_add_vc(dims), dims, 100, AllocationPolicy.ROTATING)
-    rates = utilization_rates(m)
-    assert rates == [[0.5, 0.5]]
+    assert m.active_count == [[50, 50]]
     assert m.total_executions == 100
+    assert export_heatmap(m) == "#rows=1,cols=2,executions=100\n0.500000,0.500000\n"
 
 
 def test_all_zero_counts_give_all_zero_rates():
@@ -72,21 +73,16 @@ def test_all_zero_counts_give_all_zero_rates():
     empty = map_dfg(Dfg(name="empty", num_inputs=0, ops=(), outputs=()), DIMS_16x2)
     m = replay_one(empty, executions=5)
     assert m.total_executions == 5
-    assert utilization_rates(m) == [[0.0] * 16, [0.0] * 16]
-
-
-def test_rates_reject_empty_map():
-    with pytest.raises(EmptyMapError):
-        utilization_rates(UtilizationMap(DIMS_16x2))
-    with pytest.raises(EmptyMapError):
-        summarize(UtilizationMap(DIMS_16x2))
+    assert m.active_count == [[0] * 16, [0] * 16]
+    s = summarize(m)
+    assert s.avg == s.max == s.min == 0.0
+    assert s.histogram[0] == DIMS_16x2.num_cells
 
 
 def test_rates_match_fraction_of_executions():
     m = replay_one(single_add_vc(), executions=100)
-    rates = utilization_rates(m)
-    assert rates[0][0] == 1.0
-    assert rates[1][5] == 0.0
+    assert m.active_count[0][0] == m.total_executions == 100
+    assert m.active_count[1][5] == 0
 
 
 def test_recount_oracle_over_replayed_scenario():
@@ -122,20 +118,14 @@ def test_recount_oracle_over_replayed_scenario():
 
 def test_summarize_uniform_rates():
     dims = FabricDims(num_cols=2, num_rows=2)
-    m = UtilizationMap(dims)
-    m.active_count = [[25, 25], [25, 25]]
-    m.total_executions = 100
-    s = summarize(m)
+    s = summarize(UtilizationMap(dims, [[25, 25], [25, 25]], 100))
     assert s.avg == s.max == s.min == 0.25
     assert s.argmax == (0, 0)
 
 
 def test_summarize_corner_case_and_argmax_tiebreak():
     dims = FabricDims(num_cols=2, num_rows=2)
-    m = UtilizationMap(dims)
-    m.active_count = [[10, 0], [0, 10]]
-    m.total_executions = 10
-    s = summarize(m)
+    s = summarize(UtilizationMap(dims, [[10, 0], [0, 10]], 10))
     assert s.max == 1.0
     assert s.min == 0.0
     assert s.avg == 0.5
@@ -171,7 +161,7 @@ def test_heatmap_roundtrip_idempotent():
     rates, dims, executions = parse_heatmap(export_heatmap(m))
     assert dims == DIMS_16x2
     assert executions == 7
-    assert rates == [[float(f"{rate:.6f}") for rate in row] for row in utilization_rates(m)]
+    assert rates == [[float(f"{n / 7:.6f}") for n in row] for row in m.active_count]
 
 
 def test_heatmap_shape_matches_dims():
@@ -214,6 +204,7 @@ def test_full_rotation_yields_exact_uniform_rates():
         dims = FabricDims(num_cols=cols, num_rows=2)
         vc = single_load_vc(dims)
         m = replay_one(vc, dims, dims.num_cells, AllocationPolicy.ROTATING)
-        expected = len(vc.occupied_cells) / dims.num_cells
-        rates = utilization_rates(m)
-        assert all(rate == expected for row in rates for rate in row)
+        occupied = len(vc.occupied_cells)
+        assert m.active_count == [[occupied] * cols, [occupied] * cols]
+        s = summarize(m)
+        assert s.avg == s.max == s.min == occupied / dims.num_cells

@@ -25,9 +25,11 @@ def test_package_exports_only_the_entry_points():
 def test_readme_library_example_runs_as_written():
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    out = io.StringIO()
+    out, names = io.StringIO(), {}
     with contextlib.redirect_stdout(out):
-        exec(code, {})
+        exec(code, names)
     baseline, proposed, improvement = map(float, out.getvalue().split())
     assert baseline == 1.0 and 0 < proposed < 1.0
-    assert improvement == baseline / proposed
+    # the fixed run's worst cell is busy in every execution, so its count is T
+    umap = names["umap"]
+    assert improvement == umap.total_executions / max(map(max, umap.active_count))

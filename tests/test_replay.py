@@ -11,7 +11,7 @@ from cgralloc.dse import map_workload, replay_trace
 from cgralloc.mapper import FabricDims
 from cgralloc.workload import GeneratorParams, Workload, generate_random_workload
 
-from replay_oracle import EMPTY_DFG, mismatches, replay_per_execution
+from replay_oracle import EMPTY_DFG, inexact_numbers, mismatches, replay_per_execution
 
 
 @st.composite
@@ -95,3 +95,7 @@ def test_replay_cost_does_not_grow_with_repeat_counts():
 
 def test_seeded_scenarios_match_per_execution_replay():
     assert mismatches() == []
+
+
+def test_every_reported_number_is_its_exact_value_rounded_once():
+    assert inexact_numbers() == []
