@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 _SIXTH = 1.0 / 6.0
 
@@ -81,13 +82,14 @@ def lifetime(params: AgingParams, u: float) -> float:
     """Years until the delay threshold is reached at constant utilization u.
 
     Closed form of the smallest t with delay_increase(t, u) >= threshold:
-    reference_lifetime / u.  An idle unit (u = 0) never reaches the
-    threshold; that is signalled as math.inf.
+    reference_lifetime / u, rounded once (so exact for a Fraction u).  An
+    idle unit (u = 0) never reaches the threshold; that is signalled as
+    math.inf.
     """
     _check_u(u)
-    if u == 0.0:
+    if u == 0:
         return math.inf
-    return params.reference_lifetime_years / u
+    return float(Fraction(params.reference_lifetime_years) / u)
 
 
 def lifetime_improvement(u_baseline: float, u_proposed: float) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, product
 from operator import add
 
@@ -33,6 +34,7 @@ PRESETS: dict[str, FabricDims] = {
     "BU": FabricDims(num_cols=32, num_rows=8),
 }
 
+_PAIR = (AllocationPolicy.FIXED_ORIGIN, AllocationPolicy.ROTATING)  # baseline, proposed
 _NOTHING_RUN = UtilizationSummary(avg=0.0, max=0.0, min=0.0, argmax=(0, 0), histogram=())
 
 
@@ -188,8 +190,7 @@ def run_scenario_with_map(
     dims: FabricDims,
     workload: Workload,
     aging_params: aging.AgingParams,
-    policies: tuple[AllocationPolicy, ...] = (AllocationPolicy.FIXED_ORIGIN,
-                                              AllocationPolicy.ROTATING),
+    policies: tuple[AllocationPolicy, ...] = _PAIR,
 ) -> tuple[ScenarioResult, UtilizationMap]:
     """Map once, replay under each policy, summarize the last run.
 
@@ -200,7 +201,13 @@ def run_scenario_with_map(
     kept as an int, and the result carries baseline_max_util = b / T and
     lifetime_improvement = b / (the second run's worst-cell count).
     """
-    mapped, skipped = map_workload(workload, dims)
+    return _run_mapped(dims, workload, map_workload(workload, dims)[0], aging_params, policies)
+
+
+def _run_mapped(dims: FabricDims, workload: Workload, mapped: dict[int, VirtualConfiguration],
+                aging_params: aging.AgingParams, policies: tuple[AllocationPolicy, ...]
+                ) -> tuple[ScenarioResult, UtilizationMap]:
+    """run_scenario_with_map on the DFGs mapped on `dims`; the others are skipped."""
     if not mapped:
         raise EmptyScenarioError(f"{_label(dims)}: no DFG of the workload fits")
     worst: list[int] = []
@@ -209,14 +216,13 @@ def run_scenario_with_map(
         if umap.total_executions == 0:
             raise EmptyScenarioError(f"{_label(dims)}: trace only references skipped DFGs")
         worst.append(max(map(max, umap.active_count)))
-    summary = summarize(umap)
     base, prop = worst if len(worst) == 2 else (None, None)
     result = ScenarioResult(
         dims=dims,
-        summary=summary,
+        summary=summarize(umap),
         total_executions=umap.total_executions,
-        lifetime_years=aging.lifetime(aging_params, summary.max),
-        skipped_dfgs=tuple(skipped),
+        lifetime_years=aging.lifetime(aging_params, Fraction(worst[-1], umap.total_executions)),
+        skipped_dfgs=tuple((i, d.name) for i, d in enumerate(workload.dfgs) if i not in mapped),
         baseline_max_util=None if base is None else base / umap.total_executions,
         lifetime_improvement=None if base is None else (base / prop if prop else math.inf),
     )
@@ -231,20 +237,27 @@ def sweep(
 ) -> list[ScenarioResult]:
     """Paired comparison at every (cols, rows) point, ordered by (cols, rows).
 
-    Scenario failures (nothing fits) become failed entries; the sweep keeps
-    going.
+    Each row count is mapped once, at the largest column count C: first fit
+    scans columns left to right, so a DFG fits C' <= C columns exactly when its
+    C-column ops all end by column C', with the same placements.  Scenario
+    failures (nothing fits) become failed entries; the sweep keeps going.
     """
     if not col_values or not row_values:
         raise ValueError("need at least one column count and one row count")
-    grid = [FabricDims(num_cols=c, num_rows=r)
-            for c, r in sorted(product(col_values, row_values))]
-    results = []
-    for dims in grid:
-        try:
-            results.append(run_scenario_with_map(dims, workload, aging_params)[0])
-        except EmptyScenarioError as e:
-            results.append(ScenarioResult.failed(dims, str(e)))
-    return results
+    grid = [FabricDims(num_cols=c, num_rows=r) for c, r in sorted(product(col_values, row_values))]
+    results: dict[FabricDims, ScenarioResult] = {}  # a repeated point is run once
+    for rows in sorted(set(row_values)):  # one row count's mapping is alive at a time
+        mapped, _ = map_workload(workload, FabricDims(num_cols=max(col_values), num_rows=rows))
+        ends = {i: max((c + w for _, _, c, w in vc.placements), default=0)
+                for i, vc in mapped.items()}
+        for cols in sorted(set(col_values)):
+            dims = FabricDims(num_cols=cols, num_rows=rows)
+            fits = {i: vc for i, vc in mapped.items() if ends[i] <= cols}
+            try:
+                results[dims] = _run_mapped(dims, workload, fits, aging_params, _PAIR)[0]
+            except EmptyScenarioError as e:
+                results[dims] = ScenarioResult.failed(dims, str(e))
+    return [results[dims] for dims in grid]
 
 
 def results_table(results: list[ScenarioResult]) -> str:

@@ -10,7 +10,7 @@ columns outward and rows top-down, so cell (0, 0) is always used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .workload import Dfg, WorkloadSemanticError
@@ -99,20 +99,15 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
     outward and, within a column, rows top-down; the op takes the first spot
     where its full width is free, fits inside the fabric, and respects the
     memory-port rule (at most one load and one store may begin per column).
+    A column's used rows are one bitmask; its lowest free row is `~used & (used + 1)`.
     """
     num_rows, num_cols = dims.num_rows, dims.num_cols
     all_rows = (1 << num_rows) - 1
     taken = [0] * num_cols  # per column, a bitmask of the rows already used
     load_cols, store_cols = set(), set()  # columns where a load, or a store, already begins
     ends = [0] * len(d.ops)  # per op id, its completion boundary once placed
-    placements = [None] * len(d.ops)  # indexed by op id
+    placements = []  # in op id order
     for op_id, (_, opcode, sources) in enumerate(d.ops):
-        if opcode == "load":
-            width, ports = MEMORY_WIDTH, load_cols
-        elif opcode == "store":
-            width, ports = MEMORY_WIDTH, store_cols
-        else:
-            width, ports = ALU_WIDTH, None
         earliest = 0
         for s in sources:
             if s >= 0:  # a negative ref reads an input
@@ -121,27 +116,36 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
                         [f"op {op_id} references op {s}, which is not listed before it"])
                 if ends[s] > earliest:
                     earliest = ends[s]
-
-        for col in range(earliest, num_cols - width + 1):
-            if ports is not None and col in ports:
-                continue
-            used = taken[col]
-            if width > 1:
-                for c in range(col + 1, col + width):
-                    used |= taken[c]
-            free = all_rows & ~used
-            if free:
-                break
-        else:
-            raise DoesNotFitError(op_id, earliest, dims)
-
-        row_bit = free & -free  # lowest free row
-        for c in range(col, col + width):
-            taken[c] |= row_bit
-        if ports is not None:
+        if opcode == "load" or opcode == "store":
+            ports = load_cols if opcode == "load" else store_cols
+            for col in range(earliest, num_cols - MEMORY_WIDTH + 1):
+                used = taken[col]
+                if used != all_rows and col not in ports:
+                    for c in range(col + 1, col + MEMORY_WIDTH):
+                        used |= taken[c]
+                    if used != all_rows:
+                        break
+            else:
+                raise DoesNotFitError(op_id, earliest, dims)
+            row_bit = ~used & (used + 1)
+            for c in range(col, col + MEMORY_WIDTH):
+                taken[c] |= row_bit
             ports.add(col)
+            width = MEMORY_WIDTH
+        else:
+            for col in range(earliest, num_cols):
+                used = taken[col]
+                if used != all_rows:
+                    break
+            else:
+                raise DoesNotFitError(op_id, earliest, dims)
+            row_bit = ~used & (used + 1)
+            taken[col] = used | row_bit
+            width = ALU_WIDTH
         ends[op_id] = col + width
-        placements[op_id] = Placement(op_id, row_bit.bit_length() - 1, col, width)
+        placements.append(_placement((op_id, row_bit.bit_length() - 1, col, width)))
 
     return VirtualConfiguration(d, tuple(placements))
 
+
+_placement = partial(tuple.__new__, Placement)  # builds the record in C, with no Python frame

@@ -5,8 +5,8 @@ graph executes and how many times in a row.  Each graph is a straight-line
 region written in program order: each operation reads external inputs or
 results of operations listed before it in the same graph, with no loops and
 no branches.  So the list order is the dependency order; a reference to the
-reading op itself or to a later op is an error.  ``parse_workload`` checks every
-rule as it reads the file; a hand-built ``Dfg`` meets only ``map_dfg``'s order guard.
+reading op itself or to a later op is an error.  ``parse_workload`` checks each rule as
+it reads each op and its refs; a hand-built ``Dfg`` meets only ``map_dfg``'s order guard.
 
 Value semantics are 32-bit two's-complement with wrapping arithmetic.  Shift
 amounts use the low 5 bits.  ``cmplt`` compares signed values and yields 0/1.
@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 WORKLOAD_FORMAT = 1
@@ -68,13 +69,14 @@ class WorkloadSemanticError(WorkloadError):
 ALU_OPCODES = ("add", "sub", "and", "or", "xor", "shl", "shr", "cmplt")
 OPCODES = ALU_OPCODES + ("load", "store")
 
-# one shared str per opcode: json.loads makes a new string for every value it reads
-_OPCODES = {op: op for op in OPCODES}
-
 
 def arity(opcode: str) -> int:
     """Number of sources an opcode takes."""
     return 1 if opcode == "load" else 2
+
+
+# opcode -> (one shared str, where json.loads makes a new one per value, and its arity)
+_OPCODES = {op: (op, arity(op)) for op in OPCODES}
 
 
 class Operation(NamedTuple):
@@ -156,7 +158,10 @@ def parse_workload(text: str) -> Workload:
 
 
 def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
-    """One DFG, its broken rules appended to `violations`; raises _Malformed on a shape problem."""
+    """One DFG, its broken rules appended to `violations`; raises _Malformed on a shape problem.
+
+    One walk reads each op and its refs, then the outputs with the same ref loop.  A ref is
+    range-checked before it becomes an int (~-1 would read op 0); a bad one is a violation."""
     if not isinstance(raw, dict):
         raise _Malformed(f"{where}: must be an object")
     name = raw.get("name")
@@ -176,79 +181,73 @@ def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
 
     n = len(raw_ops)
     ops = []
-    for oi, rop in enumerate(raw_ops):
-        if not isinstance(rop, dict):
-            raise _Malformed(f"{where}.ops[{oi}]: must be an object")
-        raw_opcode = rop.get("opcode")
-        opcode = _OPCODES.get(raw_opcode) if type(raw_opcode) is str else None
-        if opcode is None:
-            raise _Malformed(f"{where}.ops[{oi}]: unknown opcode {raw_opcode!r}")
-        op_id = rop.get("id")
-        raw_srcs = rop.get("srcs")
-        if type(op_id) is not int:
-            raise _Malformed(f"{where}.ops[{oi}]: 'id' must be an integer")
-        if not isinstance(raw_srcs, list):
-            raise _Malformed(f"{where}.ops[{oi}]: 'srcs' must be a list")
-        if op_id != oi:
-            violations.append(f"{where}: op at position {oi} has id {op_id}; "
-                              f"ids must be dense 0..{n - 1}")
-        if len(raw_srcs) != arity(opcode):
-            violations.append(f"{where}: op {op_id}: {opcode} takes {arity(opcode)} source(s), "
-                              f"got {len(raw_srcs)}")
-        try:
-            srcs = _parse_refs(raw_srcs, op_id, where, num_inputs, ops, n, violations)
-        except _BadRef as e:
-            raise _Malformed(f"{where}.ops[{oi}].srcs[{e.args[0]}]: {e.args[1]}") from None
-        ops.append(Operation(op_id, opcode, srcs))
+    for oi, rop in enumerate([*raw_ops, None]):
+        if oi == n:  # after every op, so none is listed later
+            op_id, raw_refs = None, raw_outputs
+        else:
+            try:  # a subscript is cheaper than get(); a missing key or a non-object raises
+                raw_opcode, op_id, raw_refs = rop["opcode"], rop["id"], rop["srcs"]
+            except (KeyError, TypeError):
+                if not isinstance(rop, dict):
+                    raise _Malformed(f"{where}.ops[{oi}]: must be an object") from None
+                raw_opcode, op_id, raw_refs = rop.get("opcode"), rop.get("id"), rop.get("srcs")
+            known = _OPCODES.get(raw_opcode) if type(raw_opcode) is str else None
+            if known is None:
+                raise _Malformed(f"{where}.ops[{oi}]: unknown opcode {raw_opcode!r}")
+            opcode, num_srcs = known
+            if type(op_id) is not int:
+                raise _Malformed(f"{where}.ops[{oi}]: 'id' must be an integer")
+            if not isinstance(raw_refs, list):
+                raise _Malformed(f"{where}.ops[{oi}]: 'srcs' must be a list")
+            if op_id != oi:
+                violations.append(f"{where}: op at position {oi} has id {op_id}; "
+                                  f"ids must be dense 0..{n - 1}")
+            if len(raw_refs) != num_srcs:
+                violations.append(f"{where}: op {op_id}: {opcode} takes {num_srcs} source(s), "
+                                  f"got {len(raw_refs)}")
+        refs = []
+        for k, ref in enumerate(raw_refs):
+            try:
+                kind, index = ref["kind"], ref["index"]
+            except (KeyError, TypeError):
+                if not isinstance(ref, dict):
+                    raise _bad_ref(where, oi, op_id, k, "must be an object") from None
+                kind, index = ref.get("kind"), ref.get("index")
+            if kind != "input" and kind != "op":
+                raise _bad_ref(where, oi, op_id, k, "kind must be 'input' or 'op'")
+            if type(index) is not int:  # true and 1.0 compare equal to 1
+                raise _bad_ref(where, oi, op_id, k, "'index' must be an integer")
+            if kind == "input":
+                if 0 <= index < num_inputs:
+                    refs.append(~index)
+                    continue
+                problem = f"references nonexistent input {index} (have {num_inputs})"
+            elif not 0 <= index < n:
+                problem = f"references nonexistent op {index}"
+            elif index >= oi:
+                problem = f"references op {index}, which is not listed before it"
+            elif ops[index][1] == "store":
+                problem = f"sources op {index}, a store, which produces no value"
+            else:
+                refs.append(index)
+                continue
+            reader = f"output {k}" if op_id is None else f"op {op_id}"
+            violations.append(f"{where}: {reader} {problem}")
+        if op_id is None:
+            return Dfg(name, num_inputs, tuple(ops), tuple(refs))
+        ops.append(_operation((op_id, opcode, tuple(refs))))
 
-    try:  # read after every op, so none is listed later
-        outputs = _parse_refs(raw_outputs, None, where, num_inputs, ops, n, violations)
-    except _BadRef as e:
-        raise _Malformed(f"{where}.outputs[{e.args[0]}]: {e.args[1]}") from None
-    return Dfg(name, num_inputs, tuple(ops), outputs)
+
+_operation = partial(tuple.__new__, Operation)  # builds the record in C, with no Python frame
 
 
 class _Malformed(Exception):
     """A DFG whose shape cannot be read; args: (the problem, with its location)."""
 
 
-class _BadRef(Exception):
-    """args: (position of the first bad reference in its list, the problem)."""
-
-
-def _parse_refs(raws: list, op_id: int | None, where: str, num_inputs: int,
-                ops: list[Operation], n: int, violations: list[str]) -> tuple[int, ...]:
-    """The refs that op `op_id` (None: the DFG's outputs) reads, as ints: k for op k, ~i
-    for input i.  Each is checked against the `num_inputs` inputs, the `n` ops and the
-    `ops` listed before the reader, before it is encoded (~-1 would read op 0); a ref to
-    anything else is appended to `violations` and left out."""
-    refs = []
-    for i, raw in enumerate(raws):
-        if not isinstance(raw, dict):
-            raise _BadRef(i, "must be an object")
-        kind = raw.get("kind")
-        index = raw.get("index")
-        if kind != "input" and kind != "op":
-            raise _BadRef(i, "kind must be 'input' or 'op'")
-        if type(index) is not int:  # true and 1.0 compare equal to 1
-            raise _BadRef(i, "'index' must be an integer")
-        if kind == "input":
-            if 0 <= index < num_inputs:
-                refs.append(~index)
-                continue
-            problem = f"references nonexistent input {index} (have {num_inputs})"
-        elif not 0 <= index < n:
-            problem = f"references nonexistent op {index}"
-        elif index >= len(ops):
-            problem = f"references op {index}, which is not listed before it"
-        elif ops[index].opcode == "store":
-            problem = f"sources op {index}, a store, which produces no value"
-        else:
-            refs.append(index)
-            continue
-        reader = f"output {i}" if op_id is None else f"op {op_id}"
-        violations.append(f"{where}: {reader} {problem}")
-    return tuple(refs)
+def _bad_ref(where: str, oi: int, op_id: int | None, k: int, problem: str) -> _Malformed:
+    at = f"outputs[{k}]" if op_id is None else f"ops[{oi}].srcs[{k}]"
+    return _Malformed(f"{where}.{at}: {problem}")
 
 
 def serialize_workload(w: Workload) -> str:

@@ -19,10 +19,12 @@ def _ref(kind, index):
 
 
 def _doc(ops, trace=([0, 1],), outputs=(("op", 0),), num_inputs=2, name="d"):
-    return {"format": 1,
-            "dfgs": [{"name": name, "num_inputs": num_inputs, "ops": list(ops),
-                      "outputs": [_ref(k, i) for k, i in outputs]}],
-            "trace": list(trace)}
+    return _dfgs({"name": name, "num_inputs": num_inputs, "ops": list(ops),
+                  "outputs": [_ref(k, i) for k, i in outputs]}, trace=trace)
+
+
+def _dfgs(*dfgs, trace=([0, 1],)):
+    return {"format": 1, "dfgs": list(dfgs), "trace": list(trace)}
 
 
 _ADD = {"id": 0, "opcode": "add", "srcs": [_ref("input", 0), _ref("input", 1)]}
@@ -118,6 +120,51 @@ MALFORMED = {
              outputs=(("op", -1),)),
         "dfgs[0]: op 1 references nonexistent op -1; "
         "dfgs[0]: output 0 references nonexistent op -1"),
+    # The shape texts below were recorded before each op's refs were read in the op walk.
+    "op not an object": (_doc([_ADD, [0, "add"]]), "dfgs[0].ops[1]: must be an object"),
+    "string id": (_doc([{**_ADD, "id": "0"}]), "dfgs[0].ops[0]: 'id' must be an integer"),
+    "bool id": (_doc([{**_ADD, "id": False}]), "dfgs[0].ops[0]: 'id' must be an integer"),
+    "missing srcs": (_doc([{"id": 0, "opcode": "add"}]), "dfgs[0].ops[0]: 'srcs' must be a list"),
+    "src not an object": (_doc([{**_ADD, "srcs": [_ref("input", 0), 1]}]),
+                          "dfgs[0].ops[0].srcs[1]: must be an object"),
+    # a shape problem of a ref is reported even after a range problem of the same op
+    "src not an object after a bad range": (
+        _doc([{**_ADD, "srcs": [_ref("input", 9), None]}]),
+        "dfgs[0].ops[0].srcs[1]: must be an object"),
+    "output not an object": (
+        _dfgs({"name": "d", "num_inputs": 2, "ops": [_ADD], "outputs": [_ref("op", 0), "op 0"]}),
+        "dfgs[0].outputs[1]: must be an object"),
+    "output kind": (_doc([_ADD], outputs=(("op", 0), ("value", 0))),
+                    "dfgs[0].outputs[1]: kind must be 'input' or 'op'"),
+    "output index": (_doc([_ADD], outputs=(("op", "0"),)),
+                     "dfgs[0].outputs[0]: 'index' must be an integer"),
+    "output missing index": (_doc([_ADD], outputs=(("input", None),)),
+                             "dfgs[0].outputs[0]: 'index' must be an integer"),
+    # a bad op ends its DFG's walk: the outputs are not read
+    "bad op before bad outputs": (_doc([{**_ADD, "srcs": {}}], outputs=(("x", 0),)),
+                                  "dfgs[0].ops[0]: 'srcs' must be a list"),
+    "name not a string": (_doc([_ADD], name=7), "dfgs[0]: 'name' must be a string"),
+    "num_inputs not an integer": (_doc([_ADD], num_inputs=2.0),
+                                  "dfgs[0]: 'num_inputs' must be an integer"),
+    "ops not a list": (_dfgs({"name": "d", "num_inputs": 2, "ops": {}, "outputs": []}),
+                       "dfgs[0]: 'ops' and 'outputs' must be lists"),
+    "outputs missing": (_dfgs({"name": "d", "num_inputs": 2, "ops": []}),
+                        "dfgs[0]: 'ops' and 'outputs' must be lists"),
+    # every malformed DFG is reported, and its violations and the trace's are not
+    "two malformed dfgs": (
+        _dfgs({"name": "a", "num_inputs": -1, "ops": [_ADD], "outputs": [_ref("op", 5)]},
+              "b",
+              {"name": "c", "num_inputs": 2, "ops": [_ADD], "outputs": [[]]},
+              trace=([9, 0],)),
+        "dfgs[1]: must be an object; dfgs[2].outputs[0]: must be an object"),
+    "top level not an object": ([], "top level must be an object"),
+    "missing format": ({"dfgs": [], "trace": []}, "unsupported format None, expected 1"),
+    "format 2": ({"format": 2, "dfgs": [], "trace": []}, "unsupported format 2, expected 1"),
+    "format true": ({"format": True, "dfgs": [], "trace": []},
+                    "unsupported format True, expected 1"),
+    "dfgs not a list": ({"format": 1, "dfgs": {}, "trace": []}, "'dfgs' must be a list"),
+    "trace not a list": ({"format": 1, "dfgs": [], "trace": None}, "'trace' must be a list"),
+    "empty trace": (_doc([_ADD], trace=()), "empty trace"),
 }
 
 

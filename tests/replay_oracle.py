@@ -7,7 +7,7 @@ under ROTATING and never under FIXED_ORIGIN.  Its cost grows with the number
 of executions, so tests keep their traces small.
 
 Its counts are also the input of an exact oracle for the reported numbers:
-each summary rate and bin and the paired lifetime improvement must equal its
+each summary rate and bin, the lifetime and the paired lifetime improvement must equal its
 `fractions.Fraction` value rounded once by `float()`, and argmax must name
 the smallest (row, col) of a busiest cell.
 
@@ -112,17 +112,25 @@ def exact_summary(counts: list[list[int]], total: int) -> dict:
             "min": float(min(rates)), "histogram": histogram, "argmax": list(argmax)}
 
 
+def exact_lifetime(aging: AgingParams, top: int, total: int) -> float:
+    """The reference lifetime over the worst rate top / total, exact, then rounded once;
+    unbounded when the worst cell is idle."""
+    if top == 0:
+        return math.inf
+    return float(Fraction(aging.reference_lifetime_years) * total / top)
+
+
 def inexact_numbers() -> list[str]:
     """One line per reported number that is not its exact value rounded once.
 
-    On 10 seeded scenarios per fabric of EXACT_FABRICS, the counts come from
-    the per-execution replay.  Both policies' summaries are checked, and the
-    paired run's lifetime improvement against the fixed and rotating worst
-    counts b and p: float(Fraction(b, p)), unbounded when p is 0.
+    On 40 seeded scenarios per fabric of EXACT_FABRICS, the counts come from
+    the per-execution replay.  Both policies' summaries and lifetimes are
+    checked, and the paired run's lifetime improvement against the fixed and
+    rotating worst counts b and p: float(Fraction(b, p)), unbounded when p is 0.
     """
     found = []
     aging = AgingParams()
-    for dims, workload in seeded_scenarios(EXACT_FABRICS, range(10)):
+    for dims, workload in seeded_scenarios(EXACT_FABRICS, range(40)):
         mapped, _ = map_workload(workload, dims)
         worst = []
         for policy in AllocationPolicy:
@@ -130,12 +138,13 @@ def inexact_numbers() -> list[str]:
             if want.total_executions == 0:  # the runner rejects such a trace
                 break
             worst.append(max(map(max, want.active_count)))
-            got = run_scenario_with_map(dims, workload, aging, (policy,))[0].summary.to_dict()
+            result = run_scenario_with_map(dims, workload, aging, (policy,))[0]
+            got = {**result.summary.to_dict(), "lifetime_years": result.lifetime_years}
+            exact = exact_summary(want.active_count, want.total_executions)
+            exact["lifetime_years"] = exact_lifetime(aging, worst[-1], want.total_executions)
             found += [f"{dims.num_cols}x{dims.num_rows} {policy.value} trace {workload.trace}: "
                       f"{key} {got[key]!r}, exact {value!r}"
-                      for key, value in exact_summary(want.active_count,
-                                                      want.total_executions).items()
-                      if got[key] != value]
+                      for key, value in exact.items() if got[key] != value]
         else:  # both runs counted executions: check the pair
             base, prop = worst
             want = float(Fraction(base, prop)) if prop else math.inf

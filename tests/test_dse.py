@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -172,6 +173,26 @@ def test_sweep_records_errors_and_continues():
     assert results[0].label == "L2W2"
     assert results[0].error == "L2W2: no DFG of the workload fits"
     assert results[1].error is None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sweep_equals_a_scenario_per_point(seed):
+    # unsorted and repeated column counts; 1x1 fits nothing, narrow points skip some DFGs
+    cols, rows = [12, 3, 1, 6, 12, 5, 30], [2, 1, 4]
+    w = generate_random_workload(
+        GeneratorParams(num_dfgs=12, ops_per_dfg=(3, 14), memory_op_fraction=0.3,
+                        trace_length=40), seed)
+    want = []
+    for c, r in sorted(product(cols, rows)):
+        dims = FabricDims(num_cols=c, num_rows=r)
+        try:
+            want.append(run_scenario_with_map(dims, w, AGING)[0])
+        except EmptyScenarioError as e:
+            want.append(ScenarioResult.failed(dims, str(e)))
+    assert sweep(cols, rows, w, AGING) == want
+    assert want[0].error == "L1W1: no DFG of the workload fits"
+    assert any(r.error is None and r.skipped_dfgs for r in want)
+    assert any(r.error is None and not r.skipped_dfgs for r in want)
 
 
 def test_sweep_rejects_empty_axis():

@@ -4,7 +4,7 @@ Both place ops in list order, which is a dependency order on the DFGs a
 workload may hold: every op reads only inputs and ops listed before it.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
@@ -15,7 +15,7 @@ from cgralloc.workload import (
     arity,
 )
 
-from mapper_oracle import map_dfg_per_cell
+from mapper_oracle import map_dfg_per_cell, mismatches
 
 
 @st.composite
@@ -35,8 +35,41 @@ def dfgs(draw):
     return Dfg(name="g", num_inputs=num_inputs, ops=tuple(ops), outputs=())
 
 
+def dfg(*ops: tuple[str, tuple[int, ...]]) -> Dfg:
+    """A DFG of (opcode, sources) ops, ids in list order, one input."""
+    return Dfg(name="g", num_inputs=1, outputs=(),
+               ops=tuple(Operation(i, opcode, srcs) for i, (opcode, srcs) in enumerate(ops)))
+
+
+# a load after an ALU op, on fabrics too narrow for it: op 1 misfits from column 1
+LOAD_AFTER_ADD = dfg(("add", (~0, ~0)), ("load", (0,)))
+# three ALU ops fill columns 0-2 of one row: on 7 columns the load's only start is
+# num_cols - 4 = 3, and on 6 it has none
+LAST_MEMORY_START = dfg(("add", (~0, ~0)), ("add", (~0, ~0)), ("add", (~0, ~0)),
+                        ("load", (~0,)))
+# the second load finds column 0's load port taken and begins at column 1
+PORT_CONFLICT = dfg(("load", (~0,)), ("load", (~0,)), ("store", (~0, ~0)))
+# one row: columns 0-1 are full before op 2's earliest column 2, and op 3 scans past
+# columns 0-2 to column 3, the last of 4 (on 3 columns it misfits)
+FULL_BEFORE_EARLIEST = dfg(("add", (~0, ~0)), ("add", (~0, ~0)), ("add", (1, ~0)),
+                           ("add", (~0, ~0)))
+# on 5x2, the second load's only start, column 1, is free on row 0 except in its last
+# column, where op 2 sits: it misfits
+WINDOW_END_TAKEN = dfg(("add", (~0, ~0)), ("load", (~0,)), ("add", (1, 0)), ("load", (~0,)))
+
+
+# narrow fabrics get a branch of their own: misfits and port conflicts happen there
 @settings(deadline=None, max_examples=300)
-@given(d=dfgs(), cols=st.integers(1, 40), rows=st.integers(1, 8))
+@given(d=dfgs(), cols=st.integers(1, 10) | st.integers(1, 40), rows=st.integers(1, 8))
+@example(d=LOAD_AFTER_ADD, cols=1, rows=2)
+@example(d=LOAD_AFTER_ADD, cols=2, rows=2)
+@example(d=LOAD_AFTER_ADD, cols=3, rows=2)
+@example(d=LAST_MEMORY_START, cols=7, rows=1)
+@example(d=LAST_MEMORY_START, cols=6, rows=1)
+@example(d=PORT_CONFLICT, cols=8, rows=2)
+@example(d=FULL_BEFORE_EARLIEST, cols=4, rows=1)
+@example(d=FULL_BEFORE_EARLIEST, cols=3, rows=1)
+@example(d=WINDOW_END_TAKEN, cols=5, rows=2)
 def test_map_dfg_matches_per_cell_first_fit(d, cols, rows):
     dims = FabricDims(num_cols=cols, num_rows=rows)
     try:
@@ -49,3 +82,7 @@ def test_map_dfg_matches_per_cell_first_fit(d, cols, rows):
         got = (e.op_id, e.frontier_col)
     assert got == want
 
+
+
+def test_seeded_dfgs_on_every_small_fabric_match_per_cell_first_fit():
+    assert mismatches() == []

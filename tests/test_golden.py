@@ -12,7 +12,11 @@ every reported number became one division of the integer counts: ``avg`` is
 now the sum of the counts over cells x executions, where it was a running
 float sum of per-cell rates, and the lifetime improvement is the ratio of the
 two worst counts, where it was the ratio of two rounded rates.  Only last
-digits of ``avg`` and of the improvement moved.  A change that alters
+digits of ``avg`` and of the improvement moved.  "BE-rotating.summary" and
+"dse.json" were re-recorded again when ``lifetime_years`` became the
+reference lifetime times the execution total over the worst count, rounded
+once, where it was the reference lifetime over an already rounded rate; only
+last digits of ``lifetime_years`` moved.  A change that alters
 any byte of the workload file, a heatmap CSV, a summary JSON, the DSE JSON,
 a placement dump, a misfit report or the printed text fails here; a change
 that means to alter an output format must re-record them and say so.
@@ -39,7 +43,7 @@ EXPECTED = {
     "BE-fixed.summary": "e0e34637836145998d38ef66a0d4a8ec6d73fb2b197988a71acef5abfdc2da5d",
     "BE-rotating.stdout": "b7064bc7785c40d09857c349763976b9569475fff3fd280848c9a799b41b6af8",
     "BE-rotating.heatmap": "a8e3a119b90af442a8183c7ce240fbf106be778b47d980ec5a90292f5195def4",
-    "BE-rotating.summary": "04e11de3e7a4c21bf92cb59c48ed029cb3830e8f1020263679a5c5d2cf7e7b7a",
+    "BE-rotating.summary": "8f8b180aeeb3a7d9b9524c85acb308f4755d75571039e3db2472f8afb70d4950",
     "BP-fixed.stdout": "3287cc68bc59fe2aff36842eaa5735a08c4f822a9f1978b82232c9310bfcd21b",
     "BP-fixed.heatmap": "d6dea6f0f4d69da0e5264b784afc672bb590d3cad0e1e7a79b79d609bed982c7",
     "BP-fixed.summary": "27e0180bfd3a86531dead458a575064f77dc3a621615db649702c50698a14120",
@@ -53,7 +57,7 @@ EXPECTED = {
     "BU-rotating.heatmap": "58d5c96e6b89c8ee8465f004cedf4411618c66c872c0e399850bddc0cf517b2f",
     "BU-rotating.summary": "448064260d01c2cfe856e04d71514e269f7fe3c3338cf175cea91324faec38a6",
     "dse.stdout": "0080f1eff49e9b398d1580879f5e63bdda30063b5b7b00f62ca3f0dda60f698a",
-    "dse.json": "ea14f23f6ecc2120ae0422066ae2e681acefea23c85851d87f821ee70b50bafa",
+    "dse.json": "9fe385d8246b77501c22c01d997820484944f6013bd4e69473036b97950d8e93",
 }
 
 
