@@ -84,12 +84,13 @@ def lifetime(params: AgingParams, u: float) -> float:
     Closed form of the smallest t with delay_increase(t, u) >= threshold:
     reference_lifetime / u, rounded once (so exact for a Fraction u).  An
     idle unit (u = 0) never reaches the threshold; that is signalled as
-    math.inf.
+    math.inf, and so is a lifetime past the largest float.
     """
     _check_u(u)
-    if u == 0:
+    try:
+        return float(Fraction(params.reference_lifetime_years) / u) if u else math.inf
+    except OverflowError:  # a Fraction too large for a float; float division rounds it to inf
         return math.inf
-    return float(Fraction(params.reference_lifetime_years) / u)
 
 
 def lifetime_improvement(u_baseline: float, u_proposed: float) -> float:

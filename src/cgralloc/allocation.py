@@ -75,7 +75,7 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
     num_rows, num_cols = dims.num_rows, dims.num_cols
     pivot_row, pivot_col = pivot.row, pivot.col
     cell_map: dict[int, tuple[tuple[int, int], ...]] = {}
-    for op_id, row, col_start, width in vc.placements:
+    for op_id, (row, col_start, width) in enumerate(vc.placements):
         row = (row + pivot_row) % num_rows
         col = col_start + pivot_col
         if width == 1:  # ALU ops: this literal is several times cheaper than a generator

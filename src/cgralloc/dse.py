@@ -146,9 +146,10 @@ def replay_trace(
     Skipped DFGs' entries are dropped.  Execution k lands on pivot_at(policy,
     k, dims), of period P = pivot_period(policy, dims): a run is full periods
     on every pivot plus one or two ranges of leftover pivots, counted per DFG
-    in C.  Each DFG's cells are added once per pivot hit (only those are built)
-    to a 2 x rows by 2 x cols grid, then folded onto the torus.  Cost: O(trace
-    entries) steps + sum over DFGs of pivots hit x occupied cells grid adds.
+    in C.  Each DFG's placed cells are added once per pivot hit (only those are
+    built) to a 2 x rows by 2 x cols grid, then folded onto the torus; that counts a
+    cell once per execution only because map_dfg placements never overlap.  Cost:
+    O(trace entries) steps + sum over DFGs of pivots hit x placed cells grid adds.
     """
     period = pivot_period(policy, dims)
     full: dict[int, int] = {}  # DFG -> full periods run
@@ -173,7 +174,8 @@ def replay_trace(
     for d in full.keys() | runs.keys():
         per_pivot = Counter(dict.fromkeys(range(period), full[d]) if d in full else ())
         per_pivot.update(chain.from_iterable(runs[d]))
-        offsets = [row * width + col for row, col in mapped[d].occupied_cells]
+        offsets = [row * width + c for row, col, w in mapped[d].placements
+                   for c in range(col, col + w)]
         for k, n in per_pivot.items():
             base = bases.get(k)
             if base is None:
@@ -248,7 +250,7 @@ def sweep(
     results: dict[FabricDims, ScenarioResult] = {}  # a repeated point is run once
     for rows in sorted(set(row_values)):  # one row count's mapping is alive at a time
         mapped, _ = map_workload(workload, FabricDims(num_cols=max(col_values), num_rows=rows))
-        ends = {i: max((c + w for _, _, c, w in vc.placements), default=0)
+        ends = {i: max((c + w for _, c, w in vc.placements), default=0)
                 for i, vc in mapped.items()}
         for cols in sorted(set(col_values)):
             dims = FabricDims(num_cols=cols, num_rows=rows)

@@ -46,7 +46,7 @@ def reconfig_plan(pivot: Pivot, dims: FabricDims) -> ReconfigPlan:
     check_pivot(pivot, dims)
     num_cols, n = dims.num_cols, dims.num_config_lines
     cycles = -(-num_cols // n)
-    lines = (list(range(n)) * cycles)[:num_cols]  # logical column c listens to line c mod n
+    lines = (list(range(min(n, num_cols))) * cycles)[:num_cols]  # logical column c: line c mod n
     split = num_cols - pivot.col  # physical column pivot.col hosts logical column 0
     return ReconfigPlan(
         tuple(lines[split:] + lines[:split]),
@@ -151,7 +151,7 @@ def execute(
     values: dict[int, int] = {}
     ops = dfg.ops
     for op_id in vc.schedule:
-        _, opcode, sources = ops[op_id]
+        opcode, sources = ops[op_id]
         s = sources[0]
         a = words[~s] if s < 0 else values[s]
         if opcode == "load":
@@ -189,7 +189,7 @@ def check_physical_legality(
     cell_map = alloc.cell_map
     logical_cells: set[tuple[int, int]] = set()
     physical_cells: list[tuple[int, int]] = []
-    for op_id, row, col_start, width in alloc.vc.placements:
+    for op_id, (row, col_start, width) in enumerate(alloc.vc.placements):
         cells = cell_map.get(op_id)
         if cells is None or len(cells) != width:
             violations.append(f"op {op_id}: cell map does not cover its {width} column(s)")

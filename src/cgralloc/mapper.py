@@ -43,9 +43,8 @@ class FabricDims:
 
 
 class Placement(NamedTuple):
-    """Where one op sits: an immutable named tuple that unpacks in field order."""
+    """Where one op sits; immutable, unpacks in field order.  The op is its position."""
 
-    op_id: int
     row: int
     col_start: int
     width: int
@@ -53,18 +52,10 @@ class Placement(NamedTuple):
 
 @dataclass(frozen=True)
 class VirtualConfiguration:
-    """A mapped DFG in logical fabric coordinates, before physical binding."""
+    """A mapped DFG in logical fabric coordinates: placements[k] is where op k sits."""
 
     dfg: Dfg
-    placements: tuple[Placement, ...]  # indexed by op id
-
-    @cached_property
-    def occupied_cells(self) -> frozenset[tuple[int, int]]:
-        cells = set()
-        for _, row, col_start, width in self.placements:
-            for c in range(col_start, col_start + width):
-                cells.add((row, c))
-        return frozenset(cells)
+    placements: tuple[Placement, ...]
 
     @cached_property
     def schedule(self) -> tuple[int, ...]:
@@ -73,7 +64,7 @@ class VirtualConfiguration:
         ops = self.dfg.ops
         return tuple(op_id for _, _, op_id in sorted(
             (col + width, 0, op_id) if ops[op_id].opcode == "store" else (col, 1, op_id)
-            for op_id, _, col, width in self.placements))
+            for op_id, (_, col, width) in enumerate(self.placements)))
 
 
 class DoesNotFitError(Exception):
@@ -107,7 +98,7 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
     load_cols, store_cols = set(), set()  # columns where a load, or a store, already begins
     ends = [0] * len(d.ops)  # per op id, its completion boundary once placed
     placements = []  # in op id order
-    for op_id, (_, opcode, sources) in enumerate(d.ops):
+    for op_id, (opcode, sources) in enumerate(d.ops):
         earliest = 0
         for s in sources:
             if s >= 0:  # a negative ref reads an input
@@ -143,7 +134,7 @@ def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:
             taken[col] = used | row_bit
             width = ALU_WIDTH
         ends[op_id] = col + width
-        placements.append(_placement((op_id, row_bit.bit_length() - 1, col, width)))
+        placements.append(_placement((row_bit.bit_length() - 1, col, width)))
 
     return VirtualConfiguration(d, tuple(placements))
 

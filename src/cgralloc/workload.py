@@ -30,8 +30,9 @@ Workload file format (JSON, ``"format": 1``), indented here for reading;
       "trace": [[0, 1]]
     }
 
-In memory a ref is a plain ``int``: ``k >= 0`` reads op k and ``~i`` (``-1 - i``)
-reads input i, so the output above is ``0`` and the two sources are ``-1, -2``.
+In memory an op is ``(opcode, sources)`` and its id is its position (the file's ``"id"``
+is checked, not kept).  A ref is a plain ``int``: ``k >= 0`` reads op k and ``~i``
+(``-1 - i``) reads input i: the output above is ``0``, the two sources ``-1, -2``.
 
 ``OPCODES`` lists the opcode strings.  ``load`` takes one source (the
 address); ``store`` takes two (address, value) and produces no value; every
@@ -80,7 +81,6 @@ _OPCODES = {op: (op, arity(op)) for op in OPCODES}
 
 
 class Operation(NamedTuple):
-    id: int
     opcode: str
     sources: tuple[int, ...]  # refs: k reads op k, ~i reads input i
 
@@ -88,7 +88,7 @@ class Operation(NamedTuple):
 class Dfg(NamedTuple):
     name: str
     num_inputs: int
-    ops: tuple[Operation, ...]
+    ops: tuple[Operation, ...]  # op k is ops[k]
     outputs: tuple[int, ...]
 
 
@@ -226,7 +226,7 @@ def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
                 problem = f"references nonexistent op {index}"
             elif index >= oi:
                 problem = f"references op {index}, which is not listed before it"
-            elif ops[index][1] == "store":
+            elif ops[index][0] == "store":
                 problem = f"sources op {index}, a store, which produces no value"
             else:
                 refs.append(index)
@@ -235,7 +235,7 @@ def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
             violations.append(f"{where}: {reader} {problem}")
         if op_id is None:
             return Dfg(name, num_inputs, tuple(ops), tuple(refs))
-        ops.append(_operation((op_id, opcode, tuple(refs))))
+        ops.append(_operation((opcode, tuple(refs))))
 
 
 _operation = partial(tuple.__new__, Operation)  # builds the record in C, with no Python frame
@@ -276,11 +276,9 @@ def serialize_workload(w: Workload) -> str:
         if type(d.num_inputs) is not int:
             raise WorkloadError(f"cannot write num_inputs {d.num_inputs!r}")
         ops = []
-        for op_id, opcode, sources in d.ops:
+        for op_id, (opcode, sources) in enumerate(d.ops):
             if type(opcode) is not str or opcode not in _OPCODES:  # a dict test, not a scan
                 raise WorkloadError(f"cannot write opcode {opcode!r}")
-            if type(op_id) is not int:
-                raise WorkloadError(f"cannot write op id {op_id!r}")
             ops.append(f'{{"id":{op_id},"opcode":"{opcode}","srcs":[{refs(sources)}]}}')
         dfgs.append(f'{{"name":{json.dumps(d.name)},"num_inputs":{d.num_inputs},'
                     f'"ops":[{",".join(ops)}],"outputs":[{refs(d.outputs)}]}}')
@@ -347,7 +345,7 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
             else:
                 opcode = rng.choice(ALU_OPCODES)
             srcs = tuple(rng.choice(available) for _ in range(arity(opcode)))
-            ops.append(Operation(oid, opcode, srcs))
+            ops.append(Operation(opcode, srcs))
             if opcode != "store":
                 available.append(oid)
         k = min(len(available), rng.randint(1, MAX_OUTPUTS))

@@ -49,26 +49,26 @@ def execute_by_columns(
         return words[-1 - ref] if ref < 0 else values[ref]
 
     for col in range(num_cols + 1):
-        for p in vc.placements:
-            if p.op_id in queued and p.col_start + p.width == col:
-                addr, word = queued.pop(p.op_id)
-                order.append(p.op_id)
+        for op_id, p in enumerate(vc.placements):
+            if op_id in queued and p.col_start + p.width == col:
+                addr, word = queued.pop(op_id)
+                order.append(op_id)
                 if word:
                     mem[addr] = word
                 else:
                     mem.pop(addr, None)
-        for p in vc.placements:
+        for op_id, p in enumerate(vc.placements):
             if p.col_start != col:
                 continue
-            op = vc.dfg.ops[p.op_id]
+            op = vc.dfg.ops[op_id]
             name = op.opcode
             if name != "store":
-                order.append(op.id)
+                order.append(op_id)
             if name == "load":
-                values[op.id] = mem.get(value(op.sources[0]), 0)
+                values[op_id] = mem.get(value(op.sources[0]), 0)
             elif name == "store":
-                queued[op.id] = (value(op.sources[0]), value(op.sources[1]))
+                queued[op_id] = (value(op.sources[0]), value(op.sources[1]))
             else:
-                values[op.id] = ALU[name](value(op.sources[0]), value(op.sources[1]))
+                values[op_id] = ALU[name](value(op.sources[0]), value(op.sources[1]))
     assert not queued, "a store completes past the last column boundary"
     return tuple(value(ref) for ref in vc.dfg.outputs), mem

@@ -60,7 +60,7 @@ def map_dfg_per_cell(d: Dfg, dims: FabricDims) -> tuple[Placement, ...]:
             load_cols.add(col)
         elif op.opcode == "store":
             store_cols.add(col)
-        placed[op_id] = Placement(op_id=op_id, row=row, col_start=col, width=width)
+        placed[op_id] = Placement(row=row, col_start=col, width=width)
 
     return tuple(placed[i] for i in range(len(d.ops)))
 

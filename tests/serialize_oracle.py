@@ -41,11 +41,11 @@ def serialize_by_encoder(w: Workload) -> str:
                 "num_inputs": d.num_inputs,
                 "ops": [
                     {
-                        "id": op.id,
+                        "id": op_id,
                         "opcode": op.opcode,
                         "srcs": [_ref(r) for r in op.sources],
                     }
-                    for op in d.ops
+                    for op_id, op in enumerate(d.ops)
                 ],
                 "outputs": [_ref(r) for r in d.outputs],
             }
@@ -82,7 +82,7 @@ def peak_failures() -> list[str]:
 
 def edge_case_workload() -> Workload:
     """Empty ops and outputs; names that need escaping or are not ASCII."""
-    add = Operation(0, "add", (~0, ~1))
+    add = Operation("add", (~0, ~1))
     names = ["", 'say "hi"', "back\\slash", "caf\u00e9", "\u65e5\u672c", "\U0001f600"]
     return Workload(dfgs=(
         Dfg(name="no ops", num_inputs=2, ops=(), outputs=(~1,)),

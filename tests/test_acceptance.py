@@ -95,7 +95,8 @@ def test_criterion_4_uniformization_oracle():
         assert vc is not None
         one_period = Workload(dfgs=(vc.dfg,), trace=((0, dims.num_cells),))
         umap = replay_trace(one_period, {0: vc}, dims, AllocationPolicy.ROTATING)
-        occupied = len(vc.occupied_cells)
+        occupied = len({(p.row, c) for p in vc.placements
+                        for c in range(p.col_start, p.col_start + p.width)})
         counts_ok = all(
             umap.active_count[r][c] == occupied
             for r in range(dims.num_rows) for c in range(dims.num_cols)

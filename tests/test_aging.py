@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -124,6 +125,10 @@ def test_lifetime_inverse_proportionality():
 
 def test_lifetime_zero_utilization_is_unbounded():
     assert lifetime(DEFAULTS, 0.0) == math.inf
+    # past the largest float, as float division rounds it, for a Fraction u too
+    huge = AgingParams(reference_lifetime_years=1e308)
+    assert lifetime(huge, 1e-10) == lifetime(huge, Fraction(1, 32)) == math.inf
+    assert lifetime(huge, Fraction(1, 1)) == 1e308
     with pytest.raises(ValueError):
         lifetime(DEFAULTS, -0.1)
 

@@ -17,9 +17,9 @@ ROTATING = AllocationPolicy.ROTATING
 
 def vc_single_cell_at(row: int, col: int) -> VirtualConfiguration:
     d = Dfg(name="cell", num_inputs=2,
-            ops=(Operation(0, "add", (~0, ~1)),),
+            ops=(Operation("add", (~0, ~1)),),
             outputs=(0,))
-    p = Placement(op_id=0, row=row, col_start=col, width=1)
+    p = Placement(row=row, col_start=col, width=1)
     return VirtualConfiguration(dfg=d, placements=(p,))
 
 
@@ -55,8 +55,8 @@ def test_allocate_at_origin_is_identity():
     for d in w.dfgs:
         vc = map_dfg(d, DIMS_16x2)
         alloc = allocate(vc, Pivot(0, 0), DIMS_16x2)
-        for p in vc.placements:
-            assert alloc.cell_map[p.op_id] == tuple(
+        for op_id, p in enumerate(vc.placements):
+            assert alloc.cell_map[op_id] == tuple(
                 (p.row, c) for c in range(p.col_start, p.col_start + p.width)
             )
 
@@ -70,8 +70,8 @@ def test_allocate_modular_translation():
 
 def test_allocate_wraps_memory_op_past_right_edge():
     d = Dfg(name="m", num_inputs=1,
-            ops=(Operation(0, "load", (~0,)),), outputs=(0,))
-    p = Placement(op_id=0, row=0, col_start=12, width=4)
+            ops=(Operation("load", (~0,)),), outputs=(0,))
+    p = Placement(row=0, col_start=12, width=4)
     vc = VirtualConfiguration(dfg=d, placements=(p,))
     alloc = allocate(vc, Pivot(row=0, col=2), DIMS_16x2)
     assert [c for _, c in alloc.cell_map[0]] == [14, 15, 0, 1]
@@ -111,7 +111,8 @@ def test_allocation_is_bijective_for_every_pivot():
             vc = map_dfg(d, dims)
         except Exception:
             continue
-        logical = vc.occupied_cells
+        logical = {(p.row, c) for p in vc.placements
+                   for c in range(p.col_start, p.col_start + p.width)}
         for r in range(dims.num_rows):
             for c in range(dims.num_cols):
                 alloc = allocate(vc, Pivot(r, c), dims)
@@ -136,7 +137,8 @@ def test_full_rotation_occupies_every_cell_equally():
         for k in range(dims.num_cells):
             for cells in allocate(vc, pivot_at(ROTATING, k, dims), dims).cell_map.values():
                 tally.update(cells)
-        expected = len(vc.occupied_cells)
+        expected = len({(p.row, c) for p in vc.placements
+                        for c in range(p.col_start, p.col_start + p.width)})
         assert all(tally[(r, c)] == expected
                    for r in range(dims.num_rows) for c in range(dims.num_cols))
 
@@ -156,9 +158,9 @@ def test_allocate_is_the_torus_shift_of_every_cell_at_every_pivot():
             for r in range(dims.num_rows):
                 for c in range(dims.num_cols):
                     expected = {}
-                    for p in vc.placements:
+                    for op_id, p in enumerate(vc.placements):
                         # logical (row, col) lands on ((row + r) mod R, (col + c) mod C)
-                        expected[p.op_id] = tuple(
+                        expected[op_id] = tuple(
                             ((p.row + r) % dims.num_rows, (p.col_start + k + c) % dims.num_cols)
                             for k in range(p.width))
                     assert allocate(vc, Pivot(r, c), dims).cell_map == expected

@@ -222,6 +222,23 @@ def test_idle_worst_cell_writes_null_not_infinity(tmp_path, capsys):
     assert record["baseline_max_util"] == record["proposed_max_util"] == 0.0
 
 
+def test_lifetime_past_the_float_range_is_unbounded(single_add_path, tmp_path, capsys):
+    # the rotating worst cell is busy in 1 of 32 executions: 32 x 1e308 years is past
+    # the largest float, so every command reads it as unbounded, as age always did
+    summary, results = tmp_path / "s.json", tmp_path / "d.json"
+    assert main(["simulate", single_add_path, "--preset", "BE", "--policy", "rotating",
+                 "--ref-lifetime", "1e308", "--summary", str(summary)]) == 0
+    assert capsys.readouterr().out.endswith(" lifetime=unbounded\n")
+    assert main(["dse", single_add_path, "--preset", "BE", "--ref-lifetime", "1e308",
+                 "-o", str(results)]) == 0
+    assert main(["age", "--u", "1e-10", "--ref-lifetime", "1e308"]) == 0
+    assert capsys.readouterr().out.endswith("lifetime(u=1e-10) = unbounded\n")
+    doc = json.loads(summary.read_text(), parse_constant=_reject_constant)
+    assert doc["max"] == 1 / 32 and doc["lifetime_years"] is None
+    [record] = json.loads(results.read_text(), parse_constant=_reject_constant)
+    assert record["lifetime_years"] is None and record["lifetime_improvement"] == 32.0
+
+
 def test_simulate_missing_input_exits_3(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.json"), "-L", "16", "-W", "2"]) == 3
 

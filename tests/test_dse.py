@@ -30,14 +30,14 @@ DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 
 def single_op_workload(executions: int) -> Workload:
     d = Dfg(name="one", num_inputs=2,
-            ops=(Operation(0, "add", (~0, ~1)),),
+            ops=(Operation("add", (~0, ~1)),),
             outputs=(0,))
     return Workload(dfgs=(d,), trace=((0, executions),))
 
 
 def memory_only_workload() -> Workload:
     d = Dfg(name="mem", num_inputs=1,
-            ops=(Operation(0, "load", (~0,)),),
+            ops=(Operation("load", (~0,)),),
             outputs=(0,))
     return Workload(dfgs=(d,), trace=((0, 10),))
 
@@ -94,10 +94,10 @@ def test_run_scenario_skips_unmappable_dfgs():
 
 def test_skipped_trace_entries_are_dropped():
     fits = Dfg(name="fits", num_inputs=2,
-               ops=(Operation(0, "add", (~0, ~1)),),
+               ops=(Operation("add", (~0, ~1)),),
                outputs=(0,))
     too_big = Dfg(name="toobig", num_inputs=1,
-                  ops=(Operation(0, "load", (~0,)),),
+                  ops=(Operation("load", (~0,)),),
                   outputs=(0,))
     w = Workload(dfgs=(fits, too_big), trace=((0, 3), (1, 5), (0, 2)))
     dims = FabricDims(num_cols=2, num_rows=2)

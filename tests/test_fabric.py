@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,7 @@ DIMS_8x2 = FabricDims(num_cols=8, num_rows=2)
 
 def run_single_op(opcode, a, b, dims=DIMS_16x2):
     d = Dfg(name="one", num_inputs=2,
-            ops=(Operation(0, opcode, (~0, ~1)),),
+            ops=(Operation(opcode, (~0, ~1)),),
             outputs=(0,))
     vc = map_dfg(d, dims)
     return execute(vc, Pivot(0, 0), [a, b], MemoryModel(), dims).outputs[0]
@@ -64,6 +65,21 @@ def test_reconfig_cycles_ceil_division():
     assert reconfig_plan(
         Pivot(0, 0), FabricDims(num_cols=5, num_rows=2, num_config_lines=5)
     ).reconfig_cycles == 1
+
+
+def test_plan_memory_does_not_grow_with_config_lines():
+    # one line per column is all a plan reads: 10**6 lines on 16 columns must not
+    # build a 10**6-entry list (about 47 MB at its peak)
+    dims = FabricDims(num_cols=16, num_rows=2, num_config_lines=10**6)
+    tracemalloc.start()
+    try:
+        plan = reconfig_plan(Pivot(1, 3), dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert plan.line_select == tuple((pc - 3) % 16 for pc in range(16))
+    assert plan.reconfig_cycles == 1
 
 
 def test_plan_table_rows():
@@ -126,14 +142,14 @@ def test_alu_semantics_32bit():
 
 def test_load_of_unwritten_address_is_zero():
     d = Dfg(name="l", num_inputs=1,
-            ops=(Operation(0, "load", (~0,)),), outputs=(0,))
+            ops=(Operation("load", (~0,)),), outputs=(0,))
     vc = map_dfg(d, DIMS_16x2)
     assert execute(vc, Pivot(0, 0), [1234], MemoryModel(), DIMS_16x2).outputs == (0,)
 
 
 def test_load_reads_preexisting_memory():
     d = Dfg(name="l", num_inputs=1,
-            ops=(Operation(0, "load", (~0,)),), outputs=(0,))
+            ops=(Operation("load", (~0,)),), outputs=(0,))
     vc = map_dfg(d, DIMS_16x2)
     mem = MemoryModel({16: 99})
     assert execute(vc, Pivot(0, 0), [16], mem, DIMS_16x2).outputs == (99,)
@@ -142,12 +158,12 @@ def test_load_reads_preexisting_memory():
 def store_then_load_dfg() -> Dfg:
     # the load's address comes through a 4-deep ALU chain, forcing its
     # starting column to the store's completion boundary
-    ops = [Operation(0, "store", (~0, ~1))]
+    ops = [Operation("store", (~0, ~1))]
     prev = ~0
     for i in range(1, 5):
-        ops.append(Operation(i, "add", (prev, ~2)))
+        ops.append(Operation("add", (prev, ~2)))
         prev = i
-    ops.append(Operation(5, "load", (prev,)))
+    ops.append(Operation("load", (prev,)))
     return Dfg(name="sl", num_inputs=3, ops=tuple(ops), outputs=(5,))
 
 
@@ -165,8 +181,8 @@ def test_store_invisible_to_overlapping_load():
     # load and store both begin at column 0: the store completes after the
     # load reads, so the load sees the old contents
     d = Dfg(name="overlap", num_inputs=2, ops=(
-        Operation(0, "store", (~0, ~1)),
-        Operation(1, "load", (~0,)),
+        Operation("store", (~0, ~1)),
+        Operation("load", (~0,)),
     ), outputs=(1,))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start == vc.placements[1].col_start
@@ -177,8 +193,8 @@ def test_store_invisible_to_overlapping_load():
 
 def test_later_store_wins_final_memory():
     d = Dfg(name="ww", num_inputs=3, ops=(
-        Operation(0, "store", (~0, ~1)),
-        Operation(1, "store", (~0, ~2)),
+        Operation("store", (~0, ~1)),
+        Operation("store", (~0, ~2)),
     ), outputs=())
     vc = map_dfg(d, DIMS_16x2)
     first, second = vc.placements[0], vc.placements[1]
@@ -334,9 +350,9 @@ def _corruptible_allocation():
     # rows (0, 1, 0) differ from op ids (0, 1, 2), so a mix-up of the two shows in the text;
     # at pivot (1, 2) op 0 sits on (1, 2), op 1 on (0, 2) and op 2 on (1, 3)..(1, 6)
     d = Dfg(name="three", num_inputs=2, ops=(
-        Operation(0, "add", (~0, ~1)),
-        Operation(1, "add", (~0, ~1)),
-        Operation(2, "load", (0,)),
+        Operation("add", (~0, ~1)),
+        Operation("add", (~0, ~1)),
+        Operation("load", (0,)),
     ), outputs=(1, 2))
     pivot = Pivot(1, 2)
     return allocate(map_dfg(d, DIMS_8x2), pivot, DIMS_8x2), reconfig_plan(pivot, DIMS_8x2)
@@ -372,7 +388,7 @@ def test_legality_reports_exact_messages_for_corrupted_allocations():
 
 
 def test_cell_map_key_no_op_owns_is_a_violation():
-    d = Dfg(name="one", num_inputs=2, ops=(Operation(0, "add", (~0, ~1)),),
+    d = Dfg(name="one", num_inputs=2, ops=(Operation("add", (~0, ~1)),),
             outputs=(0,))
     pivot = Pivot(0, 1)
     alloc = allocate(map_dfg(d, DIMS_8x2), pivot, DIMS_8x2)

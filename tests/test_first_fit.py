@@ -29,16 +29,15 @@ def dfgs(draw):
     for i in range(n):
         opcode = draw(opcodes)
         srcs = tuple(draw(st.sampled_from(available)) for _ in range(arity(opcode)))
-        ops.append(Operation(i, opcode, srcs))
+        ops.append(Operation(opcode, srcs))
         if opcode != "store":
             available.append(i)
     return Dfg(name="g", num_inputs=num_inputs, ops=tuple(ops), outputs=())
 
 
 def dfg(*ops: tuple[str, tuple[int, ...]]) -> Dfg:
-    """A DFG of (opcode, sources) ops, ids in list order, one input."""
-    return Dfg(name="g", num_inputs=1, outputs=(),
-               ops=tuple(Operation(i, opcode, srcs) for i, (opcode, srcs) in enumerate(ops)))
+    """A DFG of (opcode, sources) ops, one input."""
+    return Dfg(name="g", num_inputs=1, outputs=(), ops=tuple(Operation(*op) for op in ops))
 
 
 # a load after an ALU op, on fabrics too narrow for it: op 1 misfits from column 1
@@ -80,6 +79,9 @@ def test_map_dfg_matches_per_cell_first_fit(d, cols, rows):
         got = map_dfg(d, dims).placements
     except DoesNotFitError as e:
         got = (e.op_id, e.frontier_col)
+    else:  # no two placements share a cell: replay counts each placement's width whole
+        cells = {(p.row, c) for p in got for c in range(p.col_start, p.col_start + p.width)}
+        assert len(cells) == sum(p.width for p in got)
     assert got == want
 
 

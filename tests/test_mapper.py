@@ -16,8 +16,13 @@ DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 
 def single_add() -> Dfg:
     return Dfg(name="a", num_inputs=2,
-               ops=(Operation(0, "add", (~0, ~1)),),
+               ops=(Operation("add", (~0, ~1)),),
                outputs=(0,))
+
+
+def occupied(vc) -> set[tuple[int, int]]:
+    """Every (row, col) some placement covers."""
+    return {(p.row, c) for p in vc.placements for c in range(p.col_start, p.col_start + p.width)}
 
 
 def assert_well_formed(vc, dims):
@@ -25,22 +30,22 @@ def assert_well_formed(vc, dims):
     # mapper's own bookkeeping
     seen = set()
     loads, stores = {}, {}
-    for p in vc.placements:
+    for op_id, p in enumerate(vc.placements):
         assert p.col_start >= 0 and p.row >= 0
         assert p.col_start + p.width <= dims.num_cols
         assert p.row < dims.num_rows
         for c in range(p.col_start, p.col_start + p.width):
             assert (p.row, c) not in seen
             seen.add((p.row, c))
-        op = vc.dfg.ops[p.op_id]
+        op = vc.dfg.ops[op_id]
         if op.opcode == "load":
             loads[p.col_start] = loads.get(p.col_start, 0) + 1
         elif op.opcode == "store":
             stores[p.col_start] = stores.get(p.col_start, 0) + 1
     assert all(n <= 1 for n in loads.values())
     assert all(n <= 1 for n in stores.values())
-    for op in vc.dfg.ops:
-        consumer = vc.placements[op.id]
+    assert len(vc.placements) == len(vc.dfg.ops)
+    for op, consumer in zip(vc.dfg.ops, vc.placements):
         for s in op.sources:
             if s >= 0:
                 producer = vc.placements[s]
@@ -49,11 +54,10 @@ def assert_well_formed(vc, dims):
 
 def test_op_width():
     # one op of every opcode, each reading only inputs
-    ops = tuple(Operation(i, k, (~0, ~1)[:arity(k)])
-                for i, k in enumerate(OPCODES))
+    ops = tuple(Operation(k, (~0, ~1)[:arity(k)]) for k in OPCODES)
     vc = map_dfg(Dfg(name="all", num_inputs=2, ops=ops, outputs=()),
                  FabricDims(num_cols=16, num_rows=len(ops)))
-    widths = {op.opcode: vc.placements[op.id].width for op in ops}
+    widths = {op.opcode: p.width for op, p in zip(ops, vc.placements, strict=True)}
     assert widths == {k: 4 if k in ("load", "store") else 1 for k in OPCODES}
 
 
@@ -71,28 +75,28 @@ def test_single_add_goes_to_origin():
     vc = map_dfg(single_add(), DIMS_16x2)
     p = vc.placements[0]
     assert (p.row, p.col_start, p.width) == (0, 0, 1)
-    assert vc.occupied_cells == {(0, 0)}
+    assert occupied(vc) == {(0, 0)}
 
 
 def test_greedy_hand_trace():
     # a=ADD(in0,in1); b=ADD(a,in0); c=LOAD(addr=a): b takes the column right
     # of a, c cannot use row 0 there (b holds it) and drops to row 1
     d = Dfg(name="t", num_inputs=2, ops=(
-        Operation(0, "add", (~0, ~1)),
-        Operation(1, "add", (0, ~0)),
-        Operation(2, "load", (0,)),
+        Operation("add", (~0, ~1)),
+        Operation("add", (0, ~0)),
+        Operation("load", (0,)),
     ), outputs=(1, 2))
     vc = map_dfg(d, DIMS_16x2)
     a, b, c = vc.placements
     assert (a.row, a.col_start, a.width) == (0, 0, 1)
     assert (b.row, b.col_start, b.width) == (0, 1, 1)
     assert (c.row, c.col_start, c.width) == (1, 1, 4)
-    assert vc.occupied_cells == {(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)}
+    assert occupied(vc) == {(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)}
     assert_well_formed(vc, DIMS_16x2)
 
 
 def test_capacity_error_reports_op_and_frontier():
-    ops = tuple(Operation(i, "add", (~0, ~1)) for i in range(5))
+    ops = (Operation("add", (~0, ~1)),) * 5
     d = Dfg(name="wide", num_inputs=2, ops=ops, outputs=())
     with pytest.raises(DoesNotFitError) as exc:
         map_dfg(d, FabricDims(num_cols=1, num_rows=2))
@@ -104,9 +108,9 @@ def test_capacity_error_reports_op_and_frontier():
 def test_op_read_not_listed_before_its_reader_is_rejected_not_placed(bad):
     # no parse checks it: a library caller hands map_dfg the DFG directly
     d = Dfg(name="bad", num_inputs=2, ops=(
-        Operation(0, "add", (~0, ~1)),
-        Operation(1, "sub", (0, bad)),
-        Operation(2, "xor", (0, ~1)),
+        Operation("add", (~0, ~1)),
+        Operation("sub", (0, bad)),
+        Operation("xor", (0, ~1)),
     ), outputs=())
     with pytest.raises(WorkloadSemanticError,
                        match=f"^op 1 references op {bad}, which is not listed before it$"):
@@ -115,15 +119,15 @@ def test_op_read_not_listed_before_its_reader_is_rejected_not_placed(bad):
 
 def test_memory_op_never_fits_narrow_fabric():
     d = Dfg(name="m", num_inputs=1,
-            ops=(Operation(0, "load", (~0,)),), outputs=(0,))
+            ops=(Operation("load", (~0,)),), outputs=(0,))
     with pytest.raises(DoesNotFitError):
         map_dfg(d, FabricDims(num_cols=3, num_rows=4))
 
 
 def test_memory_port_rule_separates_load_col_starts():
     d = Dfg(name="2loads", num_inputs=1, ops=(
-        Operation(0, "load", (~0,)),
-        Operation(1, "load", (~0,)),
+        Operation("load", (~0,)),
+        Operation("load", (~0,)),
     ), outputs=(0, 1))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start != vc.placements[1].col_start
@@ -132,8 +136,8 @@ def test_memory_port_rule_separates_load_col_starts():
 
 def test_load_and_store_may_share_col_start():
     d = Dfg(name="ls", num_inputs=2, ops=(
-        Operation(0, "load", (~0,)),
-        Operation(1, "store", (~0, ~1)),
+        Operation("load", (~0,)),
+        Operation("store", (~0, ~1)),
     ), outputs=(0,))
     vc = map_dfg(d, DIMS_16x2)
     assert vc.placements[0].col_start == vc.placements[1].col_start == 0
@@ -167,7 +171,7 @@ def test_placement_invariants_over_many_random_dfgs():
             assert_well_formed(vc, DIMS_16x2)
             assert min(p.col_start for p in vc.placements) == 0
             assert min(p.row for p in vc.placements) == 0
-            assert (0, 0) in vc.occupied_cells
+            assert (0, 0) in occupied(vc)
     assert total >= 1000
 
 
@@ -175,5 +179,4 @@ def test_placement_invariants_over_many_random_dfgs():
 def test_empty_dfg_uses_no_cells():
     vc = map_dfg(Dfg(name="empty", num_inputs=0, ops=(), outputs=()), DIMS_16x2)
     assert vc.placements == ()
-    assert vc.occupied_cells == frozenset()
-    assert vc.occupied_cells == frozenset()
+    assert occupied(vc) == set()

@@ -20,14 +20,14 @@ DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 
 def single_add_vc(dims=DIMS_16x2):
     d = Dfg(name="a", num_inputs=2,
-            ops=(Operation(0, "add", (~0, ~1)),),
+            ops=(Operation("add", (~0, ~1)),),
             outputs=(0,))
     return map_dfg(d, dims)
 
 
 def single_load_vc(dims=DIMS_16x2):
     d = Dfg(name="l", num_inputs=1,
-            ops=(Operation(0, "load", (~0,)),),
+            ops=(Operation("load", (~0,)),),
             outputs=(0,))
     return map_dfg(d, dims)
 
@@ -151,7 +151,7 @@ def test_summary_dict_fields():
 def test_export_heatmap_minimal():
     dims = FabricDims(num_cols=1, num_rows=1)
     d = Dfg(name="a", num_inputs=2,
-            ops=(Operation(0, "add", (~0, ~1)),), outputs=())
+            ops=(Operation("add", (~0, ~1)),), outputs=())
     m = replay_one(map_dfg(d, dims), dims)
     assert export_heatmap(m) == "#rows=1,cols=1,executions=1\n1.000000\n"
 
@@ -204,7 +204,8 @@ def test_full_rotation_yields_exact_uniform_rates():
         dims = FabricDims(num_cols=cols, num_rows=2)
         vc = single_load_vc(dims)
         m = replay_one(vc, dims, dims.num_cells, AllocationPolicy.ROTATING)
-        occupied = len(vc.occupied_cells)
+        occupied = len({(p.row, c) for p in vc.placements
+                        for c in range(p.col_start, p.col_start + p.width)})
         assert m.active_count == [[occupied] * cols, [occupied] * cols]
         s = summarize(m)
         assert s.avg == s.max == s.min == occupied / dims.num_cells

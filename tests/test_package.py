@@ -7,7 +7,9 @@ from pathlib import Path
 
 import cgralloc
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
+LINE_CEILING = 1582  # ROADMAP's ceiling on src/cgralloc/*.py without __init__.py
 
 
 def test_package_exports_only_the_entry_points():
@@ -20,6 +22,13 @@ def test_package_exports_only_the_entry_points():
     public = {n for n, v in vars(cgralloc).items()
               if not n.startswith("_") and type(v) is not type(cgralloc)}
     assert public == set(cgralloc.__all__) - {"__version__"}
+
+
+def test_source_stays_under_the_line_ceiling():
+    files = [p for p in (REPO / "src" / "cgralloc").glob("*.py") if p.name != "__init__.py"]
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in files)
+    assert files  # a wrong path would count no lines
+    assert lines <= LINE_CEILING, f"{lines} lines over the ceiling of {LINE_CEILING}"
 
 
 def test_readme_library_example_runs_as_written():

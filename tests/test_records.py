@@ -2,7 +2,8 @@
 
 `Operation`, `Dfg`, `Workload` and `Placement` are immutable, hashable and
 equal by value, and they unpack in field order: the loops that read them and
-the `map --dump` line rely on that order.  A ref is a plain int.  The fabric's
+the `map --dump` line rely on that order.  An op and its placement carry no id:
+each is its position in `Dfg.ops` and `placements`.  A ref is a plain int.  The fabric's
 `ReconfigPlan` and `ExecResult` are immutable and unpack in field order too.
 These tests need no pytest: `PYTHONPATH=src python tests/test_records.py`
 runs them all and exits 1 if one fails.
@@ -37,11 +38,11 @@ def _records() -> dict[str, tuple[object, tuple[str, ...]]]:
     pivot = Pivot(1, 3)
     inputs = list(range(1, d.num_inputs + 1))
     return {
-        "Operation": (d.ops[0], ("id", "opcode", "sources")),
+        "Operation": (d.ops[0], ("opcode", "sources")),
         "Dfg": (d, ("name", "num_inputs", "ops", "outputs")),
         "Workload": (w, ("dfgs", "trace")),
-        "Placement": (next(p for p in vc.placements if len(set(p)) == 4),
-                      ("op_id", "row", "col_start", "width")),
+        "Placement": (next(p for p in vc.placements if len(set(p)) == 3),
+                      ("row", "col_start", "width")),
         "ReconfigPlan": (reconfig_plan(pivot, DIMS_16x2), (
             "line_select", "barrel_shift_rows", "wrap_feedback_enabled", "reconfig_cycles")),
         "ExecResult": (execute(vc, pivot, inputs, MemoryModel({4: 5}), DIMS_16x2),
@@ -63,6 +64,7 @@ def test_every_record_unpacks_in_field_order():
     for name, (record, fields) in _records().items():
         values = tuple(getattr(record, field) for field in fields)
         assert len(set(map(repr, values))) == len(values), name  # so a swap would show
+        assert record._fields == fields, name
         assert tuple(record) == values, name
 
 
@@ -79,7 +81,7 @@ def test_placements_unpack_in_field_order():
     placements = [p for d in w.dfgs for p in map_dfg(d, DIMS_16x2).placements]
     assert any(p.row != p.col_start for p in placements)  # so a swap of the two would show
     for p in placements:
-        assert tuple(p) == (p.op_id, p.row, p.col_start, p.width)
+        assert tuple(p) == (p.row, p.col_start, p.width)
 
 
 def test_parsed_ops_share_one_string_per_opcode():

@@ -38,9 +38,9 @@ MINIMAL = json.dumps({
 
 
 def chain_dfg(length: int, num_inputs: int = 2) -> Dfg:
-    ops = [Operation(0, "add", (~0, ~1))]
+    ops = [Operation("add", (~0, ~1))]
     for i in range(1, length):
-        ops.append(Operation(i, "add", (i - 1, ~0)))
+        ops.append(Operation("add", (i - 1, ~0)))
     return Dfg(name="chain", num_inputs=num_inputs, ops=tuple(ops),
                outputs=(length - 1,))
 
@@ -203,7 +203,7 @@ def test_roundtrip_all_opcodes():
             srcs = (~0,)
         else:
             srcs = (~0, ~1)
-        ops.append(Operation(i, opcode, srcs))
+        ops.append(Operation(opcode, srcs))
     d = Dfg(name="all", num_inputs=2, ops=tuple(ops), outputs=(0,))
     assert problems(d) == []
     w = Workload(dfgs=(d,), trace=((0, 3),))
@@ -244,8 +244,8 @@ def test_parse_peaks_at_the_decoded_document():
     assert peak_failures() == []
 
 
-def _unspellable(op_id=0, opcode="add", ref=~1, num_inputs=2, entry=(0, 1), name="d"):
-    op = Operation(op_id, opcode, (~0, ref))
+def _unspellable(opcode="add", ref=~1, num_inputs=2, entry=(0, 1), name="d"):
+    op = Operation(opcode, (~0, ref))
     return Workload((Dfg(name, num_inputs, (op,), (0,)),), (entry,))
 
 
@@ -254,10 +254,8 @@ def _unspellable(op_id=0, opcode="add", ref=~1, num_inputs=2, entry=(0, 1), name
     pytest.param(_unspellable(opcode='x"y'), "opcode 'x\"y'", id="quoted opcode"),
     pytest.param(_unspellable(opcode="mul"), "opcode 'mul'", id="unknown opcode"),
     pytest.param(_unspellable(opcode=["add"]), "opcode ['add']", id="list opcode"),
-    # a number that is not an int: unchecked, the id '0' came back as 0, the ref
-    # text wrote an extra key, and true and 1.0 were written as the ref 1
-    pytest.param(_unspellable(op_id="0"), "op id '0'", id="str op id"),
-    pytest.param(_unspellable(op_id=True), "op id True", id="bool op id"),
+    # a number that is not an int: unchecked, the ref text wrote an extra key,
+    # and true and 1.0 were written as the ref 1
     pytest.param(_unspellable(ref='1, "x": 5'), "ref '1, \"x\": 5'", id="index text"),
     pytest.param(_unspellable(ref=1.0), "ref 1.0", id="float index"),
     pytest.param(_unspellable(ref=True), "ref True", id="bool ref"),
@@ -281,31 +279,32 @@ def test_validate_accepts_chain():
 
 def test_validate_rejects_self_reference():
     d = Dfg(name="loop", num_inputs=1,
-            ops=(Operation(0, "add", (0, ~0)),),
+            ops=(Operation("add", (0, ~0)),),
             outputs=())
     assert problems(d) == ["op 0 references op 0, which is not listed before it"]
 
 
 def test_validate_reports_load_arity():
     d = Dfg(name="badload", num_inputs=2,
-            ops=(Operation(0, "load", (~0, ~1)),),
+            ops=(Operation("load", (~0, ~1)),),
             outputs=())
     assert any("load takes 1 source" in v for v in problems(d))
 
 
 def test_validate_reports_store_sourced_as_value():
     d = Dfg(name="storeval", num_inputs=2,
-            ops=(Operation(0, "store", (~0, ~1)),
-                 Operation(1, "add", (0, ~0))),
+            ops=(Operation("store", (~0, ~1)),
+                 Operation("add", (0, ~0))),
             outputs=())
     assert any("store" in v for v in problems(d))
 
 
 def test_validate_reports_nondense_ids():
-    d = Dfg(name="ids", num_inputs=1,
-            ops=(Operation(5, "add", (~0, ~0)),),
-            outputs=())
-    assert any("dense" in v for v in problems(d))
+    # an op's id is its position, so only a file can hold another one
+    doc = json.loads(MINIMAL)
+    doc["dfgs"][0]["ops"][0]["id"] = 5
+    with pytest.raises(WorkloadSemanticError, match="dense"):
+        parse_workload(json.dumps(doc))
 
 
 def test_topological_order_random_dags_brute_force():
@@ -323,21 +322,21 @@ def test_topological_order_random_dags_brute_force():
                 a = rng.randrange(i)
                 b = rng.randrange(i) if rng.random() < 0.7 else ~0
                 srcs = (a, b)
-            ops.append(Operation(i, "add", srcs))
+            ops.append(Operation("add", srcs))
         assert problems(Dfg(name="dag", num_inputs=1, ops=tuple(ops), outputs=())) == []
 
-        # shuffle ids so some producer is listed after one of its readers
+        # shuffle the positions so some producer is listed after one of its readers
         perm = list(range(n))
         rng.shuffle(perm)
         remap = {old: new for new, old in enumerate(perm)}
         shuffled = [None] * n
-        for op in ops:
+        for i, op in enumerate(ops):
             new_srcs = tuple(remap[r] if r >= 0 else r for r in op.sources)
-            shuffled[remap[op.id]] = Operation(remap[op.id], op.opcode, new_srcs)
+            shuffled[remap[i]] = Operation(op.opcode, new_srcs)
         d = Dfg(name="dag", num_inputs=1, ops=tuple(shuffled), outputs=())
 
-        late = [f"op {op.id} references op {r}, which is not listed before it"
-                for op in d.ops for r in op.sources if r >= op.id]
+        late = [f"op {i} references op {r}, which is not listed before it"
+                for i, op in enumerate(d.ops) for r in op.sources if r >= i]
         assert late  # a random order of 50 ops almost surely breaks some edge
         assert problems(d) == late
 
