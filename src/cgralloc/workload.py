@@ -314,12 +314,19 @@ class GeneratorParams:
 
 
 def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
-    """Deterministic synthetic workload; all generated DFGs are valid.
-
-    Raises ValueError for infeasible parameters (e.g. zero inputs, since
-    every op needs at least one available source value).
+    """Deterministic synthetic workload; all generated DFGs are valid.  It makes exactly the
+    draws Random.choice, randint and randrange would, in their order, which the golden "gen"
+    digest and tests/gen_oracle.py pin.  Raises ValueError for a count or seed that is not an
+    int, a negative seed, or infeasible parameters (zero inputs: every op needs a source).
     """
     lo, hi = params.ops_per_dfg
+    for name, x in (("num_dfgs", params.num_dfgs), ("ops_per_dfg", lo), ("ops_per_dfg", hi),
+                    ("num_inputs", params.num_inputs), ("trace_length", params.trace_length),
+                    ("max_repeat", params.max_repeat), ("seed", seed)):
+        if type(x) is not int:  # below() skips randrange's int checks; bools are not counts
+            raise ValueError(f"{name} must be an int, got {x!r}")
+    if seed < 0:  # CPython seeds with abs(seed): -1 would draw the workload of seed 1
+        raise ValueError(f"seed must be a non-negative int, got {seed}")
     if params.num_dfgs < 1:
         raise ValueError("num_dfgs must be >= 1")
     if not 1 <= lo <= hi:
@@ -334,26 +341,23 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
         raise ValueError("max_repeat must be >= 1")
 
     rng = random.Random(seed)
+    below = rng._randbelow  # the one draw choice(s), randint(a, b) and randrange(n) make
     dfgs = []
     for di in range(params.num_dfgs):
-        n_ops = rng.randint(lo, hi)
         available = [~i for i in range(params.num_inputs)]
         ops = []
-        for oid in range(n_ops):
+        for oid in range(lo + below(hi - lo + 1)):
             if rng.random() < params.memory_op_fraction:
                 opcode = "load" if rng.random() < 0.5 else "store"
             else:
-                opcode = rng.choice(ALU_OPCODES)
-            srcs = tuple(rng.choice(available) for _ in range(arity(opcode)))
-            ops.append(Operation(opcode, srcs))
+                opcode = ALU_OPCODES[below(len(ALU_OPCODES))]
+            n = len(available)
+            first = available[below(n)]  # a load's one source; every other opcode draws two
+            ops.append(_operation((opcode, (first,) if opcode == "load"
+                                   else (first, available[below(n)]))))
             if opcode != "store":
                 available.append(oid)
-        k = min(len(available), rng.randint(1, MAX_OUTPUTS))
-        outputs = tuple(rng.sample(available, k))
+        outputs = tuple(rng.sample(available, min(len(available), 1 + below(MAX_OUTPUTS))))
         dfgs.append(Dfg(f"dfg{di}", params.num_inputs, tuple(ops), outputs))
-
-    trace = tuple(
-        (rng.randrange(params.num_dfgs), rng.randint(1, params.max_repeat))
-        for _ in range(params.trace_length)
-    )
-    return Workload(tuple(dfgs), trace)
+    return Workload(tuple(dfgs), tuple([(below(params.num_dfgs), 1 + below(params.max_repeat))
+                                        for _ in range(params.trace_length)]))

@@ -53,6 +53,14 @@ def test_gen_rejects_bad_params(tmp_path):
     assert main(["gen", "--dfgs", "0", "-o", str(tmp_path / "w.json")]) == 2
 
 
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    """CPython seeds with abs(seed), so --seed -1 would write the file of --seed 1."""
+    out = tmp_path / "w.json"
+    assert main(["gen", "--seed", "-1", "-o", str(out)]) == 2
+    assert "error: seed must be a non-negative int, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("inputs", [MAX_INPUTS + 1, 100_000_000])
 def test_gen_inputs_over_the_cap_exit_2_in_bounded_memory(tmp_path, inputs):
     # in its own process under a 512 MiB address-space limit, so a missing cap fails

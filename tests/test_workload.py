@@ -21,6 +21,7 @@ from cgralloc.workload import (
     parse_workload,
     serialize_workload,
 )
+from gen_oracle import generate_by_public_calls, mismatches
 from parse_messages import MALFORMED
 from serialize_oracle import edge_case_workload, peak_failures, serialize_by_encoder
 
@@ -381,3 +382,36 @@ def test_generator_rejects_infeasible_params():
         generate_random_workload(GeneratorParams(memory_op_fraction=1.5), 0)
     with pytest.raises(ValueError):
         generate_random_workload(GeneratorParams(trace_length=0), 0)
+
+
+@pytest.mark.parametrize("value", [4.0, 2.5, True])
+@pytest.mark.parametrize("field", ["num_dfgs", "ops_min", "ops_max", "num_inputs",
+                                   "trace_length", "max_repeat"])
+def test_generator_rejects_a_count_that_is_not_an_int(field, value):
+    """randint takes 4.0 on some Python versions and not on others, and the draw the
+    generator makes checks no type, so every count is checked before the first draw."""
+    fields = {"ops_min": {"ops_per_dfg": (value, 5)}, "ops_max": {"ops_per_dfg": (1, value)}}
+    name = "ops_per_dfg" if field.startswith("ops_") else field
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        generate_random_workload(GeneratorParams(**fields.get(field, {field: value})), 0)
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.0, True, "1", None])
+def test_generator_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    """CPython seeds with abs(seed), so seed -1 would repeat the workload of seed 1."""
+    with pytest.raises(ValueError, match="^seed must be"):
+        generate_random_workload(GeneratorParams(), seed)
+
+
+def test_generator_makes_the_public_calls_draws_on_the_grid():
+    assert mismatches() == []
+
+
+@settings(deadline=None, max_examples=200)
+@given(num_dfgs=st.integers(1, 6), lo=st.integers(1, 30), extra=st.integers(0, 30),
+       frac=st.floats(0, 1), inputs=st.integers(1, 20), length=st.integers(1, 50),
+       repeat=st.integers(1, 2**40), seed=st.integers(0, 2**80))
+def test_generator_makes_the_public_calls_draws(num_dfgs, lo, extra, frac, inputs, length,
+                                                repeat, seed):
+    params = GeneratorParams(num_dfgs, (lo, lo + extra), frac, inputs, length, repeat)
+    assert generate_random_workload(params, seed) == generate_by_public_calls(params, seed)
