@@ -121,7 +121,7 @@ def cmd_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             continue
         if args.dump:
             dump.append(f"dfg {i} {dfg.name}")
-            dump.extend("(%d, %d, %d, %d)" % (op, *p) for op, p in enumerate(vc.placements))
+            dump.extend(f"({op}, {r}, {c}, {w})" for op, (r, c, w) in enumerate(vc.placements))
     if dump:  # one write; a print() per line is about 3x slower on 1000-DFG dumps
         print("\n".join(dump))
     if misfits:

@@ -124,15 +124,16 @@ class ScenarioResult:
 def map_workload(
     workload: Workload, dims: FabricDims
 ) -> tuple[dict[int, VirtualConfiguration], list[tuple[int, str]]]:
-    """Map every DFG once; DFGs that do not fit are skipped, not split."""
+    """Map every DFG once; DFGs that do not fit are skipped, not split.  One with more ops
+    than cells is skipped before map_dfg, so its op-order guard never sees a hand-built one."""
     mapped: dict[int, VirtualConfiguration] = {}
-    skipped: list[tuple[int, str]] = []
     for i, dfg in enumerate(workload.dfgs):
         try:
-            mapped[i] = map_dfg(dfg, dims)
+            if len(dfg.ops) <= dims.num_cells:  # placements never overlap: a cell per op
+                mapped[i] = map_dfg(dfg, dims)
         except DoesNotFitError:
-            skipped.append((i, dfg.name))
-    return mapped, skipped
+            pass
+    return mapped, [(i, dfg.name) for i, dfg in enumerate(workload.dfgs) if i not in mapped]
 
 
 def replay_trace(
@@ -143,13 +144,13 @@ def replay_trace(
 ) -> UtilizationMap:
     """Replay the trace from execution 0, counting per-cell utilization.
 
-    Skipped DFGs' entries are dropped.  Execution k lands on pivot_at(policy,
-    k, dims), of period P = pivot_period(policy, dims): a run is full periods
-    on every pivot plus one or two ranges of leftover pivots, counted per DFG
-    in C.  Each DFG's placed cells are added once per pivot hit (only those are
-    built) to a 2 x rows by 2 x cols grid, then folded onto the torus; that counts a
-    cell once per execution only because map_dfg placements never overlap.  Cost:
-    O(trace entries) steps + sum over DFGs of pivots hit x placed cells grid adds.
+    Skipped DFGs' entries are dropped.  Execution k lands on pivot_at(policy, k, dims), of
+    period P = pivot_period(policy, dims): a run is q full periods plus one or two ranges of
+    leftover pivots, counted per DFG in C.  A DFG's placed cells are added once per pivot
+    counted (only those are built) to a 2 x rows by 2 x cols grid, folded onto the torus; a
+    cell counts once per execution as placements never overlap.  With P = 1, q is one count
+    at pivot 0; else q periods add q x placed cells to every cell after the fold, O(1) per DFG.
+    Cost: O(trace entries) + sum over DFGs with leftover runs of pivots hit x placed cells.
     """
     period = pivot_period(policy, dims)
     full: dict[int, int] = {}  # DFG -> full periods run
@@ -171,11 +172,15 @@ def replay_trace(
     num_cols, width, half = dims.num_cols, 2 * dims.num_cols, 2 * dims.num_cells
     grid = [0] * (2 * half)  # 2 x rows by 2 x cols, row-major: a shifted cell needs no modulo
     bases: dict[int, int] = {}  # pivot number -> its offset on the grid
+    uniform = 0  # added to every cell after the fold
     for d in full.keys() | runs.keys():
-        per_pivot = Counter(dict.fromkeys(range(period), full[d]) if d in full else ())
-        per_pivot.update(chain.from_iterable(runs[d]))
         offsets = [row * width + c for row, col, w in mapped[d].placements
                    for c in range(col, col + w)]
+        if period == 1:  # every repeat is a full period, run at pivot 0
+            per_pivot = {0: full[d]}
+        else:  # a full period lands each placed cell once on every fabric cell
+            uniform += full.get(d, 0) * len(offsets)
+            per_pivot = Counter(chain.from_iterable(runs[d])) if d in runs else {}
         for k, n in per_pivot.items():
             base = bases.get(k)
             if base is None:
@@ -184,7 +189,8 @@ def replay_trace(
             for x in offsets:
                 grid[base + x] += n
     rows = list(map(add, grid[:half], grid[half:]))  # fold the rows, then the columns
-    return UtilizationMap(dims, [list(map(add, rows[i:i + num_cols], rows[i + num_cols:i + width]))
+    return UtilizationMap(dims, [[n + uniform for n in map(add, rows[i:i + num_cols],
+                                                           rows[i + num_cols:i + width])]
                                  for i in range(0, half, width)], total)
 
 

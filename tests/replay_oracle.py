@@ -31,7 +31,8 @@ from cgralloc.metrics import UtilizationMap
 from cgralloc.workload import Dfg, GeneratorParams, Workload, generate_random_workload
 
 EMPTY_DFG = Dfg(name="empty", num_inputs=0, ops=(), outputs=())
-FABRICS = ((1, 1), (1, 5), (5, 1), (8, 2))  # (cols, rows): a point, a column, a row, a grid
+# (cols, rows): a point, a column, a row, a grid, and the BE preset
+FABRICS = ((1, 1), (1, 5), (5, 1), (8, 2), (16, 2))
 EXACT_FABRICS = ((1, 1), (5, 1), (8, 2), (16, 2), (32, 8))  # up to the BE and BU presets
 
 

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from cgralloc import dse
 from cgralloc.aging import AgingParams
 from cgralloc.allocation import AllocationPolicy
 from cgralloc.dse import (
@@ -15,7 +16,7 @@ from cgralloc.dse import (
     run_scenario_with_map,
     sweep,
 )
-from cgralloc.mapper import FabricDims
+from cgralloc.mapper import FabricDims, map_dfg
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
@@ -104,6 +105,26 @@ def test_skipped_trace_entries_are_dropped():
     result = run_one(w, dims=dims)
     assert result.skipped_dfgs == ((1, "toobig"),)
     assert result.total_executions == 5
+
+
+def test_over_capacity_dfg_is_skipped_without_first_fit(monkeypatch):
+    dims = FabricDims(num_cols=2, num_rows=2)
+    add = Operation("add", (~0, ~0))
+    exact = Dfg(name="exact", num_inputs=1, ops=(add,) * 4, outputs=())  # one op per cell
+    over = Dfg(name="over", num_inputs=1, ops=(add,) * 5, outputs=())
+    # map_dfg would reject op 0's forward read; the bound skips the DFG before it looks
+    bad = Dfg(name="bad", num_inputs=1, ops=(Operation("add", (1, ~0)),) + (add,) * 4,
+              outputs=())
+    seen = []
+
+    def recording_map_dfg(d, dims):
+        seen.append(d.name)
+        return map_dfg(d, dims)
+
+    monkeypatch.setattr(dse, "map_dfg", recording_map_dfg)
+    mapped, skipped = map_workload(Workload(dfgs=(over, exact, bad), trace=()), dims)
+    assert seen == ["exact"]
+    assert list(mapped) == [1] and skipped == [(0, "over"), (2, "bad")]
 
 
 def test_compare_policies_pairs_the_fields():

@@ -7,11 +7,13 @@ workload may hold: every op reads only inputs and ops listed before it.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cgralloc.dse import map_workload
 from cgralloc.mapper import DoesNotFitError, FabricDims, map_dfg
 from cgralloc.workload import (
     ALU_OPCODES,
     Dfg,
     Operation,
+    Workload,
     arity,
 )
 
@@ -84,6 +86,24 @@ def test_map_dfg_matches_per_cell_first_fit(d, cols, rows):
         assert len(cells) == sum(p.width for p in got)
     assert got == want
 
+
+
+@settings(deadline=None, max_examples=300)
+@given(d=dfgs(), cols=st.integers(1, 6), rows=st.integers(1, 4))
+# four ALU ops on 2x2 take a cell each and fit, so the bound must not skip them; five cannot
+@example(d=dfg(*[("add", (~0, ~0))] * 4), cols=2, rows=2)
+@example(d=dfg(*[("add", (~0, ~0))] * 5), cols=2, rows=2)
+def test_map_workload_skips_exactly_what_first_fit_rejects(d, cols, rows):
+    dims = FabricDims(num_cols=cols, num_rows=rows)
+    try:
+        want = map_dfg(d, dims).placements
+    except DoesNotFitError:
+        want = None
+    if len(d.ops) > dims.num_cells:  # the bound map_workload checks before first fit
+        assert want is None, "a DFG with more ops than cells fit"
+    mapped, skipped = map_workload(Workload(dfgs=(d,), trace=()), dims)
+    assert (mapped[0].placements if mapped else None) == want
+    assert skipped == ([] if mapped else [(0, "g")])
 
 
 def test_seeded_dfgs_on_every_small_fabric_match_per_cell_first_fit():

@@ -31,28 +31,35 @@ def scenarios(draw):
     return dims, Workload(dfgs=dfgs, trace=tuple(trace))
 
 
-def _one_op_workload(trace):
-    dfgs = generate_random_workload(GeneratorParams(num_dfgs=1, ops_per_dfg=(1, 1),
+def _alu_workload(trace, num_ops=1):
+    """DFG 0 has num_ops ALU ops (one by default) and DFG 1 is empty."""
+    dfgs = generate_random_workload(GeneratorParams(num_dfgs=1, ops_per_dfg=(num_ops, num_ops),
                                                     memory_op_fraction=0.0), 0).dfgs
     return Workload(dfgs=dfgs + (EMPTY_DFG,), trace=trace)
 
 
 @settings(deadline=None)
 @given(scenario=scenarios(), policy=st.sampled_from(AllocationPolicy))
-@example(scenario=(FabricDims(num_cols=1, num_rows=1), _one_op_workload(((0, 3), (1, 2)))),
+@example(scenario=(FabricDims(num_cols=1, num_rows=1), _alu_workload(((0, 3), (1, 2)))),
          policy=AllocationPolicy.ROTATING)
-@example(scenario=(FabricDims(num_cols=5, num_rows=1), _one_op_workload(((0, 3), (1, 1), (0, 12)))),
+@example(scenario=(FabricDims(num_cols=5, num_rows=1), _alu_workload(((0, 3), (1, 1), (0, 12)))),
          policy=AllocationPolicy.ROTATING)
-@example(scenario=(FabricDims(num_cols=1, num_rows=5), _one_op_workload(((0, 7), (0, 4)))),
+@example(scenario=(FabricDims(num_cols=1, num_rows=5), _alu_workload(((0, 7), (0, 4)))),
          policy=AllocationPolicy.ROTATING)
 # on 3x2 (P = 6): leftovers 5 from execution 4 cross the period end; 12 is 2 P;
 # 13 from execution 3 is 2 P plus 1 leftover, starting mid-period
-@example(scenario=(FabricDims(num_cols=3, num_rows=2), _one_op_workload(((0, 4), (0, 5)))),
+@example(scenario=(FabricDims(num_cols=3, num_rows=2), _alu_workload(((0, 4), (0, 5)))),
          policy=AllocationPolicy.ROTATING)
-@example(scenario=(FabricDims(num_cols=3, num_rows=2), _one_op_workload(((0, 12),))),
+@example(scenario=(FabricDims(num_cols=3, num_rows=2), _alu_workload(((0, 12),))),
          policy=AllocationPolicy.ROTATING)
-@example(scenario=(FabricDims(num_cols=3, num_rows=2), _one_op_workload(((0, 3), (0, 13)))),
+@example(scenario=(FabricDims(num_cols=3, num_rows=2), _alu_workload(((0, 3), (0, 13)))),
          policy=AllocationPolicy.ROTATING)
+# three ops on 3x2: 15 from execution 5 is 2 P plus 3 leftovers that wrap past the period
+# end; under FIXED_ORIGIN (P = 1) runs of k x 6 are all full periods, at pivot 0
+@example(scenario=(FabricDims(num_cols=3, num_rows=2), _alu_workload(((0, 5), (0, 15)), 3)),
+         policy=AllocationPolicy.ROTATING)
+@example(scenario=(FabricDims(num_cols=3, num_rows=2), _alu_workload(((0, 12), (0, 18)), 3)),
+         policy=AllocationPolicy.FIXED_ORIGIN)
 def test_counted_replay_matches_per_execution_replay(scenario, policy):
     dims, workload = scenario
     mapped, _ = map_workload(workload, dims)
@@ -72,25 +79,38 @@ def test_replay_builds_only_the_pivots_the_trace_hits(monkeypatch):
 
     monkeypatch.setattr(dse, "pivot_at", counting_pivot_at)
     dims = FabricDims(num_cols=64, num_rows=64)
-    workload = _one_op_workload(((0, 3),))
-    mapped, _ = map_workload(workload, dims)
-    got = replay_trace(workload, mapped, dims, AllocationPolicy.ROTATING)
-    assert got.active_count == replay_per_execution(
-        workload, mapped, dims, AllocationPolicy.ROTATING).active_count
-    assert len(built) <= 3, f"{len(built)} pivots built for 3 executions"
+    period = dims.num_cells
+    # leftovers only; then whole periods, which ROTATING adds without a pivot and
+    # FIXED_ORIGIN (period 1) counts at its one pivot
+    for trace, policy, most in ((((0, 3),), AllocationPolicy.ROTATING, 3),
+                                (((0, period), (0, 5 * period)), AllocationPolicy.ROTATING, 0),
+                                (((0, period), (0, 7)), AllocationPolicy.FIXED_ORIGIN, 1)):
+        built.clear()
+        workload = _alu_workload(trace, 3)
+        mapped, _ = map_workload(workload, dims)
+        got = replay_trace(workload, mapped, dims, policy)
+        assert got.active_count == replay_per_execution(
+            workload, mapped, dims, policy).active_count
+        assert len(built) <= most, f"{len(built)} pivots built for {trace} under {policy}"
+    assert built == [0]  # the FIXED_ORIGIN run did build its pivot
 
 
 def test_replay_cost_does_not_grow_with_repeat_counts():
-    dims = FabricDims(num_cols=2, num_rows=2)
-    policy = AllocationPolicy.ROTATING
-    huge = _one_op_workload(((0, 10**12),))
-    mapped, _ = map_workload(huge, dims)
-    start = time.perf_counter()
-    got = replay_trace(huge, mapped, dims, policy)
-    assert time.perf_counter() - start < 1.0
-    one_period = replay_per_execution(huge._replace(trace=((0, 4),)), mapped, dims, policy)
-    assert got.total_executions == 10**12
-    assert got.active_count == [[n * 10**12 // 4 for n in row] for row in one_period.active_count]
+    dims = FabricDims(num_cols=64, num_rows=64)
+    for policy in AllocationPolicy:
+        period = dse.pivot_period(policy, dims)
+        # 10**30 is a multiple of both periods, 1 and 2**12
+        huge = _alu_workload(((0, 10**30), (1, 3 * period), (0, 5 * period)), 3)
+        mapped, _ = map_workload(huge, dims)
+        start = time.perf_counter()
+        got = replay_trace(huge, mapped, dims, policy)
+        assert time.perf_counter() - start < 1.0
+        one_period = replay_per_execution(huge._replace(trace=((0, period),)), mapped, dims,
+                                          policy)
+        periods = 10**30 // period + 5
+        assert got.total_executions == 10**30 + 8 * period
+        assert got.active_count == [[n * periods for n in row]
+                                    for row in one_period.active_count], policy
 
 
 def test_seeded_scenarios_match_per_execution_replay():
