@@ -12,8 +12,9 @@ Value semantics are 32-bit two's-complement with wrapping arithmetic.  Shift
 amounts use the low 5 bits.  ``cmplt`` compares signed values and yields 0/1.
 ``shr`` is a logical right shift.
 
-Workload file format (JSON, ``"format": 1``), indented here for reading;
-``serialize_workload`` (so ``gen``) writes it compact, and any layout reads::
+Workload file format (JSON, ``"format": 1``), indented here for reading.  ``gen`` writes it
+compact, and a parse decodes that layout one DFG at a time, so it holds the text, the records
+and one decoded DFG.  Any other layout is decoded whole (9x the compact bytes on map_heavy)::
 
     {
       "format": 1,
@@ -49,6 +50,8 @@ from typing import NamedTuple
 
 WORKLOAD_FORMAT = 1
 WORD_MASK = 0xFFFFFFFF
+_COMPACT_HEAD = f'{{"format":{WORKLOAD_FORMAT},"dfgs":['  # serialize_workload's first bytes
+_decode = json.JSONDecoder().raw_decode  # one value at an index; skips no whitespace
 
 
 class WorkloadError(ValueError):
@@ -103,6 +106,8 @@ class Workload(NamedTuple):
 
 def parse_workload(text: str) -> Workload:
     """Parse and validate a workload file; round-trips with serialize_workload."""
+    if (streamed := _parse_compact(text)) is not None:  # gen's layout; any other is read whole
+        return streamed
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -137,6 +142,34 @@ def parse_workload(text: str) -> Workload:
     if malformed:
         raise WorkloadSemanticError(malformed)
 
+    trace = _parse_trace(raw_trace, len(dfgs), violations)
+    if violations:
+        raise WorkloadSemanticError(violations)
+    return Workload(tuple(dfgs), trace)
+
+
+def _parse_compact(text: str) -> Workload | None:
+    """serialize_workload's layout, decoded one DFG at a time; None if anything else."""
+    if not text.startswith(_COMPACT_HEAD):
+        return None
+    at, violations, dfgs = len(_COMPACT_HEAD) - 1, [], []  # at the "[" before the first DFG
+    try:
+        while text.startswith("," if dfgs else "[", at):  # "dfgs":[] is a decode error
+            raw, at = _decode(text, at + 1)
+            dfgs.append(_parse_dfg(raw, f"dfgs[{len(dfgs)}]", violations))
+            del raw  # before the next DFG is decoded
+        if not text.startswith('],"trace":', at):
+            return None
+        raw_trace, at = _decode(text, at + len('],"trace":'))
+    except (ValueError, RecursionError, _Malformed):  # JSONDecodeError, the digit limit
+        return None  # this frame's records are dropped before the whole-document parse
+    if not isinstance(raw_trace, list) or text[at:].rstrip(" \t\n\r") != "}":  # not isspace()
+        return None
+    trace = _parse_trace(raw_trace, len(dfgs), violations)
+    return None if violations else Workload(tuple(dfgs), trace)
+
+
+def _parse_trace(raw_trace: list, num_dfgs: int, violations: list[str]) -> tuple:
     if not raw_trace:
         violations.append("empty trace")
     trace = []
@@ -146,15 +179,12 @@ def parse_workload(text: str) -> Workload:
             violations.append(f"trace[{ti}]: must be [dfg_index, repeat_count]")
             continue
         idx, reps = entry
-        if not 0 <= idx < len(dfgs):
+        if not 0 <= idx < num_dfgs:
             violations.append(f"trace[{ti}]: dfg index {idx} out of range")
         if reps < 1:
             violations.append(f"trace[{ti}]: repeat count {reps} must be >= 1")
         trace.append((idx, reps))
-
-    if violations:
-        raise WorkloadSemanticError(violations)
-    return Workload(tuple(dfgs), tuple(trace))
+    return tuple(trace)
 
 
 def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:

@@ -5,6 +5,8 @@ pytest, so interpreters without it check the same messages by running this file:
 
     PYTHONPATH=src:tests python tests/parse_messages.py
 
+Each case is parsed in two layouts, ``json.dumps(doc)`` and `gen`'s compact one, which
+`parse_workload` decodes one DFG at a time; both must give the same message.
 It prints each mismatch and exits 1 if there is any.
 """
 
@@ -164,25 +166,33 @@ MALFORMED = {
                     "unsupported format True, expected 1"),
     "dfgs not a list": ({"format": 1, "dfgs": {}, "trace": []}, "'dfgs' must be a list"),
     "trace not a list": ({"format": 1, "dfgs": [], "trace": None}, "'trace' must be a list"),
+    # recorded when gen's layout got its one-DFG-at-a-time walk, which reads this trace
+    "trace a number": ({**_doc([_ADD]), "trace": 5}, "'trace' must be a list"),
     "empty trace": (_doc([_ADD], trace=()), "empty trace"),
 }
 
 
+def layouts(doc) -> dict[str, str]:
+    """The document spaced as ``json.dumps`` writes it, and compact as `gen` writes it."""
+    return {"spaced": json.dumps(doc), "compact": json.dumps(doc, separators=(",", ":")) + "\n"}
+
+
 def mismatches() -> list[str]:
-    """One line per case whose parse does not raise exactly its recorded message."""
+    """One line per case and layout whose parse does not raise exactly its recorded message."""
     found = []
     for case, (doc, message) in MALFORMED.items():
-        try:
-            parse_workload(json.dumps(doc))
-            got = "no error"
-        except WorkloadSemanticError as e:
-            got = str(e)
-        if got != message:
-            found.append(f"{case}: got {got!r}, expected {message!r}")
+        for layout, text in layouts(doc).items():
+            try:
+                parse_workload(text)
+                got = "no error"
+            except WorkloadSemanticError as e:
+                got = str(e)
+            if got != message:
+                found.append(f"{case} ({layout}): got {got!r}, expected {message!r}")
     return found
 
 
 if __name__ == "__main__":
     lines = mismatches()
-    print("\n".join(lines) or f"{len(MALFORMED)} parse messages match")
+    print("\n".join(lines) or f"{len(MALFORMED)} parse messages match in both layouts")
     sys.exit(1 if lines else 0)

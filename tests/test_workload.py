@@ -22,7 +22,7 @@ from cgralloc.workload import (
     serialize_workload,
 )
 from gen_oracle import generate_by_public_calls, mismatches
-from parse_messages import MALFORMED
+from parse_messages import MALFORMED, layouts
 from serialize_oracle import edge_case_workload, peak_failures, serialize_by_encoder
 
 MINIMAL = json.dumps({
@@ -121,9 +121,51 @@ def test_parse_rejects_bad_trace_entry():
 @pytest.mark.parametrize("case", MALFORMED)
 def test_parse_reports_exact_messages(case):
     doc, message = MALFORMED[case]
-    with pytest.raises(WorkloadSemanticError) as info:
-        parse_workload(json.dumps(doc))
-    assert str(info.value) == message
+    for text in layouts(doc).values():
+        with pytest.raises(WorkloadSemanticError) as info:
+            parse_workload(text)
+        assert str(info.value) == message
+
+
+def _outcome(text):
+    """What parse_workload makes of `text`: the Workload, or the error's class and message."""
+    try:
+        return parse_workload(text)
+    except WorkloadError as e:
+        return type(e), str(e)
+
+
+def _whole_document_outcome(text):
+    """The outcome of the whole-document parse, found without the one-DFG-at-a-time walk:
+    JSON that decodes is parsed re-laid with indent=1, which the walk never reads, and a
+    decode error is spelled from json.loads's own error."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        return WorkloadSyntaxError, f"line {e.lineno}, column {e.colno}: {e.msg}"
+    return _outcome(json.dumps(doc, indent=1))
+
+
+SMALL = Workload(dfgs=(
+    Dfg("a", 2, (Operation("add", (~0, ~1)),), (0,)),
+    Dfg("mem", 1, (Operation("load", (~0,)), Operation("store", (~0, 0))), (0,)),
+    Dfg("c", 2, (Operation("sub", (~1, ~0)), Operation("xor", (0, ~0))), (1, 0)),
+), trace=((0, 1), (2, 3), (1, 2), (0, 10)))
+
+
+def test_compact_parse_matches_the_whole_document_parse_byte_by_byte():
+    """Every prefix of gen's text, every one-byte deletion, every byte turned into a space
+    and the layout's traps give the same Workload, or the same error, as the whole document."""
+    text = serialize_workload(SMALL)
+    assert _outcome(text) == SMALL
+    texts = [text[:k] for k in range(len(text))]
+    texts += [text[:i] + text[i + 1:] for i in range(len(text))]
+    texts += [text[:i] + " " + text[i + 1:] for i in range(len(text))]
+    texts += [text + " \t\r\n", text + "\x0c", text + "\u00a0", text + "}",
+              text.replace(',"trace"', ', "trace"'), text.replace("},{", "}, {"),
+              '{"format":1,"dfgs":[],"trace":[]}\n', '{"format":1,"dfgs":[],"trace":[[0,1]]}\n']
+    for t in texts:
+        assert _outcome(t) == _whole_document_outcome(t), repr(t)
 
 
 def _nodes(node, path=()):
@@ -168,10 +210,9 @@ JSON_VALUES = st.recursive(
 def test_parse_any_one_node_replaced_returns_or_raises_workload_error(seed, pick, value):
     doc = _valid_doc(seed)
     paths = list(_nodes(doc))
-    try:
-        parse_workload(json.dumps(_replaced(doc, paths[pick % len(paths)], value)))
-    except WorkloadError:
-        pass
+    replaced = _replaced(doc, paths[pick % len(paths)], value)
+    compact = json.dumps(replaced, separators=(",", ":")) + "\n"
+    assert _outcome(compact) == _outcome(json.dumps(replaced, indent=1))
 
 
 def test_parse_type_confusion_at_every_node_raises_workload_error():
@@ -240,8 +281,9 @@ def test_serialize_equals_json_encoder_on_edge_cases():
 
 
 def test_parse_peaks_at_the_decoded_document():
-    """Each decoded DFG is dropped once its records are built, so parsing holds no
-    more than json.loads does."""
+    """gen's compact layout is decoded one DFG at a time, so its parse peaks well under
+    json.loads (bound 0.3x); any other layout is decoded whole, and each decoded DFG is
+    dropped once its records are built, so that parse holds no more than json.loads does."""
     assert peak_failures() == []
 
 
