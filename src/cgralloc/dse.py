@@ -145,29 +145,35 @@ def replay_trace(
     """Replay the trace from execution 0, counting per-cell utilization.
 
     Skipped DFGs' entries are dropped.  Execution k lands on pivot_at(policy, k, dims), of
-    period P = pivot_period(policy, dims): a run is q full periods plus one or two ranges of
-    leftover pivots, counted per DFG in C.  A DFG's placed cells are added once per pivot
-    counted (only those are built) to a 2 x rows by 2 x cols grid, folded onto the torus; a
-    cell counts once per execution as placements never overlap.  With P = 1, q is one count
-    at pivot 0; else q periods add q x placed cells to every cell after the fold, O(1) per DFG.
-    Cost: O(trace entries) + sum over DFGs with leftover runs of pivots hit x placed cells.
+    period P = pivot_period(policy, dims).  With P = 1 a DFG's repeats are summed into one count
+    at pivot 0.  Else a run is q full periods, adding q x placed cells to every cell after the
+    fold, plus one or two ranges of leftover pivots, counted per DFG in C.  Placed cells are
+    added once per pivot counted (only those are built) to a 2 x rows by 2 x cols grid folded
+    onto the torus (placements never overlap).  Cost: O(trace entries), only additions with no
+    pivot arithmetic when P = 1, + sum over DFGs with leftover runs of pivots hit x placed cells.
     """
     period = pivot_period(policy, dims)
-    full: dict[int, int] = {}  # DFG -> full periods run
     runs: dict[int, list[range]] = defaultdict(list)  # DFG -> its leftover pivot numbers
-    total = 0
-    for dfg_index, repeats in workload.trace:
-        if dfg_index not in mapped:
-            continue
-        start = total % period
-        total += repeats
-        if repeats >= period:
-            q, repeats = divmod(repeats, period)
-            full[dfg_index] = full.get(dfg_index, 0) + q
-        if repeats > period - start:  # the leftover wraps past the end of the period
-            runs[dfg_index] += range(start, period), range(start + repeats - period)
-        elif repeats:
-            runs[dfg_index].append(range(start, start + repeats))
+    if period == 1:  # every execution is a full period, so trace order is irrelevant
+        sums: dict[int, int] = defaultdict(int)
+        for dfg_index, repeats in workload.trace:
+            sums[dfg_index] += repeats
+        full = {d: sums[d] for d in mapped if d in sums}  # skipped DFGs' sums are dropped
+        total = sum(full.values())
+    else:
+        full, total = {}, 0  # DFG -> full periods run; executions so far
+        for dfg_index, repeats in workload.trace:
+            if dfg_index not in mapped:
+                continue
+            start = total % period
+            total += repeats
+            if repeats >= period:
+                q, repeats = divmod(repeats, period)
+                full[dfg_index] = full.get(dfg_index, 0) + q
+            if repeats > period - start:  # the leftover wraps past the end of the period
+                runs[dfg_index] += range(start, period), range(start + repeats - period)
+            elif repeats:
+                runs[dfg_index].append(range(start, start + repeats))
 
     num_cols, width, half = dims.num_cols, 2 * dims.num_cols, 2 * dims.num_cells
     grid = [0] * (2 * half)  # 2 x rows by 2 x cols, row-major: a shifted cell needs no modulo

@@ -174,11 +174,13 @@ def _parse_trace(raw_trace: list, num_dfgs: int, violations: list[str]) -> tuple
         violations.append("empty trace")
     trace = []
     for ti, entry in enumerate(raw_trace):
-        if (not isinstance(entry, list) or len(entry) != 2
-                or type(entry[0]) is not int or type(entry[1]) is not int):
+        try:  # a decoded value unpacks into two only as a 2-list, 2-key object or 2-char str
+            idx, reps = entry
+        except (TypeError, ValueError):
+            idx = reps = None
+        if type(idx) is not int or type(reps) is not int:
             violations.append(f"trace[{ti}]: must be [dfg_index, repeat_count]")
             continue
-        idx, reps = entry
         if not 0 <= idx < num_dfgs:
             violations.append(f"trace[{ti}]: dfg index {idx} out of range")
         if reps < 1:

@@ -64,6 +64,17 @@ MALFORMED = {
                          "trace[0]: must be [dfg_index, repeat_count]"),
     "short trace entry": (_doc([_ADD], trace=([0],)),
                           "trace[0]: must be [dfg_index, repeat_count]"),
+    # recorded before each entry was unpacked once: these unpack into two strs or not at all
+    "two-char trace entry": (_doc([_ADD], trace=("ab",)),
+                             "trace[0]: must be [dfg_index, repeat_count]"),
+    "two-key trace entry": (_doc([_ADD], trace=({"a": 1, "b": 2},)),
+                            "trace[0]: must be [dfg_index, repeat_count]"),
+    "long trace entry": (_doc([_ADD], trace=([0, 1, 2],)),
+                         "trace[0]: must be [dfg_index, repeat_count]"),
+    "empty trace entry": (_doc([_ADD], trace=([],)),
+                          "trace[0]: must be [dfg_index, repeat_count]"),
+    "float repeat count": (_doc([_ADD], trace=([0, 1.0],)),
+                           "trace[0]: must be [dfg_index, repeat_count]"),
     "forward reference": (
         _doc([{"id": 0, "opcode": "add", "srcs": [_ref("op", 1), _ref("input", 0)]},
               {"id": 1, "opcode": "sub", "srcs": [_ref("op", 0), _ref("input", 1)]}]),

@@ -11,9 +11,14 @@ each summary rate and bin, the lifetime and the paired lifetime improvement must
 `fractions.Fraction` value rounded once by `float()`, and argmax must name
 the smallest (row, col) of a busiest cell.
 
+Under FIXED_ORIGIN every execution sits at the origin, so trace order is
+irrelevant and the map has a closed form: each mapped DFG's summed repeats
+times its placed cells, with no replay at all (`fixed_origin_closed_form`).
+
 Run as a script, it needs neither pytest nor hypothesis: it compares both
-replays and checks every reported number against the exact oracle on fixed
-sets of seeded scenarios, and exits 1 on any mismatch.
+replays, checks the FIXED_ORIGIN closed form and every reported number
+against the exact oracle on fixed sets of seeded scenarios, and exits 1 on
+any mismatch.
 
     PYTHONPATH=src python tests/replay_oracle.py
 """
@@ -100,6 +105,37 @@ def mismatches() -> list[str]:
     return found
 
 
+def fixed_origin_closed_form(
+    workload: Workload, mapped: dict[int, VirtualConfiguration], dims: FabricDims
+) -> UtilizationMap:
+    """The FIXED_ORIGIN map without a replay: sum each mapped DFG's repeats over the
+    whole trace, then add that sum to each cell its placements occupy at the origin."""
+    sums = dict.fromkeys(mapped, 0)
+    for dfg_index, repeats in workload.trace:
+        if dfg_index in sums:
+            sums[dfg_index] += repeats
+    grid = [[0] * dims.num_cols for _ in range(dims.num_rows)]
+    for d, n in sums.items():
+        for row, col, width in mapped[d].placements:
+            for c in range(col, col + width):
+                grid[row][c] += n
+    return UtilizationMap(dims, grid, sum(sums.values()))
+
+
+def fixed_origin_mismatches() -> list[str]:
+    """One line per seeded scenario whose FIXED_ORIGIN replay is not the closed form."""
+    found = []
+    for dims, workload in seeded_scenarios():
+        mapped, _ = map_workload(workload, dims)
+        got = replay_trace(workload, mapped, dims, AllocationPolicy.FIXED_ORIGIN)
+        want = fixed_origin_closed_form(workload, mapped, dims)
+        if got != want:
+            found.append(f"{dims.num_cols}x{dims.num_rows} fixed trace {workload.trace}: "
+                         f"got {got.total_executions} {got.active_count}, closed form "
+                         f"{want.total_executions} {want.active_count}")
+    return found
+
+
 def exact_summary(counts: list[list[int]], total: int) -> dict:
     """avg, max, min and histogram of the rates n / total, each exact, then rounded once,
     and argmax as the smallest (row, col) of a busiest cell."""
@@ -157,7 +193,7 @@ def inexact_numbers() -> list[str]:
 
 
 if __name__ == "__main__":
-    lines = mismatches() + inexact_numbers()
-    print("\n".join(lines) or "counted replay matches per-execution replay, "
-          "and every reported number is exact")
+    lines = mismatches() + fixed_origin_mismatches() + inexact_numbers()
+    print("\n".join(lines) or "counted replay matches per-execution replay and the "
+          "fixed-origin closed form, and every reported number is exact")
     sys.exit(1 if lines else 0)

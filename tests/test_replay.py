@@ -11,7 +11,9 @@ from cgralloc.dse import map_workload, replay_trace
 from cgralloc.mapper import FabricDims
 from cgralloc.workload import GeneratorParams, Workload, generate_random_workload
 
-from replay_oracle import EMPTY_DFG, inexact_numbers, mismatches, replay_per_execution
+from replay_oracle import (EMPTY_DFG, FABRICS, fixed_origin_closed_form,
+                           fixed_origin_mismatches, inexact_numbers, mismatches,
+                           replay_per_execution)
 
 
 @st.composite
@@ -69,6 +71,65 @@ def test_counted_replay_matches_per_execution_replay(scenario, policy):
     assert got.active_count == want.active_count
 
 
+def _skipping_workload(trace):
+    """DFG 0 has one ALU op, DFG 1 six (more than a 1x1 or 5x1 fabric has cells), DFG 2 three."""
+    one, six, three = (_alu_workload((), n).dfgs[0] for n in (1, 6, 3))
+    return Workload(dfgs=(one, six, three), trace=trace)
+
+
+@st.composite
+def fixed_scenarios(draw):
+    """One of FABRICS, the DFGs of scenarios(), a trace with repeats up to 10**30, and that
+    trace shuffled."""
+    _, workload = draw(scenarios())
+    cols, rows = draw(st.sampled_from(FABRICS))
+    entry = st.tuples(st.integers(0, len(workload.dfgs) - 1),
+                      st.one_of(st.integers(1, 40), st.integers(1, 10**30)))
+    trace = draw(st.lists(entry, min_size=1, max_size=10))
+    return (FabricDims(num_cols=cols, num_rows=rows), workload._replace(trace=tuple(trace)),
+            draw(st.permutations(trace)))
+
+
+@settings(deadline=None)
+@given(scenario=fixed_scenarios())
+@example(scenario=(FabricDims(num_cols=8, num_rows=2),
+                   _alu_workload(((0, 10**30), (1, 3), (0, 7)), 3), [(1, 3), (0, 7), (0, 10**30)]))
+# DFG 0 in non-adjacent entries
+@example(scenario=(FabricDims(num_cols=5, num_rows=1), _skipping_workload(((0, 3), (2, 2), (0, 5))),
+                   [(0, 5), (2, 2), (0, 3)]))
+# DFG 1 is skipped on 1x1 and 5x1, and DFG 2 too on 1x1
+@example(scenario=(FabricDims(num_cols=1, num_rows=1),
+                   _skipping_workload(((1, 4), (0, 2), (2, 9), (1, 1))),
+                   [(2, 9), (1, 1), (0, 2), (1, 4)]))
+@example(scenario=(FabricDims(num_cols=5, num_rows=1),
+                   _skipping_workload(((1, 4), (0, 2), (2, 9), (1, 1))),
+                   [(1, 1), (2, 9), (1, 4), (0, 2)]))
+def test_fixed_origin_replay_is_each_dfgs_repeat_sum_times_its_cells(scenario):
+    dims, workload, shuffled = scenario
+    mapped, _ = map_workload(workload, dims)
+    got = replay_trace(workload, mapped, dims, AllocationPolicy.FIXED_ORIGIN)
+    assert got == fixed_origin_closed_form(workload, mapped, dims)
+    assert got == replay_trace(workload._replace(trace=tuple(shuffled)), mapped, dims,
+                               AllocationPolicy.FIXED_ORIGIN)
+
+
+def test_replay_drops_entries_of_out_of_range_and_skipped_dfgs():
+    """A hand-built trace may name -1 or len(dfgs), which no DFG has: its entries count
+    nowhere, like a skipped DFG's, and none lands on the last DFG."""
+    dims = FabricDims(num_cols=5, num_rows=1)
+    workload = _skipping_workload(((0, 2), (-1, 7), (1, 4), (3, 5), (2, 3), (-1, 1)))
+    mapped, _ = map_workload(workload, dims)
+    assert sorted(mapped) == [0, 2]  # DFG 1 is skipped
+    kept = workload._replace(trace=((0, 2), (2, 3)))
+    for policy in AllocationPolicy:
+        got = replay_trace(workload, mapped, dims, policy)
+        assert got == replay_trace(kept, mapped, dims, policy)
+        assert got == replay_per_execution(workload, mapped, dims, policy)
+        assert got.total_executions == 5
+        # DFG 0 once per execution of its 2, DFG 2 three cells per execution of its 3
+        assert sum(map(sum, got.active_count)) == 2 * 1 + 3 * 3
+
+
 def test_replay_builds_only_the_pivots_the_trace_hits(monkeypatch):
     built = []
     pivot_at = dse.pivot_at
@@ -115,6 +176,10 @@ def test_replay_cost_does_not_grow_with_repeat_counts():
 
 def test_seeded_scenarios_match_per_execution_replay():
     assert mismatches() == []
+
+
+def test_seeded_fixed_origin_replays_match_the_closed_form():
+    assert fixed_origin_mismatches() == []
 
 
 def test_every_reported_number_is_its_exact_value_rounded_once():
