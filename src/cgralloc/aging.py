@@ -16,21 +16,26 @@ the raw equation's unspecified absolute scale never matters downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _SIXTH = 1.0 / 6.0
 
 
-@dataclass(frozen=True)
-class AgingParams:
+class _AgingParams(NamedTuple):
     temperature_k: float = 350.0
     vdd: float = 1.0
     delay_threshold: float = 0.10
     reference_lifetime_years: float = 3.0
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+
+class AgingParams(_AgingParams):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in self._asdict().items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.temperature_k <= 0:
@@ -41,6 +46,7 @@ class AgingParams:
             raise ValueError("delay_threshold must be in (0, 1]")
         if self.reference_lifetime_years <= 0:
             raise ValueError("reference_lifetime_years must be > 0")
+        return self
 
 
 def _check_u(u: float) -> None:

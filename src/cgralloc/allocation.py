@@ -10,8 +10,8 @@ torus style.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .mapper import FabricDims, VirtualConfiguration
 
@@ -21,8 +21,7 @@ class AllocationPolicy(Enum):
     ROTATING = "rotating"
 
 
-@dataclass(frozen=True)
-class Pivot:
+class Pivot(NamedTuple):
     """Offset applied to a whole configuration for one execution."""
 
     row: int
@@ -50,18 +49,14 @@ def check_pivot(pivot: Pivot, dims: FabricDims) -> None:
         raise ValueError(f"pivot {pivot} outside {dims.num_cols}x{dims.num_rows} fabric")
 
 
-@dataclass
-class PhysicalAllocation:
-    """Toroidal translation of a virtual configuration by one pivot.
-
-    cell_map lists, per op id, the physical cells its placement occupies:
-    logical (r, c) lands on ((r + pivot.row) mod num_rows,
-    (c + pivot.col) mod num_cols).
-    """
+class PhysicalAllocation(NamedTuple):
+    """Toroidal translation of a virtual configuration by one pivot: cell_map[k] lists the
+    physical cells of op k, logical (r, c) landing on ((r + pivot.row) mod num_rows,
+    (c + pivot.col) mod num_cols)."""
 
     vc: VirtualConfiguration
     pivot: Pivot
-    cell_map: dict[int, tuple[tuple[int, int], ...]]
+    cell_map: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> PhysicalAllocation:
@@ -74,12 +69,12 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
     check_pivot(pivot, dims)
     num_rows, num_cols = dims.num_rows, dims.num_cols
     pivot_row, pivot_col = pivot.row, pivot.col
-    cell_map: dict[int, tuple[tuple[int, int], ...]] = {}
-    for op_id, (row, col_start, width) in enumerate(vc.placements):
+    cell_map = []  # in op id order
+    for row, col_start, width in vc.placements:
         row = (row + pivot_row) % num_rows
         col = col_start + pivot_col
         if width == 1:  # ALU ops: this literal is several times cheaper than a generator
-            cell_map[op_id] = ((row, col % num_cols),)
+            cell_map.append(((row, col % num_cols),))
         else:
-            cell_map[op_id] = tuple((row, c % num_cols) for c in range(col, col + width))
-    return PhysicalAllocation(vc, pivot, cell_map)
+            cell_map.append(tuple((row, c % num_cols) for c in range(col, col + width)))
+    return PhysicalAllocation(vc, pivot, tuple(cell_map))

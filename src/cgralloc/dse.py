@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from operator import add
+from operator import add, itemgetter
+from typing import NamedTuple
 
 from . import aging
 from .allocation import AllocationPolicy, pivot_at, pivot_period
 from .mapper import DoesNotFitError, FabricDims, VirtualConfiguration, map_dfg
 from .metrics import UtilizationMap, UtilizationSummary, summarize
-from .workload import Workload
+from .workload import Workload, WorkloadSemanticError
 
 
 class EmptyScenarioError(Exception):
@@ -52,8 +52,7 @@ def text_or_unbounded(x: float, fmt: str) -> str:
     return "unbounded" if x == math.inf else fmt.format(x)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """One fabric point: the last run's summary, paired with a baseline's worst cell.
 
     In a paired run, lifetime_improvement is the baseline's worst-cell count
@@ -68,10 +67,6 @@ class ScenarioResult:
     baseline_max_util: float | None = None
     lifetime_improvement: float | None = None
     error: str | None = None
-
-    @classmethod
-    def failed(cls, dims: FabricDims, error: str) -> "ScenarioResult":
-        return cls(dims=dims, error=error)
 
     @property
     def label(self) -> str:
@@ -213,9 +208,17 @@ def run_scenario_with_map(
     execution total T and the occupied mass, and the average matches exactly.
     With two policies the first is the baseline: its worst-cell count b is
     kept as an int, and the result carries baseline_max_util = b / T and
-    lifetime_improvement = b / (the second run's worst-cell count).
+    lifetime_improvement = b / (the second run's worst-cell count).  A repeat count below 1
+    raises WorkloadSemanticError before any replay.
     """
+    _check_repeats(workload)
     return _run_mapped(dims, workload, map_workload(workload, dims)[0], aging_params, policies)
+
+
+def _check_repeats(workload: Workload) -> None:
+    if min(map(itemgetter(1), workload.trace), default=1) < 1:  # one pass in C
+        raise WorkloadSemanticError([f"trace[{i}]: repeat count {reps} must be >= 1"
+                                     for i, (_, reps) in enumerate(workload.trace) if reps < 1])
 
 
 def _run_mapped(dims: FabricDims, workload: Workload, mapped: dict[int, VirtualConfiguration],
@@ -254,10 +257,12 @@ def sweep(
     Each row count is mapped once, at the largest column count C: first fit
     scans columns left to right, so a DFG fits C' <= C columns exactly when its
     C-column ops all end by column C', with the same placements.  Scenario
-    failures (nothing fits) become failed entries; the sweep keeps going.
+    failures (nothing fits) become entries with an error; the sweep keeps going.  A repeat
+    count below 1 raises WorkloadSemanticError before any mapping.
     """
     if not col_values or not row_values:
         raise ValueError("need at least one column count and one row count")
+    _check_repeats(workload)
     grid = [FabricDims(num_cols=c, num_rows=r) for c, r in sorted(product(col_values, row_values))]
     results: dict[FabricDims, ScenarioResult] = {}  # a repeated point is run once
     for rows in sorted(set(row_values)):  # one row count's mapping is alive at a time
@@ -270,7 +275,7 @@ def sweep(
             try:
                 results[dims] = _run_mapped(dims, workload, fits, aging_params, _PAIR)[0]
             except EmptyScenarioError as e:
-                results[dims] = ScenarioResult.failed(dims, str(e))
+                results[dims] = ScenarioResult(dims, error=str(e))
     return [results[dims] for dims in grid]
 
 

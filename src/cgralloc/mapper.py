@@ -9,7 +9,6 @@ columns outward and rows top-down, so cell (0, 0) is always used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -19,23 +18,25 @@ ALU_WIDTH = 1
 MEMORY_WIDTH = 4
 
 
-@dataclass(frozen=True)
-class FabricDims:
-    """Fabric geometry: num_cols x num_rows FU cells.
-
-    num_config_lines is the number of reconfiguration buses feeding the
-    columns.
-    """
-
+class _FabricDims(NamedTuple):
     num_cols: int
     num_rows: int
-    num_config_lines: int = 4
+    num_config_lines: int = 4  # reconfiguration buses feeding the columns
 
-    def __post_init__(self) -> None:
+
+class FabricDims(_FabricDims):
+    """Fabric geometry: num_cols x num_rows FU cells, checked on construction and _replace."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.num_cols < 1 or self.num_rows < 1:
             raise ValueError("fabric needs at least one row and one column")
         if self.num_config_lines < 1:
             raise ValueError("num_config_lines must be >= 1")
+        return self
 
     @property
     def num_cells(self) -> int:
@@ -50,12 +51,14 @@ class Placement(NamedTuple):
     width: int
 
 
-@dataclass(frozen=True)
-class VirtualConfiguration:
-    """A mapped DFG in logical fabric coordinates: placements[k] is where op k sits."""
-
+class _VirtualConfiguration(NamedTuple):
     dfg: Dfg
     placements: tuple[Placement, ...]
+
+
+class VirtualConfiguration(_VirtualConfiguration):
+    """A mapped DFG in logical fabric coordinates: placements[k] is where op k sits.
+    No __slots__, so the instance dict caches the schedule that execute reads per pivot."""
 
     @cached_property
     def schedule(self) -> tuple[int, ...]:

@@ -10,7 +10,6 @@ out bit-identical under every policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .mapper import FabricDims
@@ -26,8 +25,7 @@ class UtilizationMap(NamedTuple):
     total_executions: int
 
 
-@dataclass(frozen=True)
-class UtilizationSummary:
+class UtilizationSummary(NamedTuple):
     avg: float
     max: float
     min: float
@@ -35,14 +33,8 @@ class UtilizationSummary:
     histogram: tuple[int, ...]  # HISTOGRAM_BINS counts
 
     def to_dict(self) -> dict:
-        return {
-            "avg": self.avg,
-            "max": self.max,
-            "min": self.min,
-            "argmax": list(self.argmax),
-            "histogram": list(self.histogram),
-            "num_bins": HISTOGRAM_BINS,
-        }
+        return {**self._asdict(), "argmax": list(self.argmax), "histogram": list(self.histogram),
+                "num_bins": HISTOGRAM_BINS}
 
 
 def summarize(m: UtilizationMap) -> UtilizationSummary:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -329,8 +328,7 @@ MAX_OUTPUTS = 3  # a generated DFG exposes 1..MAX_OUTPUTS of its values
 MAX_INPUTS = 2**16  # the generator lists every input of a DFG before it draws
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class GeneratorParams(NamedTuple):
     """Knobs for synthetic workload generation.
 
     The size distribution of real translated regions is not prescribed

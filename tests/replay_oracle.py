@@ -57,7 +57,7 @@ def replay_per_execution(
             continue
         for _ in range(repeats):
             alloc = allocate(vc, Pivot(row, col), dims)
-            for cells in alloc.cell_map.values():
+            for cells in alloc.cell_map:
                 for r, c in cells:
                     grid[r][c] += 1
             total += 1

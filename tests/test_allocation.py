@@ -116,7 +116,7 @@ def test_allocation_is_bijective_for_every_pivot():
         for r in range(dims.num_rows):
             for c in range(dims.num_cols):
                 alloc = allocate(vc, Pivot(r, c), dims)
-                physical = [cell for cells in alloc.cell_map.values() for cell in cells]
+                physical = [cell for cells in alloc.cell_map for cell in cells]
                 assert len(physical) == len(set(physical)) == len(logical)
                 checked += 1
     assert checked > 0
@@ -135,7 +135,7 @@ def test_full_rotation_occupies_every_cell_equally():
             continue
         tally: Counter = Counter()
         for k in range(dims.num_cells):
-            for cells in allocate(vc, pivot_at(ROTATING, k, dims), dims).cell_map.values():
+            for cells in allocate(vc, pivot_at(ROTATING, k, dims), dims).cell_map:
                 tally.update(cells)
         expected = len({(p.row, c) for p in vc.placements
                         for c in range(p.col_start, p.col_start + p.width)})
@@ -157,10 +157,9 @@ def test_allocate_is_the_torus_shift_of_every_cell_at_every_pivot():
         for vc in vcs:
             for r in range(dims.num_rows):
                 for c in range(dims.num_cols):
-                    expected = {}
-                    for op_id, p in enumerate(vc.placements):
-                        # logical (row, col) lands on ((row + r) mod R, (col + c) mod C)
-                        expected[op_id] = tuple(
-                            ((p.row + r) % dims.num_rows, (p.col_start + k + c) % dims.num_cols)
-                            for k in range(p.width))
+                    # logical (row, col) lands on ((row + r) mod R, (col + c) mod C)
+                    expected = tuple(
+                        tuple(((p.row + r) % dims.num_rows, (p.col_start + k + c) % dims.num_cols)
+                              for k in range(p.width))
+                        for p in vc.placements)
                     assert allocate(vc, Pivot(r, c), dims).cell_map == expected

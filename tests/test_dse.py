@@ -22,7 +22,10 @@ from cgralloc.workload import (
     GeneratorParams,
     Operation,
     Workload,
+    WorkloadSemanticError,
     generate_random_workload,
+    parse_workload,
+    serialize_workload,
 )
 
 AGING = AgingParams()
@@ -209,11 +212,39 @@ def test_sweep_equals_a_scenario_per_point(seed):
         try:
             want.append(run_scenario_with_map(dims, w, AGING)[0])
         except EmptyScenarioError as e:
-            want.append(ScenarioResult.failed(dims, str(e)))
+            want.append(ScenarioResult(dims, error=str(e)))
     assert sweep(cols, rows, w, AGING) == want
     assert want[0].error == "L1W1: no DFG of the workload fits"
     assert any(r.error is None and r.skipped_dfgs for r in want)
     assert any(r.error is None and not r.skipped_dfgs for r in want)
+
+
+@pytest.mark.parametrize("trace, message", [
+    (((0, -3),), "trace[0]: repeat count -3 must be >= 1"),
+    (((0, 5), (0, -3)), "trace[1]: repeat count -3 must be >= 1"),
+    (((0, 2), (0, 0)), "trace[1]: repeat count 0 must be >= 1"),
+    (((0, -1), (0, 2), (0, 0)),
+     "trace[0]: repeat count -1 must be >= 1; trace[2]: repeat count 0 must be >= 1"),
+], ids=["negative", "negative after positive", "zero", "two entries"])
+def test_hand_built_repeat_counts_below_one_raise_before_any_replay(trace, message, monkeypatch):
+    """parse_workload rejects these counts in a file.  A hand-built Workload holding them
+    gets the same error from run_scenario_with_map and sweep, under every policy, and is
+    never replayed: unchecked, the first two replay to -3 executions and utilization 1.5."""
+    workload = single_op_workload(1)._replace(trace=trace)
+    with pytest.raises(WorkloadSemanticError) as parsed:
+        parse_workload(serialize_workload(workload))
+    assert str(parsed.value) == message
+    replays = []
+    monkeypatch.setattr(dse, "replay_trace", lambda *args: replays.append(args))
+    dims = FabricDims(num_cols=2, num_rows=1)
+    for policies in (AllocationPolicy.FIXED_ORIGIN,), (AllocationPolicy.ROTATING,), dse._PAIR:
+        with pytest.raises(WorkloadSemanticError) as e:
+            run_scenario_with_map(dims, workload, AGING, policies)
+        assert e.value.violations == parsed.value.violations
+    with pytest.raises(WorkloadSemanticError) as e:
+        sweep([2, 1], [1], workload, AGING)
+    assert e.value.violations == parsed.value.violations
+    assert replays == []
 
 
 def test_sweep_rejects_empty_axis():
@@ -246,7 +277,7 @@ def test_results_table_layout():
 
 
 def test_results_table_marks_errors():
-    failed = ScenarioResult.failed(FabricDims(num_cols=2, num_rows=2), "nothing fits")
+    failed = ScenarioResult(FabricDims(num_cols=2, num_rows=2), error="nothing fits")
     table = results_table([failed])
     assert table.splitlines()[1].split() == ["L2W2", "ERROR", "nothing", "fits"]
 

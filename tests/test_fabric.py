@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 
@@ -363,12 +362,17 @@ def test_legality_reports_exact_messages_for_corrupted_allocations():
     assert check_physical_legality(alloc, plan, DIMS_8x2) == []
     cells = alloc.cell_map
 
-    missing = dataclasses.replace(alloc, cell_map={0: cells[0], 1: cells[1]})
+    missing = alloc._replace(cell_map=cells[:2])
     assert check_physical_legality(missing, plan, DIMS_8x2) == [
+        "cell map lists 2 ops, 3 placed",
+    ]
+
+    narrow = alloc._replace(cell_map=(cells[0], cells[1], cells[2][:3]))
+    assert check_physical_legality(narrow, plan, DIMS_8x2) == [
         "op 2: cell map does not cover its 4 column(s)",
     ]
 
-    out_of_bounds = dataclasses.replace(alloc, cell_map={**cells, 1: ((2, 2),)})
+    out_of_bounds = alloc._replace(cell_map=(cells[0], ((2, 2),), cells[2]))
     assert check_physical_legality(out_of_bounds, plan, DIMS_8x2) == [
         "op 1: physical cell (2, 2) out of bounds",
     ]
@@ -380,7 +384,7 @@ def test_legality_reports_exact_messages_for_corrupted_allocations():
         "column 4: barrel shift 0, op 2 needs 1",
     ]
 
-    overlapping = dataclasses.replace(alloc, cell_map={**cells, 1: cells[0]})
+    overlapping = alloc._replace(cell_map=(cells[0], cells[0], cells[2]))
     assert check_physical_legality(overlapping, plan, DIMS_8x2) == [
         "column 2: barrel shift 1, op 1 needs 0",
         "physical cells overlap (cell map not injective)",
@@ -393,15 +397,15 @@ def test_cell_map_key_no_op_owns_is_a_violation():
     pivot = Pivot(0, 1)
     alloc = allocate(map_dfg(d, DIMS_8x2), pivot, DIMS_8x2)
     plan = reconfig_plan(pivot, DIMS_8x2)
-    assert alloc.cell_map == {0: ((0, 1),)}
+    assert alloc.cell_map == (((0, 1),),)  # cell_map[k] is op k's cells
     assert check_physical_legality(alloc, plan, DIMS_8x2) == []
-    extra = dataclasses.replace(alloc, cell_map={**alloc.cell_map, 7: ((0, 1),)})
+    extra = alloc._replace(cell_map=alloc.cell_map + (((0, 1),),))
     assert check_physical_legality(extra, plan, DIMS_8x2) == [
         "cell map lists 2 ops, 1 placed",
     ]
-    moved = dataclasses.replace(alloc, cell_map={7: ((0, 1),)})  # the op's own key is gone
-    assert check_physical_legality(moved, plan, DIMS_8x2) == [
-        "op 0: cell map does not cover its 1 column(s)",
+    empty = alloc._replace(cell_map=())  # the op's own entry is gone
+    assert check_physical_legality(empty, plan, DIMS_8x2) == [
+        "cell map lists 0 ops, 1 placed",
     ]
 
 

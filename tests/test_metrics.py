@@ -107,7 +107,7 @@ def test_recount_oracle_over_replayed_scenario():
             continue
         for _ in range(reps):
             pivot = pivot_at(AllocationPolicy.ROTATING, executions, dims)
-            for cells in allocate(mapped[idx], pivot, dims).cell_map.values():
+            for cells in allocate(mapped[idx], pivot, dims).cell_map:
                 oracle.update(cells)
             executions += 1
     assert m.total_executions == executions > 0
