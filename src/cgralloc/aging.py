@@ -59,13 +59,8 @@ def delta_vt_raw(params: AgingParams, t_hours: float, u: float) -> float:
     if t_hours < 0:
         raise ValueError("time must be >= 0")
     _check_u(u)
-    return (
-        0.005
-        * math.exp(-1500.0 / params.temperature_k)
-        * params.vdd**4
-        * t_hours**_SIXTH
-        * u**_SIXTH
-    )
+    return (0.005 * math.exp(-1500.0 / params.temperature_k) * params.vdd**4
+            * t_hours**_SIXTH * u**_SIXTH)
 
 
 def delay_increase(params: AgingParams, t_years: float, u: float) -> float:
@@ -77,11 +72,8 @@ def delay_increase(params: AgingParams, t_years: float, u: float) -> float:
     if t_years < 0:
         raise ValueError("time must be >= 0")
     _check_u(u)
-    return (
-        params.delay_threshold
-        * (t_years / params.reference_lifetime_years) ** _SIXTH
-        * u**_SIXTH
-    )
+    return (params.delay_threshold * (t_years / params.reference_lifetime_years) ** _SIXTH
+            * u**_SIXTH)
 
 
 def lifetime(params: AgingParams, u: float) -> float:

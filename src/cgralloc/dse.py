@@ -13,15 +13,16 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import chain, product
-from operator import add, itemgetter
+from functools import cache
+from itertools import accumulate, chain, product
+from operator import add
 from typing import NamedTuple
 
 from . import aging
 from .allocation import AllocationPolicy, pivot_at, pivot_period
 from .mapper import DoesNotFitError, FabricDims, VirtualConfiguration, map_dfg
 from .metrics import UtilizationMap, UtilizationSummary, summarize
-from .workload import Workload, WorkloadSemanticError
+from .workload import Workload
 
 
 class EmptyScenarioError(Exception):
@@ -142,10 +143,13 @@ def replay_trace(
     Skipped DFGs' entries are dropped.  Execution k lands on pivot_at(policy, k, dims), of
     period P = pivot_period(policy, dims).  With P = 1 a DFG's repeats are summed into one count
     at pivot 0.  Else a run is q full periods, adding q x placed cells to every cell after the
-    fold, plus one or two ranges of leftover pivots, counted per DFG in C.  Placed cells are
-    added once per pivot counted (only those are built) to a 2 x rows by 2 x cols grid folded
-    onto the torus (placements never overlap).  Cost: O(trace entries), only additions with no
-    pivot arithmetic when P = 1, + sum over DFGs with leftover runs of pivots hit x placed cells.
+    fold, plus one or two ranges of leftover pivots.  A DFG with under P leftover executions
+    counts them in C and adds its placed cells once per pivot hit (only those are built); one
+    with P or more adds its length-P histogram (a difference array) in C to a sum per placed
+    cell offset, each added as one slice per pivot row, to a 2 x rows by 2 x cols grid folded
+    onto the torus (placements never overlap).  Cost: O(trace entries) + pivots hit x placed
+    cells per sparse DFG + about placed cells x P C-level additions per dense one.  Memory:
+    the 4 x cells grid + a length-P list per cell offset a dense DFG uses (<= cells^2 counts).
     """
     period = pivot_period(policy, dims)
     runs: dict[int, list[range]] = defaultdict(list)  # DFG -> its leftover pivot numbers
@@ -172,7 +176,8 @@ def replay_trace(
 
     num_cols, width, half = dims.num_cols, 2 * dims.num_cols, 2 * dims.num_cells
     grid = [0] * (2 * half)  # 2 x rows by 2 x cols, row-major: a shifted cell needs no modulo
-    bases: dict[int, int] = {}  # pivot number -> its offset on the grid
+    base = cache(lambda k: (p := pivot_at(policy, k, dims)).row * width + p.col)
+    dense: dict[int, list[int]] = {}  # cell offset -> dense DFGs' summed pivot histograms
     uniform = 0  # added to every cell after the fold
     for d in full.keys() | runs.keys():
         offsets = [row * width + c for row, col, w in mapped[d].placements
@@ -181,14 +186,24 @@ def replay_trace(
             per_pivot = {0: full[d]}
         else:  # a full period lands each placed cell once on every fabric cell
             uniform += full.get(d, 0) * len(offsets)
-            per_pivot = Counter(chain.from_iterable(runs[d])) if d in runs else {}
+            if sum(map(len, runs[d])) >= period:  # dense: a histogram over all P pivots
+                diff = [0] * (period + 1)
+                for r in runs[d]:
+                    diff[r.start] += 1
+                    diff[r.stop] -= 1
+                hist = list(accumulate(diff[:period]))  # diff[P] only closes ranges
+                for x in offsets:
+                    dense[x] = list(map(add, dense[x], hist)) if x in dense else hist
+                continue
+            per_pivot = Counter(chain.from_iterable(runs[d]))
         for k, n in per_pivot.items():
-            base = bases.get(k)
-            if base is None:
-                pivot = pivot_at(policy, k, dims)
-                base = bases[k] = pivot.row * width + pivot.col
+            at = base(k)
             for x in offsets:
-                grid[base + x] += n
+                grid[at + x] += n
+    for k in range(0, period, num_cols):  # a pivot row: one slice per dense offset
+        for x, counts in dense.items():
+            at = base(k) + x
+            grid[at:at + num_cols] = map(add, grid[at:at + num_cols], counts[k:k + num_cols])
     rows = list(map(add, grid[:half], grid[half:]))  # fold the rows, then the columns
     return UtilizationMap(dims, [[n + uniform for n in map(add, rows[i:i + num_cols],
                                                            rows[i + num_cols:i + width])]
@@ -208,17 +223,9 @@ def run_scenario_with_map(
     execution total T and the occupied mass, and the average matches exactly.
     With two policies the first is the baseline: its worst-cell count b is
     kept as an int, and the result carries baseline_max_util = b / T and
-    lifetime_improvement = b / (the second run's worst-cell count).  A repeat count below 1
-    raises WorkloadSemanticError before any replay.
+    lifetime_improvement = b / (the second run's worst-cell count).
     """
-    _check_repeats(workload)
     return _run_mapped(dims, workload, map_workload(workload, dims)[0], aging_params, policies)
-
-
-def _check_repeats(workload: Workload) -> None:
-    if min(map(itemgetter(1), workload.trace), default=1) < 1:  # one pass in C
-        raise WorkloadSemanticError([f"trace[{i}]: repeat count {reps} must be >= 1"
-                                     for i, (_, reps) in enumerate(workload.trace) if reps < 1])
 
 
 def _run_mapped(dims: FabricDims, workload: Workload, mapped: dict[int, VirtualConfiguration],
@@ -257,12 +264,10 @@ def sweep(
     Each row count is mapped once, at the largest column count C: first fit
     scans columns left to right, so a DFG fits C' <= C columns exactly when its
     C-column ops all end by column C', with the same placements.  Scenario
-    failures (nothing fits) become entries with an error; the sweep keeps going.  A repeat
-    count below 1 raises WorkloadSemanticError before any mapping.
+    failures (nothing fits) become entries with an error; the sweep keeps going.
     """
     if not col_values or not row_values:
         raise ValueError("need at least one column count and one row count")
-    _check_repeats(workload)
     grid = [FabricDims(num_cols=c, num_rows=r) for c, r in sorted(product(col_values, row_values))]
     results: dict[FabricDims, ScenarioResult] = {}  # a repeated point is run once
     for rows in sorted(set(row_values)):  # one row count's mapping is alive at a time

@@ -32,6 +32,9 @@ class FabricDims(_FabricDims):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name, x in zip(self._fields, self):
+            if type(x) is not int:  # a bool is 1, a float breaks first fit's masks
+                raise ValueError(f"{name} must be an int, got {x!r}")
         if self.num_cols < 1 or self.num_rows < 1:
             raise ValueError("fabric needs at least one row and one column")
         if self.num_config_lines < 1:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import random
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 WORKLOAD_FORMAT = 1
@@ -94,9 +95,22 @@ class Dfg(NamedTuple):
     outputs: tuple[int, ...]
 
 
-class Workload(NamedTuple):
+class _Workload(NamedTuple):
     dfgs: tuple[Dfg, ...]
-    trace: tuple[tuple[int, int], ...]
+    trace: tuple[tuple[int, int], ...]  # (dfg index, repeat count)
+
+
+class Workload(_Workload):
+    """A repeat count below 1 raises parse_workload's error on construction and _replace."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
+
+    def __new__(cls, dfgs, trace):
+        if min(map(itemgetter(1), trace), default=1) < 1:  # one pass in C
+            raise WorkloadSemanticError([f"trace[{i}]: repeat count {reps} must be >= 1"
+                                         for i, (_, reps) in enumerate(trace) if reps < 1])
+        return super().__new__(cls, dfgs, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +158,7 @@ def parse_workload(text: str) -> Workload:
     trace = _parse_trace(raw_trace, len(dfgs), violations)
     if violations:
         raise WorkloadSemanticError(violations)
-    return Workload(tuple(dfgs), trace)
+    return _workload((tuple(dfgs), trace))
 
 
 def _parse_compact(text: str) -> Workload | None:
@@ -165,7 +179,7 @@ def _parse_compact(text: str) -> Workload | None:
     if not isinstance(raw_trace, list) or text[at:].rstrip(" \t\n\r") != "}":  # not isspace()
         return None
     trace = _parse_trace(raw_trace, len(dfgs), violations)
-    return None if violations else Workload(tuple(dfgs), trace)
+    return None if violations else _workload((tuple(dfgs), trace))
 
 
 def _parse_trace(raw_trace: list, num_dfgs: int, violations: list[str]) -> tuple:
@@ -270,6 +284,7 @@ def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
 
 
 _operation = partial(tuple.__new__, Operation)  # builds the record in C, with no Python frame
+_workload = partial(tuple.__new__, Workload)  # for a trace with no repeat count below 1
 
 
 class _Malformed(Exception):
@@ -389,5 +404,5 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
                 available.append(oid)
         outputs = tuple(rng.sample(available, min(len(available), 1 + below(MAX_OUTPUTS))))
         dfgs.append(Dfg(f"dfg{di}", params.num_inputs, tuple(ops), outputs))
-    return Workload(tuple(dfgs), tuple([(below(params.num_dfgs), 1 + below(params.max_repeat))
-                                        for _ in range(params.trace_length)]))
+    return _workload((tuple(dfgs), tuple([(below(params.num_dfgs), 1 + below(params.max_repeat))
+                                          for _ in range(params.trace_length)])))

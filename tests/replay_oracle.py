@@ -15,10 +15,16 @@ Under FIXED_ORIGIN every execution sits at the origin, so trace order is
 irrelevant and the map has a closed form: each mapped DFG's summed repeats
 times its placed cells, with no replay at all (`fixed_origin_closed_form`).
 
+Under ROTATING, `dse.replay_trace` takes one of two paths per DFG: a sparse one
+while the DFG's leftover executions (each entry's repeats mod the period P) stay
+below P, and a dense one once they reach P.  The seeded scenarios draw both sides,
+and `undrawn_sides` checks that from each trace and its mapped DFGs, not from
+`replay_trace`.
+
 Run as a script, it needs neither pytest nor hypothesis: it compares both
 replays, checks the FIXED_ORIGIN closed form and every reported number
 against the exact oracle on fixed sets of seeded scenarios, and exits 1 on
-any mismatch.
+any mismatch or if either replay path is never drawn.
 
     PYTHONPATH=src python tests/replay_oracle.py
 """
@@ -88,10 +94,74 @@ def seeded_scenarios(fabrics=FABRICS, seeds=range(25)):
             yield dims, Workload(dfgs, trace)
 
 
+def dense_scenarios(seeds=range(25)):
+    """(dims, workload) on each fabric of FABRICS, for each seed, where leftovers pile up.
+
+    One or two DFGs (one may be empty) run 3 to 10 entries of 1 to 2 P + 1 repeats, so
+    most mapped DFGs' leftover executions reach P, some with full periods as well, and
+    some leftovers wrap past the end of the period.
+    """
+    for seed in seeds:
+        rng = random.Random(1000 + seed)
+        for cols, rows in FABRICS:
+            dims = FabricDims(num_cols=cols, num_rows=rows)
+            params = GeneratorParams(num_dfgs=rng.randint(1, 2), ops_per_dfg=(1, 4),
+                                     memory_op_fraction=rng.choice((0.0, 0.3)), num_inputs=2)
+            dfgs = generate_random_workload(params, seed).dfgs + (EMPTY_DFG,)
+            trace = tuple((rng.randrange(len(dfgs)), rng.randint(1, 2 * dims.num_cells + 1))
+                          for _ in range(rng.randint(3, 10)))
+            yield dims, Workload(dfgs, trace)
+
+
+def all_scenarios():
+    yield from seeded_scenarios()
+    yield from dense_scenarios()
+
+
+def leftover_sides(workload: Workload, mapped: dict[int, VirtualConfiguration],
+                   period: int) -> dict[str, int]:
+    """How many mapped DFGs of the trace fall on each side of the dense threshold.
+
+    "sparse": leftover executions in 1..P-1; "dense": P or more; "dense with full periods":
+    dense, and some entry ran P or more repeats; "dense with a wrapped leftover": dense, and
+    some entry's leftover ran past the end of the period.
+    """
+    leftover, full, wraps, total = {}, set(), set(), 0
+    for dfg_index, repeats in workload.trace:
+        if dfg_index not in mapped:
+            continue
+        start, left = total % period, repeats % period
+        leftover[dfg_index] = leftover.get(dfg_index, 0) + left
+        if repeats >= period:
+            full.add(dfg_index)
+        if start + left > period:
+            wraps.add(dfg_index)
+        total += repeats
+    dense = {d for d, n in leftover.items() if n >= period}
+    return {"sparse": sum(1 for n in leftover.values() if 0 < n < period),
+            "dense": len(dense), "dense with full periods": len(dense & full),
+            "dense with a wrapped leftover": len(dense & wraps)}
+
+
+def undrawn_sides() -> list[str]:
+    """One line per kind of DFG, or of scenario, that no seeded ROTATING scenario draws."""
+    drawn = dict.fromkeys(("sparse", "dense", "dense with full periods",
+                           "dense with a wrapped leftover"), 0)
+    all_sparse = 0  # scenarios whose mapped DFGs all stay below P
+    for dims, workload in all_scenarios():
+        mapped, _ = map_workload(workload, dims)
+        sides = leftover_sides(workload, mapped, dims.num_cells)
+        for side, n in sides.items():
+            drawn[side] += n
+        all_sparse += sides["sparse"] > 0 and not sides["dense"]
+    lines = [f"no seeded scenario draws a {side} DFG" for side, n in drawn.items() if n == 0]
+    return lines + ([] if all_sparse else ["no seeded scenario keeps every DFG below P"])
+
+
 def mismatches() -> list[str]:
     """One line per seeded scenario and policy where the two replays differ."""
     found = []
-    for dims, workload in seeded_scenarios():
+    for dims, workload in all_scenarios():
         mapped, _ = map_workload(workload, dims)
         for policy in AllocationPolicy:
             got = replay_trace(workload, mapped, dims, policy)
@@ -193,7 +263,8 @@ def inexact_numbers() -> list[str]:
 
 
 if __name__ == "__main__":
-    lines = mismatches() + fixed_origin_mismatches() + inexact_numbers()
-    print("\n".join(lines) or "counted replay matches per-execution replay and the "
-          "fixed-origin closed form, and every reported number is exact")
+    lines = mismatches() + undrawn_sides() + fixed_origin_mismatches() + inexact_numbers()
+    print("\n".join(lines) or "counted replay, on both its sparse and dense paths, matches "
+          "per-execution replay and the fixed-origin closed form, and every reported number "
+          "is exact")
     sys.exit(1 if lines else 0)

@@ -226,25 +226,22 @@ def test_sweep_equals_a_scenario_per_point(seed):
     (((0, -1), (0, 2), (0, 0)),
      "trace[0]: repeat count -1 must be >= 1; trace[2]: repeat count 0 must be >= 1"),
 ], ids=["negative", "negative after positive", "zero", "two entries"])
-def test_hand_built_repeat_counts_below_one_raise_before_any_replay(trace, message, monkeypatch):
+def test_hand_built_repeat_counts_below_one_raise_before_any_replay(trace, message):
     """parse_workload rejects these counts in a file.  A hand-built Workload holding them
-    gets the same error from run_scenario_with_map and sweep, under every policy, and is
-    never replayed: unchecked, the first two replay to -3 executions and utilization 1.5."""
-    workload = single_op_workload(1)._replace(trace=trace)
+    gets the same error when it is built, by the constructor, _make or _replace, so no
+    run_scenario_with_map or sweep can replay it: unchecked, the first two replay to -3
+    executions and utilization 1.5.  The text comes from a Workload built past the check."""
+    good = single_op_workload(1)
+    unchecked = tuple.__new__(Workload, (good.dfgs, trace))
     with pytest.raises(WorkloadSemanticError) as parsed:
-        parse_workload(serialize_workload(workload))
+        parse_workload(serialize_workload(unchecked))
     assert str(parsed.value) == message
-    replays = []
-    monkeypatch.setattr(dse, "replay_trace", lambda *args: replays.append(args))
-    dims = FabricDims(num_cols=2, num_rows=1)
-    for policies in (AllocationPolicy.FIXED_ORIGIN,), (AllocationPolicy.ROTATING,), dse._PAIR:
+    for build in (lambda: Workload(good.dfgs, trace), lambda: Workload(dfgs=good.dfgs, trace=trace),
+                  lambda: Workload._make((good.dfgs, trace)), lambda: good._replace(trace=trace)):
         with pytest.raises(WorkloadSemanticError) as e:
-            run_scenario_with_map(dims, workload, AGING, policies)
+            build()
         assert e.value.violations == parsed.value.violations
-    with pytest.raises(WorkloadSemanticError) as e:
-        sweep([2, 1], [1], workload, AGING)
-    assert e.value.violations == parsed.value.violations
-    assert replays == []
+    assert good._replace(trace=((0, 1), (0, 2))).trace == ((0, 1), (0, 2))  # good counts pass
 
 
 def test_sweep_rejects_empty_axis():

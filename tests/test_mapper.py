@@ -71,6 +71,20 @@ def test_dims_defaults_and_validation():
         FabricDims(num_cols=2, num_rows=2, num_config_lines=0)
 
 
+@pytest.mark.parametrize("build, message", [
+    # unchecked, first fit failed with a bare TypeError on the float
+    (lambda: FabricDims(8.5, 2), "num_cols must be an int, got 8.5"),
+    # unchecked, True counted as 1: a 1x1 fabric
+    (lambda: FabricDims(True, True), "num_cols must be an int, got True"),
+    (lambda: FabricDims(8, 2, num_config_lines=4.0), "num_config_lines must be an int, got 4.0"),
+    (lambda: FabricDims(8, 2)._replace(num_rows=2.0), "num_rows must be an int, got 2.0"),
+], ids=["float cols", "bool dims", "float lines", "_replace"])
+def test_dims_fields_must_be_ints(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
+
+
 def test_single_add_goes_to_origin():
     vc = map_dfg(single_add(), DIMS_16x2)
     p = vc.placements[0]

@@ -4,8 +4,9 @@ All 15 records, from the workload's `Operation`, `Dfg` and `Workload` to the `ds
 `ScenarioResult`, are immutable, hashable and equal by value, and they unpack in field
 order: the loops that read them and the `map --dump` line rely on that order.  An op and
 its placement carry no id: each is its position in `Dfg.ops` and `placements`, and
-`cell_map[k]` is op k's physical cells.  A ref is a plain int.  `FabricDims` and
-`AgingParams` check their values when built, and `_replace` re-runs those checks.  No
+`cell_map[k]` is op k's physical cells.  A ref is a plain int.  `FabricDims`,
+`AgingParams` and `Workload` check their values when built, and `_replace` re-runs those
+checks.  No
 record needs `dataclasses`, so `cgralloc.cli` imports without it.
 These tests need no pytest: `PYTHONPATH=src python tests/test_records.py`
 runs them all and exits 1 if one fails.
@@ -138,9 +139,11 @@ def test_parsed_refs_are_plain_ints():
 
 
 def test_replace_re_runs_the_constructor_checks_with_their_exact_messages():
-    dims, params = FabricDims(8, 2), AgingParams()
+    dims, params, w = FabricDims(8, 2), AgingParams(), parse_workload(_text())
     cases = [
         (dims, {"num_cols": 0}, "fabric needs at least one row and one column"),
+        (dims, {"num_cols": 8.0}, "num_cols must be an int, got 8.0"),
+        (dims, {"num_rows": True}, "num_rows must be an int, got True"),
         (dims, {"num_rows": 0}, "fabric needs at least one row and one column"),
         (dims, {"num_config_lines": 0}, "num_config_lines must be >= 1"),
         (params, {"temperature_k": 0.0}, "temperature must be > 0 K"),
@@ -150,6 +153,7 @@ def test_replace_re_runs_the_constructor_checks_with_their_exact_messages():
         (params, {"reference_lifetime_years": math.inf},
          "reference_lifetime_years must be finite, got inf"),
         (params, {"reference_lifetime_years": 0.0}, "reference_lifetime_years must be > 0"),
+        (w, {"trace": ((0, 2), (1, 0))}, "trace[1]: repeat count 0 must be >= 1"),
     ]
     for record, change, message in cases:
         for build in (lambda: type(record)(**{**record._asdict(), **change}),
@@ -162,6 +166,7 @@ def test_replace_re_runs_the_constructor_checks_with_their_exact_messages():
                 raise AssertionError(f"{record!r} took {change} without its check")
     assert dims._replace(num_cols=3) == FabricDims(3, 2)  # a good value still goes through
     assert type(params._replace(vdd=0.9)) is AgingParams
+    assert type(w) is type(w._replace(trace=((0, 1),))) is workload.Workload
 
 
 def test_the_cli_imports_without_dataclasses():

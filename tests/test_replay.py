@@ -13,7 +13,7 @@ from cgralloc.workload import GeneratorParams, Workload, generate_random_workloa
 
 from replay_oracle import (EMPTY_DFG, FABRICS, fixed_origin_closed_form,
                            fixed_origin_mismatches, inexact_numbers, mismatches,
-                           replay_per_execution)
+                           replay_per_execution, undrawn_sides)
 
 
 @st.composite
@@ -140,19 +140,28 @@ def test_replay_builds_only_the_pivots_the_trace_hits(monkeypatch):
 
     monkeypatch.setattr(dse, "pivot_at", counting_pivot_at)
     dims = FabricDims(num_cols=64, num_rows=64)
-    period = dims.num_cells
-    # leftovers only; then whole periods, which ROTATING adds without a pivot and
-    # FIXED_ORIGIN (period 1) counts at its one pivot
-    for trace, policy, most in ((((0, 3),), AllocationPolicy.ROTATING, 3),
-                                (((0, period), (0, 5 * period)), AllocationPolicy.ROTATING, 0),
-                                (((0, period), (0, 7)), AllocationPolicy.FIXED_ORIGIN, 1)):
+    period, rows = dims.num_cells, dims.num_rows
+    rotating, fixed = AllocationPolicy.ROTATING, AllocationPolicy.FIXED_ORIGIN
+    # a sparse DFG (leftovers below P) builds at most the pivots it hits; whole periods,
+    # which ROTATING adds without a pivot and FIXED_ORIGIN (period 1) counts at its one
+    # pivot; a dense DFG (leftovers reaching P, here P + 1 and P + 4 that wrap past the
+    # period end, the second after two full periods) builds one pivot per pivot row, though
+    # it hits all P; and a dense DFG 0 beside a sparse DFG 2 that hits 3 pivots
+    for trace, policy, most in ((((0, 3),), rotating, 3),
+                                (((0, period), (0, 5 * period)), rotating, 0),
+                                (((0, period - 1), (0, 2)), rotating, rows),
+                                (((0, 3 * period - 1), (0, 5)), rotating, rows),
+                                (((0, period - 1), (2, 3), (0, 2)), rotating, rows + 3),
+                                (((0, period), (0, 7)), fixed, 1)):
         built.clear()
-        workload = _alu_workload(trace, 3)
+        workload = _skipping_workload(trace)
         mapped, _ = map_workload(workload, dims)
         got = replay_trace(workload, mapped, dims, policy)
         assert got.active_count == replay_per_execution(
             workload, mapped, dims, policy).active_count
         assert len(built) <= most, f"{len(built)} pivots built for {trace} under {policy}"
+        if most == rows:  # only the dense DFG: each pivot row's first pivot
+            assert sorted(built) == list(range(0, period, dims.num_cols))
     assert built == [0]  # the FIXED_ORIGIN run did build its pivot
 
 
@@ -176,6 +185,10 @@ def test_replay_cost_does_not_grow_with_repeat_counts():
 
 def test_seeded_scenarios_match_per_execution_replay():
     assert mismatches() == []
+
+
+def test_seeded_scenarios_draw_both_sides_of_the_dense_threshold():
+    assert undrawn_sides() == []
 
 
 def test_seeded_fixed_origin_replays_match_the_closed_form():
