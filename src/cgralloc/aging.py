@@ -99,9 +99,7 @@ def lifetime_improvement(u_baseline: float, u_proposed: float) -> float:
     """
     _check_u(u_baseline)
     _check_u(u_proposed)
-    if u_proposed == 0.0:
-        return math.inf
-    return u_baseline / u_proposed
+    return u_baseline / u_proposed if u_proposed else math.inf
 
 
 def delay_curve(

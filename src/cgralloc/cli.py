@@ -145,8 +145,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             f.write(metrics.export_heatmap(umap))
     if args.summary:
         _write_json(args.summary, result.run_doc(args.policy))
-    if args.dump_plan:
-        # plan of the run's final execution
+    if args.dump_plan:  # the plan of the run's final execution
         pivot = pivot_at(policy, result.total_executions - 1, dims)
         print(f"pivot=({pivot.row}, {pivot.col})")
         print(plan_table(reconfig_plan(pivot, dims)), end="")

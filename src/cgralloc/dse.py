@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, product
 from operator import add
+from struct import pack, unpack
 from typing import NamedTuple
 
 from . import aging
@@ -145,11 +146,13 @@ def replay_trace(
     at pivot 0.  Else a run is q full periods, adding q x placed cells to every cell after the
     fold, plus one or two ranges of leftover pivots.  A DFG with under P leftover executions
     counts them in C and adds its placed cells once per pivot hit (only those are built); one
-    with P or more adds its length-P histogram (a difference array) in C to a sum per placed
-    cell offset, each added as one slice per pivot row, to a 2 x rows by 2 x cols grid folded
-    onto the torus (placements never overlap).  Cost: O(trace entries) + pivots hit x placed
-    cells per sparse DFG + about placed cells x P C-level additions per dense one.  Memory:
-    the 4 x cells grid + a length-P list per cell offset a dense DFG uses (<= cells^2 counts).
+    with P or more packs its pivot histogram into an int of P 64-bit slots, added to a sum per
+    placed cell offset.  A leftover is under P, so no slot exceeds len(trace) and no carry
+    crosses slots (pack raises on a count >= 2^64).  Each sum is unpacked once, one slice per
+    pivot row, onto a 2 x rows by 2 x cols grid folded onto the torus.  Cost: O(trace entries)
+    + pivots hit x placed cells per sparse DFG + one pack per dense DFG, one big-int addition
+    per placed cell and one unpack per distinct offset.  Memory: the 4 x cells grid + one
+    8P-byte int per distinct offset, at most 8 x cells^2 bytes.
     """
     period = pivot_period(policy, dims)
     runs: dict[int, list[range]] = defaultdict(list)  # DFG -> its leftover pivot numbers
@@ -177,7 +180,7 @@ def replay_trace(
     num_cols, width, half = dims.num_cols, 2 * dims.num_cols, 2 * dims.num_cells
     grid = [0] * (2 * half)  # 2 x rows by 2 x cols, row-major: a shifted cell needs no modulo
     base = cache(lambda k: (p := pivot_at(policy, k, dims)).row * width + p.col)
-    dense: dict[int, list[int]] = {}  # cell offset -> dense DFGs' summed pivot histograms
+    dense: dict[int, int] = {}  # cell offset -> dense DFGs' summed pivot histograms, packed
     uniform = 0  # added to every cell after the fold
     for d in full.keys() | runs.keys():
         offsets = [row * width + c for row, col, w in mapped[d].placements
@@ -187,21 +190,22 @@ def replay_trace(
         else:  # a full period lands each placed cell once on every fabric cell
             uniform += full.get(d, 0) * len(offsets)
             if sum(map(len, runs[d])) >= period:  # dense: a histogram over all P pivots
-                diff = [0] * (period + 1)
+                diff = [0] * (period + 1)  # diff[P] only closes ranges
                 for r in runs[d]:
                     diff[r.start] += 1
                     diff[r.stop] -= 1
-                hist = list(accumulate(diff[:period]))  # diff[P] only closes ranges
+                hist = int.from_bytes(pack(f"<{period}Q", *accumulate(diff[:period])), "little")
                 for x in offsets:
-                    dense[x] = list(map(add, dense[x], hist)) if x in dense else hist
+                    dense[x] = dense.get(x, 0) + hist
                 continue
             per_pivot = Counter(chain.from_iterable(runs[d]))
         for k, n in per_pivot.items():
             at = base(k)
             for x in offsets:
                 grid[at + x] += n
-    for k in range(0, period, num_cols):  # a pivot row: one slice per dense offset
-        for x, counts in dense.items():
+    for x, n in dense.items():  # unpacked once, then one slice per pivot row
+        counts = unpack(f"<{period}Q", n.to_bytes(8 * period, "little"))
+        for k in range(0, period, num_cols):
             at = base(k) + x
             grid[at:at + num_cols] = map(add, grid[at:at + num_cols], counts[k:k + num_cols])
     rows = list(map(add, grid[:half], grid[half:]))  # fold the rows, then the columns

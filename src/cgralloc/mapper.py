@@ -77,12 +77,9 @@ class DoesNotFitError(Exception):
     """Some op cannot be placed within the fabric."""
 
     def __init__(self, op_id: int, frontier_col: int, dims: FabricDims):
-        super().__init__(
-            f"op {op_id} does not fit: no free slot from frontier column "
-            f"{frontier_col} on a {dims.num_cols}x{dims.num_rows} fabric"
-        )
-        self.op_id = op_id
-        self.frontier_col = frontier_col
+        super().__init__(f"op {op_id} does not fit: no free slot from frontier column "
+                         f"{frontier_col} on a {dims.num_cols}x{dims.num_rows} fabric")
+        self.op_id, self.frontier_col = op_id, frontier_col
 
 
 def map_dfg(d: Dfg, dims: FabricDims) -> VirtualConfiguration:

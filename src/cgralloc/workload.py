@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import random
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -101,15 +102,19 @@ class _Workload(NamedTuple):
 
 
 class Workload(_Workload):
-    """A repeat count below 1 raises parse_workload's error on construction and _replace."""
+    """Raises parse_workload's error for an entry not a tuple of two ints or a count below 1."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
     def __new__(cls, dfgs, trace):
-        if min(map(itemgetter(1), trace), default=1) < 1:  # one pass in C
-            raise WorkloadSemanticError([f"trace[{i}]: repeat count {reps} must be >= 1"
-                                         for i, (_, reps) in enumerate(trace) if reps < 1])
+        if not ({*map(type, trace)} <= {tuple} and {*map(len, trace)} <= {2}  # passes in C
+                and {*map(type, chain.from_iterable(trace))} <= {int}
+                and min(map(itemgetter(1), trace), default=1) >= 1):
+            raise WorkloadSemanticError([
+                f"trace[{i}]: repeat count {e[1]} must be >= 1" if ok
+                else f"trace[{i}]: must be [dfg_index, repeat_count]" for i, e in enumerate(trace)
+                if not (ok := type(e) is tuple and [*map(type, e)] == [int, int]) or e[1] < 1])
         return super().__new__(cls, dfgs, trace)
 
 
@@ -328,9 +333,6 @@ def serialize_workload(w: Workload) -> str:
             ops.append(f'{{"id":{op_id},"opcode":"{opcode}","srcs":[{refs(sources)}]}}')
         dfgs.append(f'{{"name":{json.dumps(d.name)},"num_inputs":{d.num_inputs},'
                     f'"ops":[{",".join(ops)}],"outputs":[{refs(d.outputs)}]}}')
-    for idx, reps in w.trace:
-        if type(idx) is not int or type(reps) is not int:
-            raise WorkloadError(f"cannot write trace entry {(idx, reps)!r}")
     trace = ",".join([f"[{idx},{reps}]" for idx, reps in w.trace])
     return f'{{"format":{WORKLOAD_FORMAT},"dfgs":[{",".join(dfgs)}],"trace":[{trace}]}}\n'
 

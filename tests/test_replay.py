@@ -183,6 +183,16 @@ def test_replay_cost_does_not_grow_with_repeat_counts():
                                     for row in one_period.active_count], policy
 
 
+def test_dense_histogram_slots_hold_counts_past_16_bits():
+    """140,000 single executions on a 2 x 1 fabric (P = 2) alternate pivots, so each slot
+    of the DFG's packed histogram holds 70,000 > 2^16: a slot of 16 bits cannot."""
+    dims = FabricDims(num_cols=2, num_rows=1)
+    workload = _alu_workload(((0, 1),) * 140_000)
+    mapped, _ = map_workload(workload, dims)
+    got = replay_trace(workload, mapped, dims, AllocationPolicy.ROTATING)
+    assert got.active_count == [[70_000, 70_000]]
+
+
 def test_seeded_scenarios_match_per_execution_replay():
     assert mismatches() == []
 

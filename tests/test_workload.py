@@ -287,9 +287,9 @@ def test_parse_peaks_at_the_decoded_document():
     assert peak_failures() == []
 
 
-def _unspellable(opcode="add", ref=~1, num_inputs=2, entry=(0, 1), name="d"):
+def _unspellable(opcode="add", ref=~1, num_inputs=2, name="d"):
     op = Operation(opcode, (~0, ref))
-    return Workload((Dfg(name, num_inputs, (op,), (0,)),), (entry,))
+    return Workload((Dfg(name, num_inputs, (op,), (0,)),), ((0, 1),))
 
 
 @pytest.mark.parametrize("w, bad", [
@@ -304,8 +304,6 @@ def _unspellable(opcode="add", ref=~1, num_inputs=2, entry=(0, 1), name="d"):
     pytest.param(_unspellable(ref=True), "ref True", id="bool ref"),
     pytest.param(_unspellable(ref="1"), "ref '1'", id="str ref"),
     pytest.param(_unspellable(num_inputs=2.0), "num_inputs 2.0", id="float num_inputs"),
-    pytest.param(_unspellable(entry=("0", 1)), "trace entry ('0', 1)", id="str dfg index"),
-    pytest.param(_unspellable(entry=(0, True)), "trace entry (0, True)", id="bool repeats"),
     # a name parse_workload rejects: unchecked, 5 was written as a number, 'a\nb' escaped
     pytest.param(_unspellable(name=5), "name 5", id="int name"),
     pytest.param(_unspellable(name="a\nb"), "name 'a\\nb'", id="name with a newline"),
@@ -314,6 +312,39 @@ def _unspellable(opcode="add", ref=~1, num_inputs=2, entry=(0, 1), name="d"):
 def test_serialize_rejects_what_the_format_cannot_spell(w, bad):
     with pytest.raises(WorkloadError, match=f"^cannot write {re.escape(bad)}$"):
         serialize_workload(w)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(("0", 1), id="str dfg index"),
+    pytest.param((0, True), id="bool repeats"),
+    pytest.param((0, 1.5), id="float repeats"),
+    pytest.param((0, None), id="None repeats"),
+    pytest.param((0,), id="one value"),
+    pytest.param((0, 1, 2), id="three values"),
+    pytest.param(1, id="int entry"),
+    pytest.param([0, 1], id="list entry"),
+])
+def test_hand_built_trace_entries_must_be_tuples_of_two_ints(entry):
+    """The constructor (positional and keyword), _make and _replace raise parse_workload's
+    message for such an entry, alone or in trace order with a repeat count below 1.  Unchecked,
+    most of them constructed and the others raised a bare TypeError or IndexError.  A file
+    spells a tuple as a list, so only in memory is a list entry wrong."""
+    good, must_be = _unspellable(), "trace[1]: must be [dfg_index, repeat_count]"
+    for trace, message in ((((0, 1), entry), must_be), (((0, 1), entry, (0, 0)),
+                           f"{must_be}; trace[2]: repeat count 0 must be >= 1")):
+        for build in (lambda: Workload(good.dfgs, trace),
+                      lambda: Workload(dfgs=good.dfgs, trace=trace),
+                      lambda: Workload._make((good.dfgs, trace)),
+                      lambda: good._replace(trace=trace)):
+            with pytest.raises(WorkloadSemanticError) as e:
+                build()
+            assert str(e.value) == message
+        if type(entry) is not list:
+            doc = json.loads(MINIMAL)
+            doc["trace"] = trace
+            with pytest.raises(WorkloadSemanticError) as parsed:
+                parse_workload(json.dumps(doc))
+            assert str(parsed.value) == message
 
 
 def test_validate_accepts_chain():
