@@ -122,7 +122,7 @@ def map_workload(
     workload: Workload, dims: FabricDims
 ) -> tuple[dict[int, VirtualConfiguration], list[tuple[int, str]]]:
     """Map every DFG once; DFGs that do not fit are skipped, not split.  One with more ops
-    than cells is skipped before map_dfg, so its op-order guard never sees a hand-built one."""
+    than cells is skipped before first fit."""
     mapped: dict[int, VirtualConfiguration] = {}
     for i, dfg in enumerate(workload.dfgs):
         try:
@@ -227,8 +227,11 @@ def run_scenario_with_map(
     execution total T and the occupied mass, and the average matches exactly.
     With two policies the first is the baseline: its worst-cell count b is
     kept as an int, and the result carries baseline_max_util = b / T and
-    lifetime_improvement = b / (the second run's worst-cell count).
+    lifetime_improvement = b / (the second run's worst-cell count).  Raises ValueError
+    unless `policies` is one or two AllocationPolicy members.
     """
+    if not 1 <= len(policies) <= 2 or not all(isinstance(p, AllocationPolicy) for p in policies):
+        raise ValueError(f"policies must be one or two AllocationPolicy members, got {policies!r}")
     return _run_mapped(dims, workload, map_workload(workload, dims)[0], aging_params, policies)
 
 

@@ -5,8 +5,9 @@ graph executes and how many times in a row.  Each graph is a straight-line
 region written in program order: each operation reads external inputs or
 results of operations listed before it in the same graph, with no loops and
 no branches.  So the list order is the dependency order; a reference to the
-reading op itself or to a later op is an error.  ``parse_workload`` checks each rule as
-it reads each op and its refs; a hand-built ``Dfg`` meets only ``map_dfg``'s order guard.
+reading op itself or to a later op is an error.  ``parse_workload`` checks each rule as it
+reads each op and its refs, and so does building a ``Workload``, on its DFGs' file form; a
+bare ``Dfg`` meets only ``map_dfg``'s order guard.
 
 Value semantics are 32-bit two's-complement with wrapping arithmetic.  Shift
 amounts use the low 5 bits.  ``cmplt`` compares signed values and yields 0/1.
@@ -45,8 +46,6 @@ from __future__ import annotations
 import json
 import random
 from functools import partial
-from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 WORKLOAD_FORMAT = 1
@@ -102,20 +101,21 @@ class _Workload(NamedTuple):
 
 
 class Workload(_Workload):
-    """Raises parse_workload's error for an entry not a tuple of two ints or a count below 1."""
+    """A workload that meets every file rule: construction, _make and _replace read its DFGs in
+    their file form (a ref r < 0 is input ~r, any other op r) and its trace as a list, as
+    parse_workload does, raise its WorkloadSemanticError and keep the records it builds."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
     def __new__(cls, dfgs, trace):
-        if not ({*map(type, trace)} <= {tuple} and {*map(len, trace)} <= {2}  # passes in C
-                and {*map(type, chain.from_iterable(trace))} <= {int}
-                and min(map(itemgetter(1), trace), default=1) >= 1):
-            raise WorkloadSemanticError([
-                f"trace[{i}]: repeat count {e[1]} must be >= 1" if ok
-                else f"trace[{i}]: must be [dfg_index, repeat_count]" for i, e in enumerate(trace)
-                if not (ok := type(e) is tuple and [*map(type, e)] == [int, int]) or e[1] < 1])
-        return super().__new__(cls, dfgs, trace)
+        def ref(r) -> dict:  # a non-int ref is an op ref whose index is not an integer
+            neg = type(r) is int and r < 0
+            return {"kind": "input", "index": ~r} if neg else {"kind": "op", "index": r}
+        return _checked([{"name": d.name, "num_inputs": d.num_inputs,
+                          "ops": [{"id": k, "opcode": opcode, "srcs": [*map(ref, srcs)]}
+                                  for k, (opcode, srcs) in enumerate(d.ops)],
+                          "outputs": [*map(ref, d.outputs)]} for d in dfgs], [*trace])
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,11 @@ def parse_workload(text: str) -> Workload:
         raise WorkloadSemanticError(["'dfgs' must be a list"])
     if not isinstance(raw_trace, list):
         raise WorkloadSemanticError(["'trace' must be a list"])
+    return _checked(raw_dfgs, raw_trace)
 
+
+def _checked(raw_dfgs: list, raw_trace: list) -> Workload:
+    """Raises the malformed DFGs alone, else each DFG violation and then each trace one."""
     malformed: list[str] = []
     violations: list[str] = []  # reported only if every DFG is well-formed
     dfgs = []
@@ -289,7 +293,7 @@ def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
 
 
 _operation = partial(tuple.__new__, Operation)  # builds the record in C, with no Python frame
-_workload = partial(tuple.__new__, Workload)  # for a trace with no repeat count below 1
+_workload = partial(tuple.__new__, Workload)  # unchecked: for the records a parse or gen built
 
 
 class _Malformed(Exception):
@@ -304,15 +308,12 @@ def _bad_ref(where: str, oi: int, op_id: int | None, k: int, problem: str) -> _M
 def serialize_workload(w: Workload) -> str:
     """Canonical text form, exactly ``json.dumps(doc, separators=(",", ":")) + "\\n"`` of
     the document the module docstring shows: compact, no whitespace between tokens;
-    parse_workload(serialize_workload(w)) == w.
-    An opcode, a non-int ref or number, or a name the format cannot spell raises WorkloadError."""
+    parse_workload(serialize_workload(w)) == w."""
     rendered: dict[int, str] = {}  # the text of each ref
 
     def refs(rs: tuple[int, ...]) -> str:
         items = []
         for r in rs:
-            if type(r) is not int:  # true and 1.0 would find the text of 1
-                raise WorkloadError(f"cannot write ref {r!r}")
             text = rendered.get(r)
             if text is None:
                 kind, index = ("input", ~r) if r < 0 else ("op", r)
@@ -322,14 +323,8 @@ def serialize_workload(w: Workload) -> str:
 
     dfgs = []
     for d in w.dfgs:
-        if type(d.name) is not str or not d.name.isprintable():
-            raise WorkloadError(f"cannot write name {d.name!r}")
-        if type(d.num_inputs) is not int:
-            raise WorkloadError(f"cannot write num_inputs {d.num_inputs!r}")
         ops = []
         for op_id, (opcode, sources) in enumerate(d.ops):
-            if type(opcode) is not str or opcode not in _OPCODES:  # a dict test, not a scan
-                raise WorkloadError(f"cannot write opcode {opcode!r}")
             ops.append(f'{{"id":{op_id},"opcode":"{opcode}","srcs":[{refs(sources)}]}}')
         dfgs.append(f'{{"name":{json.dumps(d.name)},"num_inputs":{d.num_inputs},'
                     f'"ops":[{",".join(ops)}],"outputs":[{refs(d.outputs)}]}}')

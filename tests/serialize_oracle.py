@@ -5,6 +5,13 @@
 it to ``json.dumps(doc, separators=(",", ":"))``, so layout, escaping and
 number spelling are the encoder's, not a restatement of the hand-laid writer.
 
+`construction_mismatches` builds a seeded grid of hand-built `(dfgs, trace)` pairs, each
+file rule broken alone and several together, and checks that `Workload(dfgs, trace)` gives
+the verdict of `parse_workload` on the encoder's text for `_Workload(dfgs, trace)`, a record
+built past every check: the same Workload, or the same `WorkloadError` class and text.  A few
+anchor pairs also carry the parse's message spelled out, because a fault in the code that
+both sides share would make them agree.
+
 `peak_failures` bounds the tracemalloc peak of `parse_workload(text)` by that
 of `json.loads(text)`, in two layouts.  `gen`'s compact text is decoded one DFG
 at a time, so the parse holds the records and one decoded DFG, not the
@@ -14,18 +21,20 @@ are built never holds more than the decoded document: about 1.0x, bounded at
 1.05x.
 
 Run as a script (no pytest or Hypothesis needed) to check, on fixed seeds,
-writer == encoder, the round trip and the peak bound; it exits 1 on any
-failure:
+writer == encoder, the round trip, the hand-built grid and the peak bound; it
+exits 1 on any failure:
 
     PYTHONPATH=src:tests python tests/serialize_oracle.py
 """
 
 import json
+import random
 import sys
 import tracemalloc
 
 from cgralloc.workload import (WORKLOAD_FORMAT, Dfg, GeneratorParams, Operation, Workload,
-                               generate_random_workload, parse_workload, serialize_workload)
+                               WorkloadError, _Workload, generate_random_workload,
+                               parse_workload, serialize_workload)
 
 PEAK_BOUNDS = {"compact": 0.3, "indented": 1.05}  # parse_workload's peak over json.loads's
 PEAK_PARAMS = GeneratorParams(num_dfgs=200, ops_per_dfg=(20, 60), num_inputs=8)
@@ -55,7 +64,7 @@ def serialize_by_encoder(w: Workload) -> str:
             }
             for d in w.dfgs
         ],
-        "trace": [[idx, reps] for idx, reps in w.trace],
+        "trace": w.trace,  # each entry as it is: a tuple or a list is written as a list
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
@@ -100,8 +109,168 @@ def edge_case_workload() -> Workload:
     ), trace=((0, 1), (2, 3)))
 
 
+def verdict(build) -> tuple:
+    """("built", build()), or the class name and text of the WorkloadError it raises."""
+    try:
+        return "built", build()
+    except WorkloadError as e:
+        return type(e).__name__, str(e)
+
+
+def hand_built_verdicts(dfgs, trace) -> tuple[tuple, tuple]:
+    """The verdicts of Workload(dfgs, trace) and of the parse of the encoder's text for it."""
+    unchecked = _Workload(tuple(dfgs), tuple(trace))
+    return (verdict(lambda: Workload(dfgs, trace)),
+            verdict(lambda: parse_workload(serialize_by_encoder(unchecked))))
+
+
+# Values of the JSON types, so that the parse reads back what the encoder writes
+NOT_STR = (5, None, ["d"], 1.5, True)
+UNPRINTABLE = ("a\nb", "\ud800", "\x7f", "tab\there", "\u2028")
+NOT_INT = (2.0, True, "2", None, [2])
+NOT_INT_REFS = (1.0, -1.0, True, False, 2.5)  # the encoder writes -1.0 as input index 0.0
+UNKNOWN_OPCODES = ("mul", 'x"y', "", "ADD", "load ", None, 5, 1.5, ["add"], {"op": "add"})
+NOT_PAIRS = ((0, 1.5), (0, True), (False, 1), ("0", 1), (0,), (0, 1, 2), (), 1, None, "ab",
+             (0, None), (0, "1"), [0, 1])  # the file reads [0, 1] as the pair (0, 1)
+GRID_PARAMS = GeneratorParams(num_dfgs=3, ops_per_dfg=(1, 5), memory_op_fraction=0.3,
+                              num_inputs=2, trace_length=4, max_repeat=3)
+GRID_COMBOS = 40  # pairs per seed with two to four rules broken together
+
+
+def _some_op(rng, dfgs):
+    """A random DFG index, and a random op index in it (every grid DFG has an op)."""
+    i = rng.randrange(len(dfgs))
+    return i, rng.randrange(len(dfgs[i].ops))
+
+
+def _set_op(dfgs, i, k, op):
+    dfgs[i] = dfgs[i]._replace(ops=dfgs[i].ops[:k] + (op,) + dfgs[i].ops[k + 1:])
+
+
+def _any_ref(rng, dfg, k):
+    """An int ref that reads op k itself, a later op, no op or no input, or any int."""
+    n, ni = len(dfg.ops), dfg.num_inputs if type(dfg.num_inputs) is int else 2
+    return rng.choice([k, k + 1, n, n + rng.randrange(10**20), ~ni, ~(ni + rng.randrange(9)),
+                       -rng.randrange(1, 2**70), rng.randrange(-2**70, 2**70)])
+
+
+def _break_name(rng, dfgs, trace):
+    i = rng.randrange(len(dfgs))
+    dfgs[i] = dfgs[i]._replace(name=rng.choice(NOT_STR + UNPRINTABLE))
+
+
+def _break_num_inputs(rng, dfgs, trace):
+    i = rng.randrange(len(dfgs))
+    dfgs[i] = dfgs[i]._replace(num_inputs=rng.choice(NOT_INT + (-1, -2, -10**20)))
+
+
+def _break_opcode(rng, dfgs, trace):
+    i, k = _some_op(rng, dfgs)
+    _set_op(dfgs, i, k, dfgs[i].ops[k]._replace(opcode=rng.choice(UNKNOWN_OPCODES)))
+
+
+def _break_arity(rng, dfgs, trace):
+    i, k = _some_op(rng, dfgs)
+    opcode, sources = dfgs[i].ops[k]
+    count = rng.choice([c for c in range(4) if c != (1 if opcode == "load" else 2)])
+    _set_op(dfgs, i, k, Operation(opcode, (sources * 3 + (~0,) * 3)[:count]))
+
+
+def _break_source(rng, dfgs, trace):
+    i, k = _some_op(rng, dfgs)
+    opcode, sources = dfgs[i].ops[k]
+    j = rng.randrange(len(sources)) if sources else 0
+    ref = _any_ref(rng, dfgs[i], k)
+    _set_op(dfgs, i, k, Operation(opcode, sources[:j] + (ref,) + sources[j + 1:]))
+
+
+def _break_ref_type(rng, dfgs, trace):
+    i, k = _some_op(rng, dfgs)
+    opcode, sources = dfgs[i].ops[k]
+    _set_op(dfgs, i, k, Operation(opcode, (rng.choice(NOT_INT_REFS),) + sources[1:]))
+
+
+def _break_output(rng, dfgs, trace):
+    i = rng.randrange(len(dfgs))
+    ref = _any_ref(rng, dfgs[i], len(dfgs[i].ops))  # read after every op
+    dfgs[i] = dfgs[i]._replace(outputs=dfgs[i].outputs + (ref,))
+
+
+def _break_store_source(rng, dfgs, trace):
+    i = rng.randrange(len(dfgs))
+    n = len(dfgs[i].ops)  # a store, then an op that reads it as a value
+    store, reader = Operation("store", (~0, ~0)), Operation("add", (n, ~0))
+    dfgs[i] = dfgs[i]._replace(ops=dfgs[i].ops + (store, reader))
+
+
+def _break_entry_type(rng, dfgs, trace):
+    trace[rng.randrange(len(trace))] = rng.choice(NOT_PAIRS)
+
+
+def _break_entry_index(rng, dfgs, trace):
+    trace[rng.randrange(len(trace))] = (rng.choice([-1, len(dfgs), len(dfgs) + 9, -10**20]), 1)
+
+
+def _break_repeats(rng, dfgs, trace):
+    trace[rng.randrange(len(trace))] = (0, rng.choice([0, -1, -10**20]))
+
+
+def _break_trace_length(rng, dfgs, trace):
+    trace.clear()
+
+
+BREAKERS = (_break_name, _break_num_inputs, _break_opcode, _break_arity, _break_source,
+            _break_ref_type, _break_output, _break_store_source, _break_entry_type,
+            _break_entry_index, _break_repeats, _break_trace_length)
+
+_STORE_THEN_LOAD = Dfg("d", 1, (Operation("store", (~0, ~0)), Operation("load", (0, ~5))), (1,))
+ANCHORS = (  # (dfgs, trace, the parse's exact message)
+    ((_STORE_THEN_LOAD,), ((0, 2), (7, 3)),
+     "dfgs[0]: op 1: load takes 1 source(s), got 2; "
+     "dfgs[0]: op 1 sources op 0, a store, which produces no value; "
+     "dfgs[0]: op 1 references nonexistent input 5 (have 1); trace[1]: dfg index 7 out of range"),
+    ((Dfg("d", 1, (Operation("load", (~0,)),), (0,)),), ((0, 1), (1, 1)),
+     "trace[1]: dfg index 1 out of range"),
+    ((Dfg(5, 1, (), ()), _STORE_THEN_LOAD, Dfg("e", 1, (Operation("mul", (~0, ~0)),), ())),
+     ((0, 0), (9, 1)), "dfgs[0]: 'name' must be a string; dfgs[2].ops[0]: unknown opcode 'mul'"),
+)
+
+
+def grid(seed: int):
+    """(label, dfgs, trace) on a generated workload: intact, each rule broken alone, and
+    GRID_COMBOS pairs with two to four broken together."""
+    rng, base = random.Random(seed), generate_random_workload(GRID_PARAMS, seed)
+    plans = [(), *((b,) for b in BREAKERS)]
+    plans += [tuple(rng.sample(BREAKERS, rng.randint(2, 4))) for _ in range(GRID_COMBOS)]
+    for plan in plans:
+        dfgs, trace = list(base.dfgs), list(base.trace)
+        for brk in sorted(plan, key=BREAKERS.index):  # the trace is emptied last
+            brk(rng, dfgs, trace)
+        yield "+".join(b.__name__[len("_break_"):] for b in plan) or "intact", dfgs, trace
+
+
+def construction_mismatches() -> list[str]:
+    """One line per grid or anchor pair where the two verdicts differ, or where an anchor's
+    verdict is not its message."""
+    found = []
+    for dfgs, trace, message in ANCHORS:
+        for side in hand_built_verdicts(dfgs, trace):
+            if side != ("WorkloadSemanticError", message):
+                found.append(f"anchor {trace}: got {side!r}")
+    for seed in (1, 101):
+        for label, dfgs, trace in grid(seed):
+            got, want = hand_built_verdicts(dfgs, trace)
+            if got != want or (got[0] == "built" and type(got[1]) is not Workload):
+                found.append(f"seed {seed}, {label}: Workload gives {got!r}, the parse {want!r}")
+    return found
+
+
 def failures() -> list[str]:
-    """One line per fixed-seed workload where the writer, the round trip or the peak fails."""
+    """One line per fixed-seed workload where the writer, the round trip or the peak fails,
+    and per hand-built pair whose verdict is not the parse's."""
+    found = construction_mismatches()
+    if found:  # the workloads below are built through the same constructor
+        return found
     cases = [("edge cases", edge_case_workload())]
     for seed in (1, 101):
         for label, params in (
@@ -111,7 +280,6 @@ def failures() -> list[str]:
                 ("memory only", GeneratorParams(num_dfgs=10, memory_op_fraction=1.0,
                                                 num_inputs=1, max_repeat=1000))):
             cases.append((f"{label} seed {seed}", generate_random_workload(params, seed)))
-    found = []
     for label, w in cases:
         text = serialize_workload(w)
         if text != serialize_by_encoder(w):
@@ -123,5 +291,6 @@ def failures() -> list[str]:
 
 if __name__ == "__main__":
     lines = failures()
-    print("\n".join(lines) or "writer matches the encoder, round trips and peak hold")
+    print("\n".join(lines) or "writer matches the encoder, round trips, hand-built workloads "
+          "get the parse's verdicts and peak holds")
     sys.exit(1 if lines else 0)

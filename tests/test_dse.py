@@ -115,9 +115,6 @@ def test_over_capacity_dfg_is_skipped_without_first_fit(monkeypatch):
     add = Operation("add", (~0, ~0))
     exact = Dfg(name="exact", num_inputs=1, ops=(add,) * 4, outputs=())  # one op per cell
     over = Dfg(name="over", num_inputs=1, ops=(add,) * 5, outputs=())
-    # map_dfg would reject op 0's forward read; the bound skips the DFG before it looks
-    bad = Dfg(name="bad", num_inputs=1, ops=(Operation("add", (1, ~0)),) + (add,) * 4,
-              outputs=())
     seen = []
 
     def recording_map_dfg(d, dims):
@@ -125,9 +122,9 @@ def test_over_capacity_dfg_is_skipped_without_first_fit(monkeypatch):
         return map_dfg(d, dims)
 
     monkeypatch.setattr(dse, "map_dfg", recording_map_dfg)
-    mapped, skipped = map_workload(Workload(dfgs=(over, exact, bad), trace=()), dims)
+    mapped, skipped = map_workload(Workload(dfgs=(over, exact), trace=((1, 1),)), dims)
     assert seen == ["exact"]
-    assert list(mapped) == [1] and skipped == [(0, "over"), (2, "bad")]
+    assert list(mapped) == [1] and skipped == [(0, "over")]
 
 
 def test_compare_policies_pairs_the_fields():
@@ -242,6 +239,19 @@ def test_hand_built_repeat_counts_below_one_raise_before_any_replay(trace, messa
             build()
         assert e.value.violations == parsed.value.violations
     assert good._replace(trace=((0, 1), (0, 2))).trace == ((0, 1), (0, 2))  # good counts pass
+
+
+@pytest.mark.parametrize("policies", [
+    pytest.param((), id="none"),
+    pytest.param(("rotating",), id="a policy's value"),
+    pytest.param(tuple(AllocationPolicy) + (AllocationPolicy.ROTATING,), id="three"),
+])
+def test_run_scenario_needs_one_or_two_policies(policies):
+    """Unchecked, no policy ended in an UnboundLocalError, the string "rotating" replayed
+    fixed-origin without a word, and three policies dropped the pairing."""
+    w = generate_random_workload(GeneratorParams(), 1)
+    with pytest.raises(ValueError, match="^policies must be one or two AllocationPolicy members"):
+        run_scenario_with_map(PRESETS["BE"], w, AGING, policies)
 
 
 def test_sweep_rejects_empty_axis():

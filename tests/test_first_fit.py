@@ -101,7 +101,7 @@ def test_map_workload_skips_exactly_what_first_fit_rejects(d, cols, rows):
         want = None
     if len(d.ops) > dims.num_cells:  # the bound map_workload checks before first fit
         assert want is None, "a DFG with more ops than cells fit"
-    mapped, skipped = map_workload(Workload(dfgs=(d,), trace=()), dims)
+    mapped, skipped = map_workload(Workload(dfgs=(d,), trace=((0, 1),)), dims)
     assert (mapped[0].placements if mapped else None) == want
     assert skipped == ([] if mapped else [(0, "g")])
 

@@ -73,7 +73,7 @@ def test_counted_replay_matches_per_execution_replay(scenario, policy):
 
 def _skipping_workload(trace):
     """DFG 0 has one ALU op, DFG 1 six (more than a 1x1 or 5x1 fabric has cells), DFG 2 three."""
-    one, six, three = (_alu_workload((), n).dfgs[0] for n in (1, 6, 3))
+    one, six, three = (_alu_workload(((0, 1),), n).dfgs[0] for n in (1, 6, 3))
     return Workload(dfgs=(one, six, three), trace=trace)
 
 
@@ -113,11 +113,10 @@ def test_fixed_origin_replay_is_each_dfgs_repeat_sum_times_its_cells(scenario):
                                AllocationPolicy.FIXED_ORIGIN)
 
 
-def test_replay_drops_entries_of_out_of_range_and_skipped_dfgs():
-    """A hand-built trace may name -1 or len(dfgs), which no DFG has: its entries count
-    nowhere, like a skipped DFG's, and none lands on the last DFG."""
+def test_replay_drops_entries_of_skipped_dfgs():
+    """A skipped DFG's entries count nowhere, and none lands on another DFG."""
     dims = FabricDims(num_cols=5, num_rows=1)
-    workload = _skipping_workload(((0, 2), (-1, 7), (1, 4), (3, 5), (2, 3), (-1, 1)))
+    workload = _skipping_workload(((0, 2), (1, 7), (1, 4), (2, 3), (1, 1)))
     mapped, _ = map_workload(workload, dims)
     assert sorted(mapped) == [0, 2]  # DFG 1 is skipped
     kept = workload._replace(trace=((0, 2), (2, 3)))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgralloc import workload
 from cgralloc.workload import (
     OPCODES,
     Dfg,
@@ -17,13 +18,16 @@ from cgralloc.workload import (
     WorkloadError,
     WorkloadSemanticError,
     WorkloadSyntaxError,
+    _Workload,
     generate_random_workload,
     parse_workload,
     serialize_workload,
 )
 from gen_oracle import generate_by_public_calls, mismatches
 from parse_messages import MALFORMED, layouts
-from serialize_oracle import edge_case_workload, peak_failures, serialize_by_encoder
+from serialize_oracle import (NOT_INT, NOT_PAIRS, NOT_STR, UNKNOWN_OPCODES, UNPRINTABLE,
+                              construction_mismatches, edge_case_workload, hand_built_verdicts,
+                              peak_failures, serialize_by_encoder, verdict)
 
 MINIMAL = json.dumps({
     "format": 1,
@@ -275,7 +279,7 @@ def test_serialize_equals_json_encoder_on_edge_cases():
     text = serialize_workload(w)
     assert text == serialize_by_encoder(w)
     assert text.isascii()
-    empty = Workload(dfgs=(), trace=())
+    empty = _Workload(dfgs=(), trace=())  # no Workload has an empty trace
     assert serialize_workload(empty) == serialize_by_encoder(empty) == (
         '{"format":1,"dfgs":[],"trace":[]}\n')
 
@@ -288,30 +292,43 @@ def test_parse_peaks_at_the_decoded_document():
 
 
 def _unspellable(opcode="add", ref=~1, num_inputs=2, name="d"):
-    op = Operation(opcode, (~0, ref))
-    return Workload((Dfg(name, num_inputs, (op,), (0,)),), ((0, 1),))
+    """The dfgs and trace of a one-op workload, with one field as given."""
+    return (Dfg(name, num_inputs, (Operation(opcode, (~0, ref)),), (0,)),), ((0, 1),)
 
 
-@pytest.mark.parametrize("w, bad", [
+_NOT_AN_INDEX = "dfgs[0].ops[0].srcs[1]: 'index' must be an integer"
+
+
+@pytest.mark.parametrize("fields, message", [
     # unchecked, 'x"y' was written between quotes: text that parse_workload rejects
-    pytest.param(_unspellable(opcode='x"y'), "opcode 'x\"y'", id="quoted opcode"),
-    pytest.param(_unspellable(opcode="mul"), "opcode 'mul'", id="unknown opcode"),
-    pytest.param(_unspellable(opcode=["add"]), "opcode ['add']", id="list opcode"),
-    # a number that is not an int: unchecked, the ref text wrote an extra key,
-    # and true and 1.0 were written as the ref 1
-    pytest.param(_unspellable(ref='1, "x": 5'), "ref '1, \"x\": 5'", id="index text"),
-    pytest.param(_unspellable(ref=1.0), "ref 1.0", id="float index"),
-    pytest.param(_unspellable(ref=True), "ref True", id="bool ref"),
-    pytest.param(_unspellable(ref="1"), "ref '1'", id="str ref"),
-    pytest.param(_unspellable(num_inputs=2.0), "num_inputs 2.0", id="float num_inputs"),
-    # a name parse_workload rejects: unchecked, 5 was written as a number, 'a\nb' escaped
-    pytest.param(_unspellable(name=5), "name 5", id="int name"),
-    pytest.param(_unspellable(name="a\nb"), "name 'a\\nb'", id="name with a newline"),
-    pytest.param(_unspellable(name="\ud800"), "name '\\ud800'", id="name with a lone surrogate"),
+    pytest.param(_unspellable(opcode='x"y'), "dfgs[0].ops[0]: unknown opcode 'x\"y'",
+                 id="quoted opcode"),
+    pytest.param(_unspellable(opcode="mul"), "dfgs[0].ops[0]: unknown opcode 'mul'",
+                 id="unknown opcode"),
+    pytest.param(_unspellable(opcode=["add"]), "dfgs[0].ops[0]: unknown opcode ['add']",
+                 id="list opcode"),
+    # a ref that is not an int is read as an op ref whose index is not one: unchecked, the
+    # ref text wrote an extra key, and true and 1.0 were written as the ref 1
+    pytest.param(_unspellable(ref='1, "x": 5'), _NOT_AN_INDEX, id="index text"),
+    pytest.param(_unspellable(ref=1.0), _NOT_AN_INDEX, id="float index"),
+    pytest.param(_unspellable(ref=True), _NOT_AN_INDEX, id="bool ref"),
+    pytest.param(_unspellable(ref="1"), _NOT_AN_INDEX, id="str ref"),
+    pytest.param(_unspellable(num_inputs=2.0), "dfgs[0]: 'num_inputs' must be an integer",
+                 id="float num_inputs"),
+    # unchecked, 5 was written as a number and 'a\nb' escaped
+    pytest.param(_unspellable(name=5), "dfgs[0]: 'name' must be a string", id="int name"),
+    pytest.param(_unspellable(name="a\nb"), "dfgs[0]: 'name' must be printable text",
+                 id="name with a newline"),
+    pytest.param(_unspellable(name="\ud800"), "dfgs[0]: 'name' must be printable text",
+                 id="name with a lone surrogate"),
 ])
-def test_serialize_rejects_what_the_format_cannot_spell(w, bad):
-    with pytest.raises(WorkloadError, match=f"^cannot write {re.escape(bad)}$"):
-        serialize_workload(w)
+def test_serialize_rejects_what_the_format_cannot_spell(fields, message):
+    """serialize_workload never receives such a workload: building it raises the parse's
+    message for the file that spells it, and the encoder's text, where it can write the
+    field, parses to the same message."""
+    assert verdict(lambda: Workload(*fields)) == ("WorkloadSemanticError", message)
+    if type(fields[0][0].ops[0].sources[1]) is not str:  # the encoder cannot write a str ref
+        assert hand_built_verdicts(*fields)[1] == ("WorkloadSemanticError", message)
 
 
 @pytest.mark.parametrize("entry", [
@@ -325,26 +342,101 @@ def test_serialize_rejects_what_the_format_cannot_spell(w, bad):
     pytest.param([0, 1], id="list entry"),
 ])
 def test_hand_built_trace_entries_must_be_tuples_of_two_ints(entry):
-    """The constructor (positional and keyword), _make and _replace raise parse_workload's
-    message for such an entry, alone or in trace order with a repeat count below 1.  Unchecked,
-    most of them constructed and the others raised a bare TypeError or IndexError.  A file
-    spells a tuple as a list, so only in memory is a list entry wrong."""
-    good, must_be = _unspellable(), "trace[1]: must be [dfg_index, repeat_count]"
-    for trace, message in ((((0, 1), entry), must_be), (((0, 1), entry, (0, 0)),
-                           f"{must_be}; trace[2]: repeat count 0 must be >= 1")):
+    """The constructor (positional and keyword), _make and _replace give parse_workload's
+    verdict on the file with the same trace, for such an entry alone or in trace order with a
+    repeat count below 1.  A file spells a pair as a list, so a list entry is read as the file
+    reads it: [0, 1] is the pair (0, 1)."""
+    good = parse_workload(MINIMAL)
+    verdicts = []
+    for trace in (((0, 1), entry), ((0, 1), entry, (0, 0))):
+        doc = json.loads(MINIMAL)
+        doc["trace"] = trace
+        verdicts.append(verdict(lambda: parse_workload(json.dumps(doc))))
         for build in (lambda: Workload(good.dfgs, trace),
                       lambda: Workload(dfgs=good.dfgs, trace=trace),
                       lambda: Workload._make((good.dfgs, trace)),
                       lambda: good._replace(trace=trace)):
-            with pytest.raises(WorkloadSemanticError) as e:
-                build()
-            assert str(e.value) == message
-        if type(entry) is not list:
-            doc = json.loads(MINIMAL)
-            doc["trace"] = trace
-            with pytest.raises(WorkloadSemanticError) as parsed:
-                parse_workload(json.dumps(doc))
-            assert str(parsed.value) == message
+            assert verdict(build) == verdicts[-1]
+    count_below_one = "trace[2]: repeat count 0 must be >= 1"
+    if type(entry) is list:
+        assert verdicts == [("built", good._replace(trace=((0, 1), (0, 1)))),
+                            ("WorkloadSemanticError", count_below_one)]
+    else:
+        must_be = "trace[1]: must be [dfg_index, repeat_count]"
+        assert verdicts == [("WorkloadSemanticError", must_be),
+                            ("WorkloadSemanticError", f"{must_be}; {count_below_one}")]
+
+
+def test_a_hand_built_trace_is_read_as_the_list_a_file_holds():
+    """An iterator is read once: an empty one is the empty trace, not a Workload without one."""
+    dfgs = parse_workload(MINIMAL).dfgs
+    assert Workload(dfgs, iter([[0, 2]])).trace == ((0, 2),)
+    with pytest.raises(WorkloadSemanticError, match="^empty trace$"):
+        Workload(dfgs, iter(()))
+
+
+def test_hand_built_workloads_get_the_parse_verdict_on_the_grid():
+    """Each file rule broken alone and several together, on seeded generated workloads, plus
+    anchors that spell the parse's message out."""
+    assert construction_mismatches() == []
+
+
+def _value_refs(ops, n):
+    """Refs to one of three inputs or to one of the first n ops that is not a store."""
+    return st.integers(-3, n - 1).filter(lambda r: r < 0 or ops[r].opcode != "store")
+
+
+@st.composite
+def hand_built_fields(draw):
+    """DFGs and a trace, any field of which breaks a file rule with odds drawn per example, from
+    none to 1 in 2: a name, a count of inputs, an opcode, a number of sources, an int ref of any
+    range, a trace entry, the trace's length."""
+    odds = draw(st.sampled_from([0, 60, 12, 2]))
+
+    def pick(valid, broken):
+        return draw(broken if odds and draw(st.integers(1, odds)) == 1 else valid)
+
+    dfgs = []
+    for _ in range(draw(st.integers(0, 3))):
+        name = pick(st.sampled_from(["d", "", "caf\u00e9", 'say "hi"']),
+                    st.sampled_from(NOT_STR + UNPRINTABLE))
+        num_inputs = pick(st.just(3), st.integers(-2, 2) | st.sampled_from(NOT_INT))
+        ops = []
+        for k in range(draw(st.integers(0, 5))):
+            opcode = pick(st.sampled_from(OPCODES), st.sampled_from(UNKNOWN_OPCODES))
+            count = pick(st.just(workload.arity(opcode)), st.integers(0, 3))
+            ops.append(Operation(opcode, tuple(pick(_value_refs(ops, k), st.integers())
+                                               for _ in range(count))))
+        outputs = [pick(_value_refs(ops, len(ops)), st.integers())
+                   for _ in range(draw(st.integers(0, 2)))]
+        dfgs.append(Dfg(name, num_inputs, tuple(ops), tuple(outputs)))
+    bad_entry = (st.tuples(st.integers(-1, len(dfgs) + 1), st.integers(-1, 4) | st.integers())
+                 | st.sampled_from(NOT_PAIRS))
+    entry = st.tuples(st.integers(0, len(dfgs) - 1), st.integers(1, 4)) if dfgs else bad_entry
+    return dfgs, [pick(entry, bad_entry) for _ in range(pick(st.integers(1, 4), st.just(0)))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(fields=hand_built_fields())
+def test_hand_built_workload_gets_the_parse_verdict_on_the_encoder_text(fields):
+    got, want = hand_built_verdicts(*fields)
+    assert got == want
+    assert got[0] != "built" or type(got[1]) is Workload
+
+
+def test_parse_of_gen_text_reads_each_dfg_once(monkeypatch):
+    """The CLI builds its Workload inside the parse, not through the checking constructor."""
+    calls = []
+
+    def counting_parse_dfg(*args):
+        calls.append(args[1])
+        return parse_dfg(*args)
+
+    parse_dfg = workload._parse_dfg
+    monkeypatch.setattr(workload, "_parse_dfg", counting_parse_dfg)
+    w = generate_random_workload(GeneratorParams(num_dfgs=30), 5)
+    assert parse_workload(serialize_workload(w)) == w
+    assert calls == [f"dfgs[{i}]" for i in range(30)]
 
 
 def test_validate_accepts_chain():
