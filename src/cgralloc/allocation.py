@@ -11,6 +11,7 @@ torus style.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache, partial
 from typing import NamedTuple
 
 from .mapper import FabricDims, VirtualConfiguration
@@ -64,17 +65,23 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
 
     Translation is a bijection on the torus, so a legal virtual configuration
     stays overlap-free at every pivot; memory ops may straddle the physical
-    right edge via wrap-around.
+    right edge via wrap-around.  Op k's cells slice a row of one table per fabric size, 2 x cells
+    shared cell tuples; a non-int field or a width outside 0..num_cols raises ValueError.
     """
     check_pivot(pivot, dims)
     num_rows, num_cols = dims.num_rows, dims.num_cols
-    pivot_row, pivot_col = pivot.row, pivot.col
+    rows, (pivot_row, pivot_col) = _torus_rows(num_rows, num_cols), pivot
     cell_map = []  # in op id order
-    for row, col_start, width in vc.placements:
-        row = (row + pivot_row) % num_rows
-        col = col_start + pivot_col
-        if width == 1:  # ALU ops: this literal is several times cheaper than a generator
-            cell_map.append(((row, col % num_cols),))
-        else:
-            cell_map.append(tuple((row, c % num_cols) for c in range(col, col + width)))
-    return PhysicalAllocation(vc, pivot, tuple(cell_map))
+    try:
+        for row, col, width in vc.placements:
+            if not 0 <= width <= num_cols:  # so a slice of 2 x num_cols cells cannot truncate
+                raise ValueError(f"placement width {width} outside 0..{num_cols}")
+            col = (col + pivot_col) % num_cols
+            cell_map.append(rows[(row + pivot_row) % num_rows][col:col + width])
+    except TypeError:
+        raise ValueError("placements and pivot must hold ints") from None
+    return _allocation((vc, pivot, tuple(cell_map)))
+
+
+_allocation = partial(tuple.__new__, PhysicalAllocation)  # builds the record in C
+_torus_rows = cache(lambda R, C: [tuple([(r, c % C) for c in range(2 * C)]) for r in range(R)])

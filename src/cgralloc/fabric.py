@@ -15,6 +15,8 @@ moving a configuration costs no extra reconfiguration time.
 from __future__ import annotations
 
 import operator
+from functools import cache, partial
+from itertools import compress
 from typing import NamedTuple
 
 from .allocation import PhysicalAllocation, Pivot, check_pivot
@@ -42,18 +44,14 @@ def reconfig_plan(pivot: Pivot, dims: FabricDims) -> ReconfigPlan:
     it selects that column's configuration line; every column shifts its bits
     down by pivot.row; the column hosting logical column 0 takes the initial
     input context through the feedback mux whenever the start column moved.
+    Line select and wrap mux are slices of two 2 x num_cols tables, built once per fabric size.
     """
     check_pivot(pivot, dims)
     num_cols, n = dims.num_cols, dims.num_config_lines
-    cycles = -(-num_cols // n)
-    lines = (list(range(min(n, num_cols))) * cycles)[:num_cols]  # logical column c: line c mod n
-    split = num_cols - pivot.col  # physical column pivot.col hosts logical column 0
-    return ReconfigPlan(
-        tuple(lines[split:] + lines[:split]),
-        (pivot.row,) * num_cols,
-        (False,) * pivot.col + (pivot.col != 0,) + (False,) * (split - 1),
-        cycles,
-    )
+    lines, wrap = _plan_tables(num_cols, n)
+    start = -pivot.col % num_cols  # physical column pc hosts logical column start + pc mod num_cols
+    return _plan((lines[start:start + num_cols], (pivot.row,) * num_cols,
+                  wrap[start:start + num_cols], -(-num_cols // n)))
 
 
 def plan_table(plan: ReconfigPlan) -> str:
@@ -72,26 +70,26 @@ class MemoryModel:
     indistinguishable from no write; equality compares nonzero content only.
     """
 
+    __slots__ = ("_words",)
+
     def __init__(self, initial: dict[int, int] | None = None):
         self._words: dict[int, int] = {}
-        if initial:
-            for addr, word in initial.items():
-                self.write(addr, word)
+        for addr, word in (initial or {}).items():
+            self.write(addr, word)
 
     def read(self, addr: int) -> int:
         return self._words.get(addr & WORD_MASK, 0)
 
     def write(self, addr: int, word: int) -> None:
         addr &= WORD_MASK
-        word &= WORD_MASK
-        if word == 0:
-            self._words.pop(addr, None)
-        else:
+        if word := word & WORD_MASK:
             self._words[addr] = word
+        else:
+            self._words.pop(addr, None)
 
     def copy(self) -> "MemoryModel":
-        clone = MemoryModel()
-        clone._words = dict(self._words)
+        clone = MemoryModel.__new__(MemoryModel)  # skips __init__
+        clone._words = self._words.copy()
         return clone
 
     def as_dict(self) -> dict[int, int]:
@@ -102,13 +100,16 @@ class MemoryModel:
             return NotImplemented
         return self._words == other._words
 
-    def __repr__(self) -> str:
-        return f"MemoryModel({self._words!r})"
-
 
 class ExecResult(NamedTuple):
     outputs: tuple[int, ...]
     memory: MemoryModel
+
+
+_plan = partial(tuple.__new__, ReconfigPlan)  # build the records in C
+_exec_result = partial(tuple.__new__, ExecResult)
+_plan_tables = cache(lambda C, n: (tuple([c % n for c in range(C)]) * 2,
+                                   (False,) * C + (True,) + (False,) * (C - 1)))
 
 
 _ALU = {
@@ -164,7 +165,7 @@ def execute(
         else:
             values[op_id] = _ALU[opcode](a, b)
 
-    return ExecResult(tuple(words[~s] if s < 0 else values[s] for s in dfg.outputs), mem)
+    return _exec_result((tuple([words[~s] if s < 0 else values[s] for s in dfg.outputs]), mem))
 
 
 def check_physical_legality(
@@ -216,7 +217,6 @@ def check_physical_legality(
         violations.append("physical cell count does not match logical occupancy")
 
     expected_wrap = [alloc.pivot.col] if alloc.pivot.col else []
-    actual_wrap = [pc for pc, on in enumerate(wrap) if on]
-    if actual_wrap != expected_wrap:
+    if (actual_wrap := [*compress(range(num_cols), wrap)]) != expected_wrap:
         violations.append(f"wrap feedback at columns {actual_wrap}, expected {expected_wrap}")
     return violations

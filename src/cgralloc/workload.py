@@ -112,10 +112,11 @@ class Workload(_Workload):
         def ref(r) -> dict:  # a non-int ref is an op ref whose index is not an integer
             neg = type(r) is int and r < 0
             return {"kind": "input", "index": ~r} if neg else {"kind": "op", "index": r}
+        trace = [None if isinstance(e, dict) else e for e in trace]  # a file's dict keys are str
         return _checked([{"name": d.name, "num_inputs": d.num_inputs,
                           "ops": [{"id": k, "opcode": opcode, "srcs": [*map(ref, srcs)]}
                                   for k, (opcode, srcs) in enumerate(d.ops)],
-                          "outputs": [*map(ref, d.outputs)]} for d in dfgs], [*trace])
+                          "outputs": [*map(ref, d.outputs)]} for d in dfgs], trace)
 
 
 # ---------------------------------------------------------------------------

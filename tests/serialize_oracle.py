@@ -131,7 +131,9 @@ NOT_INT = (2.0, True, "2", None, [2])
 NOT_INT_REFS = (1.0, -1.0, True, False, 2.5)  # the encoder writes -1.0 as input index 0.0
 UNKNOWN_OPCODES = ("mul", 'x"y', "", "ADD", "load ", None, 5, 1.5, ["add"], {"op": "add"})
 NOT_PAIRS = ((0, 1.5), (0, True), (False, 1), ("0", 1), (0,), (0, 1, 2), (), 1, None, "ab",
-             (0, None), (0, "1"), [0, 1])  # the file reads [0, 1] as the pair (0, 1)
+             "01", (0, None), (0, "1"), {"0": 0},
+             {0: 1, 1: 1},  # the file's keys are str: {"0": 1, "1": 1} unpacks to ("0", "1")
+             [0, 1])  # the file reads [0, 1] as the pair (0, 1)
 GRID_PARAMS = GeneratorParams(num_dfgs=3, ops_per_dfg=(1, 5), memory_op_fraction=0.3,
                               num_inputs=2, trace_length=4, max_repeat=3)
 GRID_COMBOS = 40  # pairs per seed with two to four rules broken together
@@ -233,6 +235,8 @@ ANCHORS = (  # (dfgs, trace, the parse's exact message)
      "trace[1]: dfg index 1 out of range"),
     ((Dfg(5, 1, (), ()), _STORE_THEN_LOAD, Dfg("e", 1, (Operation("mul", (~0, ~0)),), ())),
      ((0, 0), (9, 1)), "dfgs[0]: 'name' must be a string; dfgs[2].ops[0]: unknown opcode 'mul'"),
+    ((Dfg("d", 1, (Operation("load", (~0,)),), (0,)),), ((0, 1), {0: 1, 1: 1}, "01"),
+     "trace[1]: must be [dfg_index, repeat_count]; trace[2]: must be [dfg_index, repeat_count]"),
 )
 
 

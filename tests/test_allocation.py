@@ -3,13 +3,15 @@ from collections import Counter
 import pytest
 
 from cgralloc.allocation import AllocationPolicy, Pivot, allocate, pivot_at
-from cgralloc.mapper import DoesNotFitError, FabricDims, Placement, VirtualConfiguration, map_dfg
+from cgralloc.mapper import FabricDims, Placement, VirtualConfiguration, map_dfg
 from cgralloc.workload import (
     Dfg,
     GeneratorParams,
     Operation,
     generate_random_workload,
 )
+
+from fabric_oracle import allocation_mismatches, cells_by_definition, configuration, pivots
 
 DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 ROTATING = AllocationPolicy.ROTATING
@@ -144,22 +146,40 @@ def test_full_rotation_occupies_every_cell_equally():
 
 
 def test_allocate_is_the_torus_shift_of_every_cell_at_every_pivot():
-    w = generate_random_workload(GeneratorParams(num_dfgs=40, ops_per_dfg=(2, 8),
-                                                 memory_op_fraction=0.3), 8)
-    for dims in (FabricDims(num_cols=8, num_rows=2), FabricDims(num_cols=5, num_rows=3)):
-        vcs = []
-        for d in w.dfgs:
-            try:
-                vcs.append(map_dfg(d, dims))
-            except DoesNotFitError:
-                continue
-        assert any(p.width > 1 for vc in vcs for p in vc.placements)  # some op wraps
-        for vc in vcs:
-            for r in range(dims.num_rows):
-                for c in range(dims.num_cols):
-                    # logical (row, col) lands on ((row + r) mod R, (col + c) mod C)
-                    expected = tuple(
-                        tuple(((p.row + r) % dims.num_rows, (p.col_start + k + c) % dims.num_cols)
-                              for k in range(p.width))
-                        for p in vc.placements)
-                    assert allocate(vc, Pivot(r, c), dims).cell_map == expected
+    # logical (row, col) lands on ((row + r) mod R, (col + c) mod C), for mapped DFGs and for
+    # placements off the fabric of every width up to num_cols, on fabrics whose sizes follow
+    # each other in one process: a cell table keyed on num_cols alone is read for 1x1 and 1x5
+    assert allocation_mismatches() == []
+
+
+DIMS_8x3 = FabricDims(num_cols=8, num_rows=3)
+
+
+@pytest.mark.parametrize("placement", [
+    pytest.param(Placement(-1, 2, 1), id="row -1"),
+    pytest.param(Placement(3, 2, 1), id="row num_rows"),
+    pytest.param(Placement(1, -1, 4), id="col_start -1"),
+    pytest.param(Placement(2, 6, 4), id="past the right edge"),
+    pytest.param(Placement(0, 3, 8), id="as wide as the fabric"),
+    pytest.param(Placement(0, 3, 0), id="width 0"),
+])
+def test_placement_off_the_fabric_lands_on_its_torus_shift(placement):
+    vc = configuration(placement)
+    for pivot in pivots(DIMS_8x3):
+        assert allocate(vc, pivot, DIMS_8x3).cell_map == cells_by_definition(vc, pivot, DIMS_8x3)
+
+
+@pytest.mark.parametrize("placement", [
+    pytest.param(Placement(0, 0, 9), id="wider than the fabric"),
+    pytest.param(Placement(1, 6, 19), id="past the doubled table"),
+    pytest.param(Placement(0, 0, -1), id="negative width"),
+    pytest.param(Placement(0.0, 0, 1), id="float row"),
+    pytest.param(Placement(0, 0.0, 1), id="float col_start"),
+    pytest.param(Placement(0, 0, 1.0), id="float width"),
+])
+def test_placement_no_slice_of_the_table_spells_is_a_value_error(placement):
+    """Never a different cell map: no truncated slice at the seam, no negative index."""
+    vc = configuration(placement)
+    for pivot in pivots(DIMS_8x3):
+        with pytest.raises(ValueError):
+            allocate(vc, pivot, DIMS_8x3)

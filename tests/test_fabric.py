@@ -20,6 +20,7 @@ from cgralloc.workload import (
 )
 
 from execute_oracle import execute_by_columns
+from fabric_oracle import SIZES, plan_mismatches, size_grid
 
 DIMS_16x2 = FabricDims(num_cols=16, num_rows=2)
 DIMS_8x2 = FabricDims(num_cols=8, num_rows=2)
@@ -90,23 +91,14 @@ def test_plan_table_rows():
     assert lines[3].split() == ["1", "0", "1", "yes"]  # seam column hosts logical 0
 
 
-@pytest.mark.parametrize("dims", [
-    DIMS_8x2,
-    FabricDims(num_cols=10, num_rows=2, num_config_lines=4),
-    FabricDims(num_cols=3, num_rows=2, num_config_lines=4),
-    FabricDims(num_cols=1, num_rows=1),
-], ids=lambda d: f"{d.num_cols}x{d.num_rows}")
-def test_plan_matches_per_column_definition_at_every_pivot(dims):
+@pytest.mark.parametrize("size", SIZES, ids=lambda size: "{}x{}".format(*size))
+def test_plan_matches_per_column_definition_at_every_pivot(size):
     # physical column pc hosts logical column (pc - col) mod L and listens to
     # that column's line; every column shifts by row; the mux is on only where
-    # logical column 0 landed, and only if it moved
-    cols, n = dims.num_cols, dims.num_config_lines
-    for row in range(dims.num_rows):
-        for col in range(cols):
-            plan = reconfig_plan(Pivot(row, col), dims)
-            assert plan.line_select == tuple(((pc - col) % cols) % n for pc in range(cols))
-            assert plan.barrel_shift_rows == tuple(row for _ in range(cols))
-            assert plan.wrap_feedback_enabled == tuple(pc == col != 0 for pc in range(cols))
+    # logical column 0 landed, and only if it moved.  The size's num_config_lines
+    # (1, 3, cols + 1 and 4) follow each other, and the sizes follow each other in
+    # one process, so a line table keyed on too few fields is read for another fabric.
+    assert plan_mismatches(size_grid(*size)) == []
 
 
 def test_reconfig_cycles_pivot_independent():

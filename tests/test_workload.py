@@ -150,18 +150,21 @@ def _whole_document_outcome(text):
     return _outcome(json.dumps(doc, indent=1))
 
 
-SMALL = Workload(dfgs=(
-    Dfg("a", 2, (Operation("add", (~0, ~1)),), (0,)),
-    Dfg("mem", 1, (Operation("load", (~0,)), Operation("store", (~0, 0))), (0,)),
-    Dfg("c", 2, (Operation("sub", (~1, ~0)), Operation("xor", (0, ~0))), (1, 0)),
-), trace=((0, 1), (2, 3), (1, 2), (0, 10)))
+def small_workload() -> Workload:
+    """Built when a test asks, so that a constructor fault fails that test, not the module."""
+    return Workload(dfgs=(
+        Dfg("a", 2, (Operation("add", (~0, ~1)),), (0,)),
+        Dfg("mem", 1, (Operation("load", (~0,)), Operation("store", (~0, 0))), (0,)),
+        Dfg("c", 2, (Operation("sub", (~1, ~0)), Operation("xor", (0, ~0))), (1, 0)),
+    ), trace=((0, 1), (2, 3), (1, 2), (0, 10)))
 
 
 def test_compact_parse_matches_the_whole_document_parse_byte_by_byte():
     """Every prefix of gen's text, every one-byte deletion, every byte turned into a space
     and the layout's traps give the same Workload, or the same error, as the whole document."""
-    text = serialize_workload(SMALL)
-    assert _outcome(text) == SMALL
+    small = small_workload()
+    text = serialize_workload(small)
+    assert _outcome(text) == small
     texts = [text[:k] for k in range(len(text))]
     texts += [text[:i] + text[i + 1:] for i in range(len(text))]
     texts += [text[:i] + " " + text[i + 1:] for i in range(len(text))]
@@ -340,12 +343,14 @@ def test_serialize_rejects_what_the_format_cannot_spell(fields, message):
     pytest.param((0, 1, 2), id="three values"),
     pytest.param(1, id="int entry"),
     pytest.param([0, 1], id="list entry"),
+    pytest.param({0: 1, 1: 1}, id="dict entry"),
+    pytest.param("01", id="two-character str entry"),
 ])
 def test_hand_built_trace_entries_must_be_tuples_of_two_ints(entry):
     """The constructor (positional and keyword), _make and _replace give parse_workload's
     verdict on the file with the same trace, for such an entry alone or in trace order with a
     repeat count below 1.  A file spells a pair as a list, so a list entry is read as the file
-    reads it: [0, 1] is the pair (0, 1)."""
+    reads it: [0, 1] is the pair (0, 1); a file's object keys are str, so a dict is never one."""
     good = parse_workload(MINIMAL)
     verdicts = []
     for trace in (((0, 1), entry), ((0, 1), entry, (0, 0))):
