@@ -44,10 +44,14 @@ def pivot_at(policy: AllocationPolicy, k: int, dims: FabricDims) -> Pivot:
     return Pivot(*divmod(k % pivot_period(policy, dims), dims.num_cols))
 
 
-def check_pivot(pivot: Pivot, dims: FabricDims) -> None:
-    """Raise ValueError unless the pivot names a cell of the fabric."""
-    if not (0 <= pivot.row < dims.num_rows and 0 <= pivot.col < dims.num_cols):
+def check_pivot(pivot: Pivot, dims: FabricDims) -> tuple[int, int]:
+    """The pivot's (row, col); ValueError unless they are ints (a bool is not) naming a cell."""
+    row, col = pivot
+    if type(row) is not int or type(col) is not int:
+        raise ValueError(f"pivot {pivot} must hold ints")
+    if not (0 <= row < dims.num_rows and 0 <= col < dims.num_cols):
         raise ValueError(f"pivot {pivot} outside {dims.num_cols}x{dims.num_rows} fabric")
+    return row, col
 
 
 class PhysicalAllocation(NamedTuple):
@@ -68,9 +72,8 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
     right edge via wrap-around.  Op k's cells slice a row of one table per fabric size, 2 x cells
     shared cell tuples; a non-int field or a width outside 0..num_cols raises ValueError.
     """
-    check_pivot(pivot, dims)
     num_rows, num_cols = dims.num_rows, dims.num_cols
-    rows, (pivot_row, pivot_col) = _torus_rows(num_rows, num_cols), pivot
+    (pivot_row, pivot_col), rows = check_pivot(pivot, dims), _torus_rows(num_rows, num_cols)
     cell_map = []  # in op id order
     try:
         for row, col, width in vc.placements:
@@ -79,7 +82,7 @@ def allocate(vc: VirtualConfiguration, pivot: Pivot, dims: FabricDims) -> Physic
             col = (col + pivot_col) % num_cols
             cell_map.append(rows[(row + pivot_row) % num_rows][col:col + width])
     except TypeError:
-        raise ValueError("placements and pivot must hold ints") from None
+        raise ValueError("placements must hold ints") from None
     return _allocation((vc, pivot, tuple(cell_map)))
 
 

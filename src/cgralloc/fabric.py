@@ -46,11 +46,11 @@ def reconfig_plan(pivot: Pivot, dims: FabricDims) -> ReconfigPlan:
     input context through the feedback mux whenever the start column moved.
     Line select and wrap mux are slices of two 2 x num_cols tables, built once per fabric size.
     """
-    check_pivot(pivot, dims)
+    row, col = check_pivot(pivot, dims)
     num_cols, n = dims.num_cols, dims.num_config_lines
     lines, wrap = _plan_tables(num_cols, n)
-    start = -pivot.col % num_cols  # physical column pc hosts logical column start + pc mod num_cols
-    return _plan((lines[start:start + num_cols], (pivot.row,) * num_cols,
+    start = -col % num_cols  # physical column pc hosts logical column start + pc mod num_cols
+    return _plan((lines[start:start + num_cols], (row,) * num_cols,
                   wrap[start:start + num_cols], -(-num_cols // n)))
 
 
@@ -134,7 +134,7 @@ def execute(
 ) -> ExecResult:
     """Run one configuration; mutates and returns `mem` as the final state.
 
-    The pivot is only range-checked.  A torus translation keeps every op's
+    The pivot is only checked to name a cell.  A torus translation keeps every op's
     column relative to the start column, so the result cannot depend on it;
     check_physical_legality is the check that can fail for a moved load.
 

@@ -5,17 +5,17 @@ graph executes and how many times in a row.  Each graph is a straight-line
 region written in program order: each operation reads external inputs or
 results of operations listed before it in the same graph, with no loops and
 no branches.  So the list order is the dependency order; a reference to the
-reading op itself or to a later op is an error.  ``parse_workload`` checks each rule as it
-reads each op and its refs, and so does building a ``Workload``, on its DFGs' file form; a
-bare ``Dfg`` meets only ``map_dfg``'s order guard.
+reading op itself or to a later op is an error.  ``parse_workload`` checks every rule, and so
+does building a ``Workload``, on its DFGs' file form; a bare ``Dfg`` meets only ``map_dfg``'s
+order guard.
 
 Value semantics are 32-bit two's-complement with wrapping arithmetic.  Shift
 amounts use the low 5 bits.  ``cmplt`` compares signed values and yields 0/1.
 ``shr`` is a logical right shift.
 
 Workload file format (JSON, ``"format": 1``), indented here for reading.  ``gen`` writes it
-compact, and a parse decodes that layout one DFG at a time, so it holds the text, the records
-and one decoded DFG.  Any other layout is decoded whole (9x the compact bytes on map_heavy)::
+compact; a parse reads that exact layout by regular expressions, one split of each DFG's ops,
+and decodes any other layout, and any text breaking a rule, whole (9x the bytes on map_heavy)::
 
     {
       "format": 1,
@@ -45,13 +45,16 @@ from __future__ import annotations
 
 import json
 import random
-from functools import partial
+import re
+from functools import cache, partial
+from itertools import chain, compress
+from operator import lt
 from typing import NamedTuple
 
 WORKLOAD_FORMAT = 1
 WORD_MASK = 0xFFFFFFFF
 _COMPACT_HEAD = f'{{"format":{WORKLOAD_FORMAT},"dfgs":['  # serialize_workload's first bytes
-_decode = json.JSONDecoder().raw_decode  # one value at an index; skips no whitespace
+_decode = json.JSONDecoder().raw_decode  # the trace: one value at an index; skips no whitespace
 
 
 class WorkloadError(ValueError):
@@ -81,6 +84,16 @@ def arity(opcode: str) -> int:
 
 # opcode -> (one shared str, where json.loads makes a new one per value, and its arity)
 _OPCODES = {op: (op, arity(op)) for op in OPCODES}
+_SHARED = {op: op for op in OPCODES}  # the compact reader's: the same shared strs
+
+# gen's layout: a DFG's head; an op and its comma (group 3, set for any opcode but load, reads
+# a second source; a longer ref text is read whole, so no try at an op reads more than 2 x 64
+# characters and reading time stays linear in the text); the outputs; one ref, its "}" cut
+_DFG_HEAD = re.compile(r'\{"name":"([ !#-\[\]-~]*)","num_inputs":(0|[1-9][0-9]*),"ops":\[')
+_OP = re.compile(r'\{"id":([0-9]+),"opcode":"(load|(?:%s|store)())","srcs":\[(\{[^}]{0,64}'
+                 r'(?(3)\},\{[^}]{0,64}))\}\]\}(?:,(?=\{)|\Z)' % "|".join(ALU_OPCODES))
+_OUTPUTS = re.compile(r'\],"outputs":\[(?:(\{[^\]]*)\})?\]\}')
+_REF = re.compile(r'\{"kind":"(?:(input)|op)","index":(0|[1-9][0-9]*)')
 
 
 class Operation(NamedTuple):
@@ -101,9 +114,9 @@ class _Workload(NamedTuple):
 
 
 class Workload(_Workload):
-    """A workload that meets every file rule: construction, _make and _replace read its DFGs in
-    their file form (a ref r < 0 is input ~r, any other op r) and its trace as a list, as
-    parse_workload does, raise its WorkloadSemanticError and keep the records it builds."""
+    """A workload that meets every file rule: construction, _make and _replace read each DFG (a
+    4-tuple) and op (a 2-tuple) in its file form, a ref r < 0 as input ~r and any other as op r,
+    and the trace as a list, as parse_workload does, raise its error and keep its records."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
@@ -112,11 +125,14 @@ class Workload(_Workload):
         def ref(r) -> dict:  # a non-int ref is an op ref whose index is not an integer
             neg = type(r) is int and r < 0
             return {"kind": "input", "index": ~r} if neg else {"kind": "op", "index": r}
+
+        def fields(value, n: int) -> tuple | None:  # the value if a tuple of n, else no object
+            return value if isinstance(value, tuple) and len(value) == n else None
         trace = [None if isinstance(e, dict) else e for e in trace]  # a file's dict keys are str
-        return _checked([{"name": d.name, "num_inputs": d.num_inputs,
-                          "ops": [{"id": k, "opcode": opcode, "srcs": [*map(ref, srcs)]}
-                                  for k, (opcode, srcs) in enumerate(d.ops)],
-                          "outputs": [*map(ref, d.outputs)]} for d in dfgs], trace)
+        return _checked([d and {"name": d[0], "num_inputs": d[1], "outputs": [*map(ref, d[3])],
+                                "ops": [o and {"id": k, "opcode": o[0], "srcs": [*map(ref, o[1])]}
+                                        for k, o in enumerate(fields(o, 2) for o in d[2])]}
+                         for d in (fields(d, 4) for d in dfgs)], trace)
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +188,44 @@ def _checked(raw_dfgs: list, raw_trace: list) -> Workload:
 
 
 def _parse_compact(text: str) -> Workload | None:
-    """serialize_workload's layout, decoded one DFG at a time; None if anything else."""
+    """gen's layout, read by the patterns above: the whole-document parse's Workload, or None
+    where the text deviates from that layout or breaks a rule (that parse then reports it)."""
     if not text.startswith(_COMPACT_HEAD):
         return None
-    at, violations, dfgs = len(_COMPACT_HEAD) - 1, [], []  # at the "[" before the first DFG
+    @cache  # per parse, as is refs
+    def ref(t: str) -> int:  # '{"kind":"input","index":1' is ~1, '{"kind":"op","index":1' 1
+        if (m := _REF.fullmatch(t)) is None:
+            raise ValueError(t)
+        return ~int(m[2]) if m[1] else int(m[2])
+    refs = cache(lambda t: tuple(map(ref, t.split("},"))))  # a srcs or outputs text, "}" cut
+    at, dfgs, ids = len(_COMPACT_HEAD) - 1, [], []  # at the "[" before dfg 0
     try:
-        while text.startswith("," if dfgs else "[", at):  # "dfgs":[] is a decode error
-            raw, at = _decode(text, at + 1)
-            dfgs.append(_parse_dfg(raw, f"dfgs[{len(dfgs)}]", violations))
-            del raw  # before the next DFG is decoded
+        while text.startswith("," if dfgs else "[", at):
+            head = _DFG_HEAD.match(text, at + 1)
+            if not (tail := head and _OUTPUTS.search(text, head.end())):
+                return None
+            parts = _OP.split(text[head.end():tail.start()])  # per op: gap, id, opcode, _, srcs
+            n, num_inputs = len(parts) // 5, int(head[2])
+            ids += map(str, range(len(ids), n))
+            srcs, outputs = [*map(refs, parts[4::5])], refs(tail[1]) if tail[1] else ()
+            opcodes = [*map(_SHARED.__getitem__, parts[2::5])]
+            stores = {*compress(range(n), map("store".__eq__, opcodes))}
+            if (any(parts[::5]) or parts[1::5] != ids[:n] or max(outputs, default=-1) >= n
+                    or not all(map(lt, map(max, srcs), range(n)))
+                    or min(chain(outputs, *srcs), default=0) < -num_inputs
+                    or stores and not stores.isdisjoint(chain(outputs, *srcs))):
+                return None
+            dfgs.append(Dfg(head[1], num_inputs, tuple(map(_operation, zip(opcodes, srcs))),
+                            outputs))
+            at = tail.end()
         if not text.startswith('],"trace":', at):
             return None
         raw_trace, at = _decode(text, at + len('],"trace":'))
-    except (ValueError, RecursionError, _Malformed):  # JSONDecodeError, the digit limit
-        return None  # this frame's records are dropped before the whole-document parse
+    except (ValueError, RecursionError):  # not a ref, a number over the digit limit, the trace
+        return None
     if not isinstance(raw_trace, list) or text[at:].rstrip(" \t\n\r") != "}":  # not isspace()
         return None
-    trace = _parse_trace(raw_trace, len(dfgs), violations)
+    trace = _parse_trace(raw_trace, len(dfgs), violations := [])
     return None if violations else _workload((tuple(dfgs), trace))
 
 
@@ -310,23 +347,13 @@ def serialize_workload(w: Workload) -> str:
     """Canonical text form, exactly ``json.dumps(doc, separators=(",", ":")) + "\\n"`` of
     the document the module docstring shows: compact, no whitespace between tokens;
     parse_workload(serialize_workload(w)) == w."""
-    rendered: dict[int, str] = {}  # the text of each ref
-
-    def refs(rs: tuple[int, ...]) -> str:
-        items = []
-        for r in rs:
-            text = rendered.get(r)
-            if text is None:
-                kind, index = ("input", ~r) if r < 0 else ("op", r)
-                text = rendered[r] = f'{{"kind":"{kind}","index":{index}}}'
-            items.append(text)
-        return ",".join(items)
-
+    ref = cache(lambda r: f'{{"kind":"input","index":{~r}}}' if r < 0
+                else f'{{"kind":"op","index":{r}}}')  # per call, as is the text of each ref list
+    refs = cache(lambda rs: ",".join(map(ref, rs)))
     dfgs = []
     for d in w.dfgs:
-        ops = []
-        for op_id, (opcode, sources) in enumerate(d.ops):
-            ops.append(f'{{"id":{op_id},"opcode":"{opcode}","srcs":[{refs(sources)}]}}')
+        ops = [f'{{"id":{op_id},"opcode":"{opcode}","srcs":[{refs(sources)}]}}'
+               for op_id, (opcode, sources) in enumerate(d.ops)]
         dfgs.append(f'{{"name":{json.dumps(d.name)},"num_inputs":{d.num_inputs},'
                     f'"ops":[{",".join(ops)}],"outputs":[{refs(d.outputs)}]}}')
     trace = ",".join([f"[{idx},{reps}]" for idx, reps in w.trace])

@@ -6,7 +6,7 @@ pytest, so interpreters without it check the same messages by running this file:
     PYTHONPATH=src:tests python tests/parse_messages.py
 
 Each case is parsed in two layouts, ``json.dumps(doc)`` and `gen`'s compact one, which
-`parse_workload` decodes one DFG at a time; both must give the same message.
+`parse_workload` reads by regular expressions; both must give the same message.
 It prints each mismatch and exits 1 if there is any.
 """
 
@@ -177,7 +177,7 @@ MALFORMED = {
                     "unsupported format True, expected 1"),
     "dfgs not a list": ({"format": 1, "dfgs": {}, "trace": []}, "'dfgs' must be a list"),
     "trace not a list": ({"format": 1, "dfgs": [], "trace": None}, "'trace' must be a list"),
-    # recorded when gen's layout got its one-DFG-at-a-time walk, which reads this trace
+    # recorded when gen's layout got its own reader, which reads this trace
     "trace a number": ({**_doc([_ADD]), "trace": 5}, "'trace' must be a list"),
     "empty trace": (_doc([_ADD], trace=()), "empty trace"),
 }

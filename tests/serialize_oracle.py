@@ -12,17 +12,23 @@ built past every check: the same Workload, or the same `WorkloadError` class and
 anchor pairs also carry the parse's message spelled out, because a fault in the code that
 both sides share would make them agree.
 
+`compact_mismatches` checks the compact reader, which reads `gen`'s exact layout by regular
+expressions, against the whole-document parse of the same document laid out with indent=1,
+a layout that reader never takes: on small gen texts with loads and stores and every
+one-character substitution and insertion of them, on the grid's encoder texts, on the edge
+cases and on a 200-DFG text, both give the same Workload or the same error.
+
 `peak_failures` bounds the tracemalloc peak of `parse_workload(text)` by that
-of `json.loads(text)`, in two layouts.  `gen`'s compact text is decoded one DFG
-at a time, so the parse holds the records and one decoded DFG, not the
-document: about 0.16x, bounded at 0.3x.  Any other layout, here the indented
+of `json.loads(text)`, in two layouts.  `gen`'s compact text is read one DFG
+at a time, so the parse holds the records and one DFG's split, not the
+document: about 0.15x, bounded at 0.3x.  Any other layout, here the indented
 one, is decoded whole, and a parse that drops each decoded DFG once its records
 are built never holds more than the decoded document: about 1.0x, bounded at
 1.05x.
 
 Run as a script (no pytest or Hypothesis needed) to check, on fixed seeds,
-writer == encoder, the round trip, the hand-built grid and the peak bound; it
-exits 1 on any failure:
+writer == encoder, the round trip, the hand-built grid, the compact reader and the peak
+bound; it exits 1 on any failure:
 
     PYTHONPATH=src:tests python tests/serialize_oracle.py
 """
@@ -33,8 +39,8 @@ import sys
 import tracemalloc
 
 from cgralloc.workload import (WORKLOAD_FORMAT, Dfg, GeneratorParams, Operation, Workload,
-                               WorkloadError, _Workload, generate_random_workload,
-                               parse_workload, serialize_workload)
+                               WorkloadError, WorkloadSyntaxError, _Workload,
+                               generate_random_workload, parse_workload, serialize_workload)
 
 PEAK_BOUNDS = {"compact": 0.3, "indented": 1.05}  # parse_workload's peak over json.loads's
 PEAK_PARAMS = GeneratorParams(num_dfgs=200, ops_per_dfg=(20, 60), num_inputs=8)
@@ -45,25 +51,37 @@ def _ref(r: int) -> dict:
     return {"kind": "op", "index": r} if r >= 0 else {"kind": "input", "index": -1 - r}
 
 
+def _fields(value, n: int):
+    """The n fields of a hand-built record, or None unless it is a tuple of n: a list is an
+    array in the file, not an object, whatever it holds."""
+    return value if isinstance(value, tuple) and len(value) == n else None
+
+
+def _op_doc(op_id: int, op):
+    if (fields := _fields(op, 2)) is None:
+        return op  # written as it is: not an object
+    opcode, sources = fields
+    return {"id": op_id, "opcode": opcode, "srcs": [_ref(r) for r in sources]}
+
+
+def _dfg_doc(d):
+    if (fields := _fields(d, 4)) is None:
+        return d  # written as it is: not an object
+    name, num_inputs, ops, outputs = fields
+    return {
+        "name": name,
+        "num_inputs": num_inputs,
+        "ops": [_op_doc(op_id, op) for op_id, op in enumerate(ops)],
+        "outputs": [_ref(r) for r in outputs],
+    }
+
+
 def serialize_by_encoder(w: Workload) -> str:
+    """A DFG is read by position, as a tuple of four values, and an op as a tuple of two; any
+    other value is written as it is."""
     doc = {
         "format": WORKLOAD_FORMAT,
-        "dfgs": [
-            {
-                "name": d.name,
-                "num_inputs": d.num_inputs,
-                "ops": [
-                    {
-                        "id": op_id,
-                        "opcode": op.opcode,
-                        "srcs": [_ref(r) for r in op.sources],
-                    }
-                    for op_id, op in enumerate(d.ops)
-                ],
-                "outputs": [_ref(r) for r in d.outputs],
-            }
-            for d in w.dfgs
-        ],
+        "dfgs": [_dfg_doc(d) for d in w.dfgs],
         "trace": w.trace,  # each entry as it is: a tuple or a list is written as a list
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
@@ -134,6 +152,7 @@ NOT_PAIRS = ((0, 1.5), (0, True), (False, 1), ("0", 1), (0,), (0, 1, 2), (), 1, 
              "01", (0, None), (0, "1"), {"0": 0},
              {0: 1, 1: 1},  # the file's keys are str: {"0": 1, "1": 1} unpacks to ("0", "1")
              [0, 1])  # the file reads [0, 1] as the pair (0, 1)
+NOT_RECORDS = (5, None, 1.5, (), (1, 2, 3), ["load", (~0,)], ["d", 1, (), ()])  # no tuple of 2 or 4
 GRID_PARAMS = GeneratorParams(num_dfgs=3, ops_per_dfg=(1, 5), memory_op_fraction=0.3,
                               num_inputs=2, trace_length=4, max_repeat=3)
 GRID_COMBOS = 40  # pairs per seed with two to four rules broken together
@@ -205,6 +224,23 @@ def _break_store_source(rng, dfgs, trace):
     dfgs[i] = dfgs[i]._replace(ops=dfgs[i].ops + (store, reader))
 
 
+def _break_dfg_shape(rng, dfgs, trace):
+    dfgs[rng.randrange(len(dfgs))] = rng.choice(NOT_RECORDS + (tuple(dfgs[0]) + (0,),))
+
+
+def _break_op_shape(rng, dfgs, trace):
+    i, k = _some_op(rng, dfgs)
+    _set_op(dfgs, i, k, rng.choice(NOT_RECORDS + (tuple(dfgs[i].ops[k]) + (0,),)))
+
+
+def _break_record_types(rng, dfgs, trace):
+    """Breaks no rule: a DFG and its ops as plain tuples build as the records they equal."""
+    i = rng.randrange(len(dfgs))
+    name, num_inputs, ops, outputs = dfgs[i]
+    ops = tuple(tuple(op) if isinstance(op, Operation) else op for op in ops)
+    dfgs[i] = (name, num_inputs, ops, outputs)
+
+
 def _break_entry_type(rng, dfgs, trace):
     trace[rng.randrange(len(trace))] = rng.choice(NOT_PAIRS)
 
@@ -222,8 +258,9 @@ def _break_trace_length(rng, dfgs, trace):
 
 
 BREAKERS = (_break_name, _break_num_inputs, _break_opcode, _break_arity, _break_source,
-            _break_ref_type, _break_output, _break_store_source, _break_entry_type,
-            _break_entry_index, _break_repeats, _break_trace_length)
+            _break_ref_type, _break_output, _break_store_source, _break_op_shape,
+            _break_record_types, _break_dfg_shape, _break_entry_type, _break_entry_index,
+            _break_repeats, _break_trace_length)  # run in this order: records become tuples late
 
 _STORE_THEN_LOAD = Dfg("d", 1, (Operation("store", (~0, ~0)), Operation("load", (0, ~5))), (1,))
 ANCHORS = (  # (dfgs, trace, the parse's exact message)
@@ -237,6 +274,8 @@ ANCHORS = (  # (dfgs, trace, the parse's exact message)
      ((0, 0), (9, 1)), "dfgs[0]: 'name' must be a string; dfgs[2].ops[0]: unknown opcode 'mul'"),
     ((Dfg("d", 1, (Operation("load", (~0,)),), (0,)),), ((0, 1), {0: 1, 1: 1}, "01"),
      "trace[1]: must be [dfg_index, repeat_count]; trace[2]: must be [dfg_index, repeat_count]"),
+    ((None, ("d", 1, (("load", (~0,), 0),), ())), ((0, 1),),
+     "dfgs[0]: must be an object; dfgs[1].ops[0]: must be an object"),
 )
 
 
@@ -253,6 +292,12 @@ def grid(seed: int):
         yield "+".join(b.__name__[len("_break_"):] for b in plan) or "intact", dfgs, trace
 
 
+def _records(w) -> bool:
+    """Whether w is a Workload of Dfg and Operation records, not of plain tuples."""
+    return type(w) is Workload and all(
+        type(d) is Dfg and all(type(op) is Operation for op in d.ops) for d in w.dfgs)
+
+
 def construction_mismatches() -> list[str]:
     """One line per grid or anchor pair where the two verdicts differ, or where an anchor's
     verdict is not its message."""
@@ -264,17 +309,93 @@ def construction_mismatches() -> list[str]:
     for seed in (1, 101):
         for label, dfgs, trace in grid(seed):
             got, want = hand_built_verdicts(dfgs, trace)
-            if got != want or (got[0] == "built" and type(got[1]) is not Workload):
+            if got != want or (got[0] == "built" and not _records(got[1])):
                 found.append(f"seed {seed}, {label}: Workload gives {got!r}, the parse {want!r}")
+    return found
+
+
+def outcome(text: str):
+    """What parse_workload makes of `text`: the Workload, or the error's class and message."""
+    try:
+        return parse_workload(text)
+    except WorkloadError as e:
+        return type(e), str(e)
+
+
+def whole_document_outcome(text: str):
+    """The outcome of the whole-document parse, found without the compact reader: JSON that
+    decodes is parsed re-laid with indent=1, which that reader never reads, and a decode
+    error is spelled from json.loads's own error."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        return WorkloadSyntaxError, f"line {e.lineno}, column {e.colno}: {e.msg}"
+    return outcome(json.dumps(doc, indent=1))
+
+
+# Every single-character substitution and insertion from these, on small gen texts
+MUTATION_CHARS = '0123456789,:[]{}"aiopdx-\\ \x7f'
+MUTATED_PARAMS = GeneratorParams(num_dfgs=2, ops_per_dfg=(2, 3), memory_op_fraction=0.5,
+                                 num_inputs=2, trace_length=1, max_repeat=3)
+MUTATED_SEEDS = (920, 352)  # 538 and 571 bytes, each passing _one_digit_from_each_op_rule
+
+
+def _one_digit_from_each_op_rule(w: Workload) -> bool:
+    """Whether w holds a load, an op other than a store that reads an op (a digit from reading
+    itself, which only the order rule catches) and an op that reads an op listed after a
+    store (a digit from reading the store)."""
+    readers = [(d.ops[:k], op) for d in w.dfgs for k, op in enumerate(d.ops)
+               if any(r >= 0 for r in op.sources)]
+    return (any(op.opcode == "load" for d in w.dfgs for op in d.ops)
+            and any(op.opcode != "store" for _, op in readers)
+            and any(any(o.opcode == "store" for o in before) for before, _ in readers))
+
+
+def mutated_texts(text: str):
+    for i in range(len(text) + 1):
+        for c in MUTATION_CHARS:
+            yield text[:i] + c + text[i:]
+            if text[i:i + 1] not in ("", c):
+                yield text[:i] + c + text[i + 1:]
+
+
+def differential_texts():
+    """(label, text): small gen texts with loads and stores and their one-character mutants,
+    the hand-built grid's encoder texts, the edge cases and one 200-DFG text."""
+    for seed in MUTATED_SEEDS:
+        w = generate_random_workload(MUTATED_PARAMS, seed)
+        assert _one_digit_from_each_op_rule(w), seed  # so a mutant can break each rule
+        text = serialize_workload(w)
+        yield f"gen seed {seed}", text
+        for mutant in mutated_texts(text):
+            yield f"gen seed {seed} mutant", mutant
+    for seed in (1, 101):
+        for label, dfgs, trace in grid(seed):
+            yield f"grid seed {seed}, {label}", serialize_by_encoder(_Workload(tuple(dfgs),
+                                                                                tuple(trace)))
+    yield "edge cases", serialize_workload(edge_case_workload())
+    yield "200 DFGs", serialize_workload(generate_random_workload(PEAK_PARAMS, 1))
+
+
+def compact_mismatches() -> list[str]:
+    """One line per differential text where parse_workload's outcome differs from the
+    whole-document parse's."""
+    found = []
+    for label, text in differential_texts():
+        got, want = outcome(text), whole_document_outcome(text)
+        if got != want or (type(want) is Workload and not _records(got)):
+            found.append(f"{label}: {text!r} reads as {got!r}, the whole document as {want!r}")
     return found
 
 
 def failures() -> list[str]:
     """One line per fixed-seed workload where the writer, the round trip or the peak fails,
-    and per hand-built pair whose verdict is not the parse's."""
+    per hand-built pair whose verdict is not the parse's, and per differential text whose
+    compact read is not the whole-document parse's."""
     found = construction_mismatches()
     if found:  # the workloads below are built through the same constructor
         return found
+    found = compact_mismatches()
     cases = [("edge cases", edge_case_workload())]
     for seed in (1, 101):
         for label, params in (
@@ -296,5 +417,6 @@ def failures() -> list[str]:
 if __name__ == "__main__":
     lines = failures()
     print("\n".join(lines) or "writer matches the encoder, round trips, hand-built workloads "
-          "get the parse's verdicts and peak holds")
+          "get the parse's verdicts, gen texts and their mutants read as the whole document "
+          "and peak holds")
     sys.exit(1 if lines else 0)

@@ -224,6 +224,16 @@ def test_pivot_outside_fabric_is_rejected(taker, row, col):
     assert str(info.value) == f"pivot Pivot(row={row}, col={col}) outside 8x2 fabric"
 
 
+@pytest.mark.parametrize("row, col", [(0.5, 0), (0, 0.5), (True, 0), (0, False), (1.0, 1)])
+@pytest.mark.parametrize("taker", PIVOT_TAKERS)
+def test_pivot_of_non_ints_is_rejected(taker, row, col):
+    """A float or a bool is no cell, even where it compares equal to one in range."""
+    vc = map_dfg(store_then_load_dfg(), DIMS_8x2)
+    with pytest.raises(ValueError) as info:
+        PIVOT_TAKERS[taker](vc, Pivot(row, col))
+    assert str(info.value) == f"pivot Pivot(row={row!r}, col={col!r}) must hold ints"
+
+
 def fitted_random_vcs(dims, count, seed, params=None):
     params = params or GeneratorParams(
         num_dfgs=4 * count, ops_per_dfg=(2, 6), memory_op_fraction=0.3, num_inputs=3

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,10 @@ from cgralloc.workload import (
 from gen_oracle import generate_by_public_calls, mismatches
 from parse_messages import MALFORMED, layouts
 from serialize_oracle import (NOT_INT, NOT_PAIRS, NOT_STR, UNKNOWN_OPCODES, UNPRINTABLE,
-                              construction_mismatches, edge_case_workload, hand_built_verdicts,
-                              peak_failures, serialize_by_encoder, verdict)
+                              compact_mismatches, construction_mismatches, edge_case_workload,
+                              hand_built_verdicts, peak_failures, serialize_by_encoder, verdict)
+from serialize_oracle import outcome as _outcome
+from serialize_oracle import whole_document_outcome as _whole_document_outcome
 
 MINIMAL = json.dumps({
     "format": 1,
@@ -131,25 +134,6 @@ def test_parse_reports_exact_messages(case):
         assert str(info.value) == message
 
 
-def _outcome(text):
-    """What parse_workload makes of `text`: the Workload, or the error's class and message."""
-    try:
-        return parse_workload(text)
-    except WorkloadError as e:
-        return type(e), str(e)
-
-
-def _whole_document_outcome(text):
-    """The outcome of the whole-document parse, found without the one-DFG-at-a-time walk:
-    JSON that decodes is parsed re-laid with indent=1, which the walk never reads, and a
-    decode error is spelled from json.loads's own error."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        return WorkloadSyntaxError, f"line {e.lineno}, column {e.colno}: {e.msg}"
-    return _outcome(json.dumps(doc, indent=1))
-
-
 def small_workload() -> Workload:
     """Built when a test asks, so that a constructor fault fails that test, not the module."""
     return Workload(dfgs=(
@@ -171,8 +155,42 @@ def test_compact_parse_matches_the_whole_document_parse_byte_by_byte():
     texts += [text + " \t\r\n", text + "\x0c", text + "\u00a0", text + "}",
               text.replace(',"trace"', ', "trace"'), text.replace("},{", "}, {"),
               '{"format":1,"dfgs":[],"trace":[]}\n', '{"format":1,"dfgs":[],"trace":[[0,1]]}\n']
-    for t in texts:
+    long_ref = text.replace('"num_inputs":2', f'"num_inputs":{10**70}', 1).replace(
+        '"index":1}', f'"index":{10**69}}}', 1)  # a ref text past the 64 characters _OP reads
+    assert type(_whole_document_outcome(long_ref)) is Workload
+    for t in texts + [long_ref]:
         assert _outcome(t) == _whole_document_outcome(t), repr(t)
+
+
+def test_compact_reader_matches_the_whole_document_parse_on_mutated_gen_texts():
+    """Every one-character substitution and insertion of small gen texts, the hand-built grid's
+    texts, the edge cases and a 200-DFG text: the same Workload, or the same error."""
+    assert compact_mismatches() == []
+
+
+def test_compact_reader_takes_linear_time_on_unclosed_refs():
+    """Half a megabyte of ops whose first ref never closes: were a ref's text not cut at 64
+    characters, each op would rescan the rest of the text, 30 s or more here."""
+    text = ('{"format":1,"dfgs":[{"name":"d","num_inputs":1,"ops":['
+            + '{"id":0,"opcode":"add","srcs":[{' * 16000 + '],"outputs":[]}],"trace":[[0,1]]}\n')
+    start = time.perf_counter()
+    got = _outcome(text)
+    assert time.perf_counter() - start < 1.0
+    assert got == _whole_document_outcome(text)
+
+
+def test_extra_key_nested_near_the_decoder_limit_reads_alike_in_both_layouts():
+    """The compact reader takes no key that gen does not write, so a DFG with one is decoded
+    whole in either layout: one verdict at every depth, on both sides of the nesting limit."""
+    compact = serialize_workload(small_workload())
+    indented = json.dumps(json.loads(compact), indent=1)
+    verdicts = set()
+    for depth in range(1, 2 * sys.getrecursionlimit()):
+        nested = "[" * depth + "]" * depth
+        got = _outcome(compact.replace('"outputs":', f'"x":{nested},"outputs":', 1))
+        assert got == _outcome(indented.replace('"outputs": ', f'"x": {nested}, "outputs": ', 1))
+        verdicts.add(got == small_workload() or got)
+    assert verdicts == {True, (WorkloadSyntaxError, "nesting too deep")}
 
 
 def _nodes(node, path=()):
@@ -288,7 +306,7 @@ def test_serialize_equals_json_encoder_on_edge_cases():
 
 
 def test_parse_peaks_at_the_decoded_document():
-    """gen's compact layout is decoded one DFG at a time, so its parse peaks well under
+    """gen's compact layout is read one DFG at a time, so its parse peaks well under
     json.loads (bound 0.3x); any other layout is decoded whole, and each decoded DFG is
     dropped once its records are built, so that parse holds no more than json.loads does."""
     assert peak_failures() == []
@@ -430,18 +448,22 @@ def test_hand_built_workload_gets_the_parse_verdict_on_the_encoder_text(fields):
 
 
 def test_parse_of_gen_text_reads_each_dfg_once(monkeypatch):
-    """The CLI builds its Workload inside the parse, not through the checking constructor."""
+    """The compact reader alone reads gen's text: no DFG goes through the whole-document walk,
+    and the CLI's Workload is built inside the parse, not through the checking constructor."""
     calls = []
 
-    def counting_parse_dfg(*args):
-        calls.append(args[1])
-        return parse_dfg(*args)
+    def counting(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or original(*args))
 
-    parse_dfg = workload._parse_dfg
-    monkeypatch.setattr(workload, "_parse_dfg", counting_parse_dfg)
+    counting(workload, "_parse_dfg")
+    counting(Workload, "__new__")
     w = generate_random_workload(GeneratorParams(num_dfgs=30), 5)
-    assert parse_workload(serialize_workload(w)) == w
-    assert calls == [f"dfgs[{i}]" for i in range(30)]
+    text = serialize_workload(w)
+    assert parse_workload(text) == w
+    assert calls == []
+    parse_workload(text.replace('"dfg0"', '"dfg\\u0030"'))  # an escape: decoded whole
+    assert calls == ["_parse_dfg"] * 30
 
 
 def test_validate_accepts_chain():
