@@ -36,8 +36,9 @@ class AgingParams(_AgingParams):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name, value in self._asdict().items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if type(value) not in (int, float) or not math.isfinite(value):  # a bool is a flag
+                kind = "finite" if type(value) is float else "an int or a float"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")  # repr(nan) is nan
         if self.temperature_k <= 0:
             raise ValueError("temperature must be > 0 K")
         if self.vdd <= 0:

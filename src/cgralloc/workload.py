@@ -6,8 +6,9 @@ region written in program order: each operation reads external inputs or
 results of operations listed before it in the same graph, with no loops and
 no branches.  So the list order is the dependency order; a reference to the
 reading op itself or to a later op is an error.  ``parse_workload`` checks every rule, and so
-does building a ``Workload``, on its DFGs' file form; a bare ``Dfg`` meets only ``map_dfg``'s
-order guard.
+does building a ``Workload``, on its file form: any iterable but a ``str`` or a ``dict`` is a
+list there, and any other value meets the parse's own check and message.  A bare ``Dfg`` meets
+only ``map_dfg``'s order guard.
 
 Value semantics are 32-bit two's-complement with wrapping arithmetic.  Shift
 amounts use the low 5 bits.  ``cmplt`` compares signed values and yields 0/1.
@@ -46,8 +47,9 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections.abc import Iterable
 from functools import cache, partial
-from itertools import chain, compress
+from itertools import chain, compress, count
 from operator import lt
 from typing import NamedTuple
 
@@ -82,9 +84,7 @@ def arity(opcode: str) -> int:
     return 1 if opcode == "load" else 2
 
 
-# opcode -> (one shared str, where json.loads makes a new one per value, and its arity)
-_OPCODES = {op: (op, arity(op)) for op in OPCODES}
-_SHARED = {op: op for op in OPCODES}  # the compact reader's: the same shared strs
+_OPCODES = {op: op for op in OPCODES}  # one shared str, where json.loads makes one per value
 
 # gen's layout: a DFG's head; an op and its comma (group 3, set for any opcode but load, reads
 # a second source; a longer ref text is read whole, so no try at an op reads more than 2 x 64
@@ -114,25 +114,28 @@ class _Workload(NamedTuple):
 
 
 class Workload(_Workload):
-    """A workload that meets every file rule: construction, _make and _replace read each DFG (a
-    4-tuple) and op (a 2-tuple) in its file form, a ref r < 0 as input ~r and any other as op r,
-    and the trace as a list, as parse_workload does, raise its error and keep its records."""
+    """A workload that meets every file rule: construction, _make and _replace read a DFG (a
+    4-tuple) and an op (a 2-tuple) as objects, an iterable but a str or dict as a list, a ref
+    r < 0 as input ~r and any other as op r, as parse_workload does, raise its error, keep its
+    records."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
     def __new__(cls, dfgs, trace):
-        def ref(r) -> dict:  # a non-int ref is an op ref whose index is not an integer
+        def listed(value, read):  # [read(position, item), ...]; any other value goes in as is
+            is_list = isinstance(value, Iterable) and not isinstance(value, (str, dict))
+            return [*map(read, count(), value)] if is_list else value
+
+        def ref(_, r) -> dict:  # a non-int ref is an op ref whose index is not an integer
             neg = type(r) is int and r < 0
             return {"kind": "input", "index": ~r} if neg else {"kind": "op", "index": r}
-
-        def fields(value, n: int) -> tuple | None:  # the value if a tuple of n, else no object
-            return value if isinstance(value, tuple) and len(value) == n else None
-        trace = [None if isinstance(e, dict) else e for e in trace]  # a file's dict keys are str
-        return _checked([d and {"name": d[0], "num_inputs": d[1], "outputs": [*map(ref, d[3])],
-                                "ops": [o and {"id": k, "opcode": o[0], "srcs": [*map(ref, o[1])]}
-                                        for k, o in enumerate(fields(o, 2) for o in d[2])]}
-                         for d in (fields(d, 4) for d in dfgs)], trace)
+        shaped = lambda v, n: isinstance(v, tuple) and len(v) == n  # else the file has no object
+        op = lambda k, o: shaped(o, 2) and {"id": k, "opcode": o[0], "srcs": listed(o[1], ref)}
+        dfg = lambda _, d: shaped(d, 4) and {"name": d[0], "num_inputs": d[1],
+                                             "ops": listed(d[2], op), "outputs": listed(d[3], ref)}
+        entry = lambda _, e: None if isinstance(e, dict) else e  # a file's dict keys are str
+        return _checked(listed(dfgs, dfg), listed(trace, entry))
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +161,15 @@ def parse_workload(text: str) -> Workload:
     if type(fmt) is not int or fmt != WORKLOAD_FORMAT:  # true and 1.0 compare equal to 1
         raise WorkloadSemanticError([f"unsupported format {fmt!r}, expected {WORKLOAD_FORMAT}"])
 
-    raw_dfgs = doc.get("dfgs")
-    raw_trace = doc.get("trace")
+    return _checked(doc.get("dfgs"), doc.get("trace"))
+
+
+def _checked(raw_dfgs: object, raw_trace: object) -> Workload:
+    """Raises a dfgs or trace that is not a list, the malformed DFGs alone, or every violation."""
     if not isinstance(raw_dfgs, list):
         raise WorkloadSemanticError(["'dfgs' must be a list"])
     if not isinstance(raw_trace, list):
         raise WorkloadSemanticError(["'trace' must be a list"])
-    return _checked(raw_dfgs, raw_trace)
-
-
-def _checked(raw_dfgs: list, raw_trace: list) -> Workload:
-    """Raises the malformed DFGs alone, else each DFG violation and then each trace one."""
     malformed: list[str] = []
     violations: list[str] = []  # reported only if every DFG is well-formed
     dfgs = []
@@ -208,7 +209,7 @@ def _parse_compact(text: str) -> Workload | None:
             n, num_inputs = len(parts) // 5, int(head[2])
             ids += map(str, range(len(ids), n))
             srcs, outputs = [*map(refs, parts[4::5])], refs(tail[1]) if tail[1] else ()
-            opcodes = [*map(_SHARED.__getitem__, parts[2::5])]
+            opcodes = [*map(_OPCODES.__getitem__, parts[2::5])]
             stores = {*compress(range(n), map("store".__eq__, opcodes))}
             if (any(parts[::5]) or parts[1::5] != ids[:n] or max(outputs, default=-1) >= n
                     or not all(map(lt, map(max, srcs), range(n)))
@@ -277,16 +278,13 @@ def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
         if oi == n:  # after every op, so none is listed later
             op_id, raw_refs = None, raw_outputs
         else:
-            try:  # a subscript is cheaper than get(); a missing key or a non-object raises
-                raw_opcode, op_id, raw_refs = rop["opcode"], rop["id"], rop["srcs"]
-            except (KeyError, TypeError):
-                if not isinstance(rop, dict):
-                    raise _Malformed(f"{where}.ops[{oi}]: must be an object") from None
-                raw_opcode, op_id, raw_refs = rop.get("opcode"), rop.get("id"), rop.get("srcs")
-            known = _OPCODES.get(raw_opcode) if type(raw_opcode) is str else None
-            if known is None:
+            if not isinstance(rop, dict):
+                raise _Malformed(f"{where}.ops[{oi}]: must be an object")
+            raw_opcode, op_id, raw_refs = rop.get("opcode"), rop.get("id"), rop.get("srcs")
+            opcode = _OPCODES.get(raw_opcode) if type(raw_opcode) is str else None
+            if opcode is None:
                 raise _Malformed(f"{where}.ops[{oi}]: unknown opcode {raw_opcode!r}")
-            opcode, num_srcs = known
+            num_srcs = arity(opcode)
             if type(op_id) is not int:
                 raise _Malformed(f"{where}.ops[{oi}]: 'id' must be an integer")
             if not isinstance(raw_refs, list):
@@ -299,12 +297,9 @@ def _parse_dfg(raw: object, where: str, violations: list[str]) -> Dfg:
                                   f"got {len(raw_refs)}")
         refs = []
         for k, ref in enumerate(raw_refs):
-            try:
-                kind, index = ref["kind"], ref["index"]
-            except (KeyError, TypeError):
-                if not isinstance(ref, dict):
-                    raise _bad_ref(where, oi, op_id, k, "must be an object") from None
-                kind, index = ref.get("kind"), ref.get("index")
+            if not isinstance(ref, dict):
+                raise _bad_ref(where, oi, op_id, k, "must be an object")
+            kind, index = ref.get("kind"), ref.get("index")
             if kind != "input" and kind != "op":
                 raise _bad_ref(where, oi, op_id, k, "kind must be 'input' or 'op'")
             if type(index) is not int:  # true and 1.0 compare equal to 1
@@ -389,6 +384,8 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
     digest and tests/gen_oracle.py pin.  Raises ValueError for a count or seed that is not an
     int, a negative seed, or infeasible parameters (zero inputs: every op needs a source).
     """
+    if type(params.ops_per_dfg) is not tuple or len(params.ops_per_dfg) != 2:
+        raise ValueError(f"ops_per_dfg must be a (lo, hi) pair, got {params.ops_per_dfg!r}")
     lo, hi = params.ops_per_dfg
     for name, x in (("num_dfgs", params.num_dfgs), ("ops_per_dfg", lo), ("ops_per_dfg", hi),
                     ("num_inputs", params.num_inputs), ("trace_length", params.trace_length),
@@ -401,7 +398,7 @@ def generate_random_workload(params: GeneratorParams, seed: int) -> Workload:
         raise ValueError("num_dfgs must be >= 1")
     if not 1 <= lo <= hi:
         raise ValueError(f"ops_per_dfg range ({lo}, {hi}) must satisfy 1 <= lo <= hi")
-    if not 0.0 <= params.memory_op_fraction <= 1.0:
+    if type(fraction := params.memory_op_fraction) not in (int, float) or not 0 <= fraction <= 1:
         raise ValueError("memory_op_fraction must be in [0, 1]")
     if not 1 <= params.num_inputs <= MAX_INPUTS:
         raise ValueError(f"num_inputs must be in 1..{MAX_INPUTS} (ops need source values)")

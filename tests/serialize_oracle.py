@@ -6,11 +6,12 @@ it to ``json.dumps(doc, separators=(",", ":"))``, so layout, escaping and
 number spelling are the encoder's, not a restatement of the hand-laid writer.
 
 `construction_mismatches` builds a seeded grid of hand-built `(dfgs, trace)` pairs, each
-file rule broken alone and several together, and checks that `Workload(dfgs, trace)` gives
-the verdict of `parse_workload` on the encoder's text for `_Workload(dfgs, trace)`, a record
-built past every check: the same Workload, or the same `WorkloadError` class and text.  A few
-anchor pairs also carry the parse's message spelled out, because a fault in the code that
-both sides share would make them agree.
+file rule broken alone and several together, and each of the five sequences (dfgs, the trace,
+a DFG's ops or outputs, an op's sources) set to each of `NOT_LISTS`.  It checks that
+`Workload(dfgs, trace)` gives the verdict of `parse_workload` on the encoder's text for
+`_Workload(dfgs, trace)`, a record built past every check: the same Workload, or the same
+`WorkloadError` class and text.  A few anchor pairs also carry the parse's message spelled
+out, because a fault in the code that both sides share would make them agree.
 
 `compact_mismatches` checks the compact reader, which reads `gen`'s exact layout by regular
 expressions, against the whole-document parse of the same document laid out with indent=1,
@@ -57,32 +58,41 @@ def _fields(value, n: int):
     return value if isinstance(value, tuple) and len(value) == n else None
 
 
+def _array(value, doc):
+    """A list or a tuple as the file's array of doc(position, item); any other value as it is."""
+    return [doc(k, x) for k, x in enumerate(value)] if isinstance(value, (list, tuple)) else value
+
+
+def _ref_doc(_, r):
+    return _ref(r)
+
+
 def _op_doc(op_id: int, op):
     if (fields := _fields(op, 2)) is None:
         return op  # written as it is: not an object
     opcode, sources = fields
-    return {"id": op_id, "opcode": opcode, "srcs": [_ref(r) for r in sources]}
+    return {"id": op_id, "opcode": opcode, "srcs": _array(sources, _ref_doc)}
 
 
-def _dfg_doc(d):
+def _dfg_doc(_, d):
     if (fields := _fields(d, 4)) is None:
         return d  # written as it is: not an object
     name, num_inputs, ops, outputs = fields
     return {
         "name": name,
         "num_inputs": num_inputs,
-        "ops": [_op_doc(op_id, op) for op_id, op in enumerate(ops)],
-        "outputs": [_ref(r) for r in outputs],
+        "ops": _array(ops, _op_doc),
+        "outputs": _array(outputs, _ref_doc),
     }
 
 
 def serialize_by_encoder(w: Workload) -> str:
-    """A DFG is read by position, as a tuple of four values, and an op as a tuple of two; any
-    other value is written as it is."""
+    """A DFG is read by position, as a tuple of four values, an op as a tuple of two, and the
+    DFGs, ops and refs as a list or a tuple of them; any other value is written as it is."""
     doc = {
         "format": WORKLOAD_FORMAT,
-        "dfgs": [_dfg_doc(d) for d in w.dfgs],
-        "trace": w.trace,  # each entry as it is: a tuple or a list is written as a list
+        "dfgs": _array(w.dfgs, _dfg_doc),
+        "trace": w.trace,  # as it is: a tuple or a list, the trace or an entry, is a list
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
@@ -137,9 +147,8 @@ def verdict(build) -> tuple:
 
 def hand_built_verdicts(dfgs, trace) -> tuple[tuple, tuple]:
     """The verdicts of Workload(dfgs, trace) and of the parse of the encoder's text for it."""
-    unchecked = _Workload(tuple(dfgs), tuple(trace))
     return (verdict(lambda: Workload(dfgs, trace)),
-            verdict(lambda: parse_workload(serialize_by_encoder(unchecked))))
+            verdict(lambda: parse_workload(serialize_by_encoder(_Workload(dfgs, trace)))))
 
 
 # Values of the JSON types, so that the parse reads back what the encoder writes
@@ -153,6 +162,8 @@ NOT_PAIRS = ((0, 1.5), (0, True), (False, 1), ("0", 1), (0,), (0, 1, 2), (), 1, 
              {0: 1, 1: 1},  # the file's keys are str: {"0": 1, "1": 1} unpacks to ("0", "1")
              [0, 1])  # the file reads [0, 1] as the pair (0, 1)
 NOT_RECORDS = (5, None, 1.5, (), (1, 2, 3), ["load", (~0,)], ["d", 1, (), ()])  # no tuple of 2 or 4
+NOT_LISTS = (5, None, 1.5, True, "ab", {"a": 1})  # nor is any a list in the file
+SEQUENCES = ("dfgs", "trace", "ops", "outputs", "srcs")
 GRID_PARAMS = GeneratorParams(num_dfgs=3, ops_per_dfg=(1, 5), memory_op_fraction=0.3,
                               num_inputs=2, trace_length=4, max_repeat=3)
 GRID_COMBOS = 40  # pairs per seed with two to four rules broken together
@@ -257,10 +268,37 @@ def _break_trace_length(rng, dfgs, trace):
     trace.clear()
 
 
+def _set_sequence(rng, dfgs, trace, field: str, value):
+    """(dfgs, trace) with one of SEQUENCES set to value: dfgs or the trace itself, or the ops
+    or outputs of a random DFG that is a tuple of 4, or the sources of a random op in it that
+    is a tuple of 2 (its ops where it has none; dfgs where no DFG is a tuple of 4)."""
+    records = [i for i, d in enumerate(dfgs) if _fields(d, 4)]
+    if field == "trace":
+        return dfgs, value
+    if field == "dfgs" or not records:
+        return value, trace
+    i = rng.choice(records)
+    name, num_inputs, ops, outputs = dfgs[i]
+    if field == "outputs":
+        outputs = value
+    elif field == "srcs" and (at := [k for k, op in enumerate(ops) if _fields(op, 2)]):
+        k = rng.choice(at)
+        ops = ops[:k] + ((ops[k][0], value),) + ops[k + 1:]
+    else:
+        ops = value
+    dfgs[i] = (name, num_inputs, ops, outputs)
+    return dfgs, trace
+
+
+def _break_sequence(rng, dfgs, trace):
+    return _set_sequence(rng, dfgs, trace, rng.choice(SEQUENCES), rng.choice(NOT_LISTS))
+
+
 BREAKERS = (_break_name, _break_num_inputs, _break_opcode, _break_arity, _break_source,
             _break_ref_type, _break_output, _break_store_source, _break_op_shape,
             _break_record_types, _break_dfg_shape, _break_entry_type, _break_entry_index,
-            _break_repeats, _break_trace_length)  # run in this order: records become tuples late
+            _break_repeats, _break_trace_length,
+            _break_sequence)  # run in this order: records become tuples late, the lists go last
 
 _STORE_THEN_LOAD = Dfg("d", 1, (Operation("store", (~0, ~0)), Operation("load", (0, ~5))), (1,))
 ANCHORS = (  # (dfgs, trace, the parse's exact message)
@@ -276,20 +314,27 @@ ANCHORS = (  # (dfgs, trace, the parse's exact message)
      "trace[1]: must be [dfg_index, repeat_count]; trace[2]: must be [dfg_index, repeat_count]"),
     ((None, ("d", 1, (("load", (~0,), 0),), ())), ((0, 1),),
      "dfgs[0]: must be an object; dfgs[1].ops[0]: must be an object"),
+    ((("d", 1, 5, ()),), ((0, 1),), "dfgs[0]: 'ops' and 'outputs' must be lists"),
+    ((("d", 1, (("load", 5),), ()),), ((0, 1),), "dfgs[0].ops[0]: 'srcs' must be a list"),
+    (5, ((0, 1),), "'dfgs' must be a list"),
 )
 
 
 def grid(seed: int):
-    """(label, dfgs, trace) on a generated workload: intact, each rule broken alone, and
-    GRID_COMBOS pairs with two to four broken together."""
+    """(label, dfgs, trace) on a generated workload: intact, each rule broken alone, GRID_COMBOS
+    pairs with two to four broken together, and each of SEQUENCES set to each of NOT_LISTS."""
     rng, base = random.Random(seed), generate_random_workload(GRID_PARAMS, seed)
     plans = [(), *((b,) for b in BREAKERS)]
     plans += [tuple(rng.sample(BREAKERS, rng.randint(2, 4))) for _ in range(GRID_COMBOS)]
     for plan in plans:
         dfgs, trace = list(base.dfgs), list(base.trace)
-        for brk in sorted(plan, key=BREAKERS.index):  # the trace is emptied last
-            brk(rng, dfgs, trace)
+        for brk in sorted(plan, key=BREAKERS.index):  # a breaker may return a new pair
+            dfgs, trace = brk(rng, dfgs, trace) or (dfgs, trace)
         yield "+".join(b.__name__[len("_break_"):] for b in plan) or "intact", dfgs, trace
+    for field in SEQUENCES:
+        for value in NOT_LISTS:
+            yield (f"{field} {value!r}",
+                   *_set_sequence(rng, list(base.dfgs), list(base.trace), field, value))
 
 
 def _records(w) -> bool:
@@ -371,8 +416,7 @@ def differential_texts():
             yield f"gen seed {seed} mutant", mutant
     for seed in (1, 101):
         for label, dfgs, trace in grid(seed):
-            yield f"grid seed {seed}, {label}", serialize_by_encoder(_Workload(tuple(dfgs),
-                                                                                tuple(trace)))
+            yield f"grid seed {seed}, {label}", serialize_by_encoder(_Workload(dfgs, trace))
     yield "edge cases", serialize_workload(edge_case_workload())
     yield "200 DFGs", serialize_workload(generate_random_workload(PEAK_PARAMS, 1))
 

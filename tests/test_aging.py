@@ -48,9 +48,10 @@ def test_params_validation():
 
 @pytest.mark.parametrize("field", ["temperature_k", "vdd", "delay_threshold",
                                    "reference_lifetime_years"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "1", [0.1], True])
 def test_params_reject_non_finite(field, value):
-    with pytest.raises(ValueError, match=field):
+    """A value that is not an int or float, a bool included, is named as well."""
+    with pytest.raises(ValueError, match=f"^{field} must be "):
         AgingParams(**{field: value})
 
 

@@ -588,6 +588,16 @@ def test_generator_rejects_a_count_that_is_not_an_int(field, value):
         generate_random_workload(GeneratorParams(**fields.get(field, {field: value})), 0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ops_per_dfg", 5), ("ops_per_dfg", (1, 2, 3)), ("ops_per_dfg", [3, 10]),
+    ("memory_op_fraction", "0.1"), ("memory_op_fraction", None), ("memory_op_fraction", True),
+])
+def test_generator_rejects_a_field_of_the_wrong_type(field, value):
+    """Each raises a ValueError that names the field, not a bare TypeError from the draws."""
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        generate_random_workload(GeneratorParams(**{field: value}), 0)
+
+
 @pytest.mark.parametrize("seed", [-1, -2**70, 1.0, True, "1", None])
 def test_generator_rejects_a_seed_that_is_not_a_non_negative_int(seed):
     """CPython seeds with abs(seed), so seed -1 would repeat the workload of seed 1."""
