@@ -51,7 +51,7 @@ class AgingParams(_AgingParams):
 
 
 def _check_u(u: float) -> None:
-    if not 0.0 <= u <= 1.0:
+    if type(u) not in (int, float, Fraction) or not 0 <= u <= 1:  # a bool is a flag
         raise ValueError(f"utilization {u} outside [0, 1]")
 
 

@@ -54,11 +54,10 @@ def _resolve_dims(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return args.cols, args.rows
 
 
-def _fabric(args: argparse.Namespace, parser: argparse.ArgumentParser,
-            num_config_lines: int = 4) -> FabricDims:
-    cols, rows = _resolve_dims(args, parser)
+def _made(parser: argparse.ArgumentParser, make, *args, **kwargs):
+    """make(*args, **kwargs), where a ValueError is a usage error (exit 2)."""
     try:
-        return FabricDims(num_cols=cols, num_rows=rows, num_config_lines=num_config_lines)
+        return make(*args, **kwargs)
     except ValueError as e:
         parser.error(str(e))
 
@@ -67,13 +66,6 @@ def _add_ref_lifetime_arg(p: argparse.ArgumentParser) -> None:
     # lifetime is ref_lifetime / u: temperature, vdd and the threshold cancel out of it
     p.add_argument("--ref-lifetime", type=float, default=3.0,
                    help="years to threshold at full utilization")
-
-
-def _aging(parser: argparse.ArgumentParser, **fields: float) -> aging.AgingParams:
-    try:
-        return aging.AgingParams(**fields)
-    except ValueError as e:
-        parser.error(str(e))
 
 
 def _read_workload(path: str):
@@ -92,25 +84,22 @@ def _write_json(path: str, doc: object) -> None:
 
 
 def cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        params = GeneratorParams(
-            num_dfgs=args.dfgs,
-            ops_per_dfg=(args.ops_min, args.ops_max),
-            memory_op_fraction=args.mem_frac,
-            num_inputs=args.inputs,
-            trace_length=args.trace_len,
-            max_repeat=args.max_repeat,
-        )
-        workload = generate_random_workload(params, args.seed)
-    except ValueError as e:
-        parser.error(str(e))
+    params = GeneratorParams(
+        num_dfgs=args.dfgs,
+        ops_per_dfg=(args.ops_min, args.ops_max),
+        memory_op_fraction=args.mem_frac,
+        num_inputs=args.inputs,
+        trace_length=args.trace_len,
+        max_repeat=args.max_repeat,
+    )
+    workload = _made(parser, generate_random_workload, params, args.seed)
     with open(args.output, "w", encoding="utf-8") as f:
         f.write(serialize_workload(workload))
     return EXIT_OK
 
 
 def cmd_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    dims = _fabric(args, parser)
+    dims = _made(parser, FabricDims, *_resolve_dims(args, parser))
     workload = _read_workload(args.workload)
     misfits, dump = [], []
     for i, dfg in enumerate(workload.dfgs):
@@ -131,8 +120,8 @@ def cmd_map(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    dims = _fabric(args, parser, args.lines)
-    aging_params = _aging(parser, reference_lifetime_years=args.ref_lifetime)
+    dims = _made(parser, FabricDims, *_resolve_dims(args, parser), args.lines)
+    aging_params = _made(parser, aging.AgingParams, reference_lifetime_years=args.ref_lifetime)
     workload = _read_workload(args.workload)
     policy = AllocationPolicy(args.policy)
     try:
@@ -157,12 +146,9 @@ def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cols, rows = _resolve_dims(args, parser)
     if args.preset is not None:
         cols, rows = [cols], [rows]
-    aging_params = _aging(parser, reference_lifetime_years=args.ref_lifetime)
+    aging_params = _made(parser, aging.AgingParams, reference_lifetime_years=args.ref_lifetime)
     workload = _read_workload(args.workload)
-    try:
-        results = dse.sweep(cols, rows, workload, aging_params)
-    except ValueError as e:
-        parser.error(str(e))
+    results = _made(parser, dse.sweep, cols, rows, workload, aging_params)
     print(dse.results_table(results), end="")
     if args.output:
         _write_json(args.output, [r.to_dict() for r in results])
@@ -170,8 +156,8 @@ def cmd_dse(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_age(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    aging_params = _aging(parser, delay_threshold=args.threshold,
-                          reference_lifetime_years=args.ref_lifetime)
+    aging_params = _made(parser, aging.AgingParams, delay_threshold=args.threshold,
+                         reference_lifetime_years=args.ref_lifetime)
     u = args.u
     if u is None and args.summary is not None:
         with open(args.summary, encoding="utf-8") as f:

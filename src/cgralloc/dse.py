@@ -36,6 +36,7 @@ PRESETS: dict[str, FabricDims] = {
     "BU": FabricDims(num_cols=32, num_rows=8),
 }
 
+_DENSE_RATIO = 8  # t of replay_trace's dense switch, measured there
 _PAIR = (AllocationPolicy.FIXED_ORIGIN, AllocationPolicy.ROTATING)  # baseline, proposed
 _NOTHING_RUN = UtilizationSummary(avg=0.0, max=0.0, min=0.0, argmax=(0, 0), histogram=())
 
@@ -144,15 +145,22 @@ def replay_trace(
     Skipped DFGs' entries are dropped.  Execution k lands on pivot_at(policy, k, dims), of
     period P = pivot_period(policy, dims).  With P = 1 a DFG's repeats are summed into one count
     at pivot 0.  Else a run is q full periods, adding q x placed cells to every cell after the
-    fold, plus one or two ranges of leftover pivots.  A DFG with under P leftover executions
-    counts them in C and adds its placed cells once per pivot hit (only those are built); one
-    with P or more packs its pivot histogram into an int of P 64-bit slots, added to a sum per
-    placed cell offset.  A leftover is under P, so no slot exceeds len(trace) and no carry
-    crosses slots (pack raises on a count >= 2^64).  Each sum is unpacked once, one slice per
-    pivot row, onto a 2 x rows by 2 x cols grid folded onto the torus.  Cost: O(trace entries)
-    + pivots hit x placed cells per sparse DFG + one pack per dense DFG, one big-int addition
-    per placed cell and one unpack per distinct offset.  Memory: the 4 x cells grid + one
-    8P-byte int per distinct offset, at most 8 x cells^2 bytes.
+    fold, plus one or two ranges of leftover pivots.  A sparse DFG counts its leftover pivots in
+    C and adds its placed cells once per pivot hit (only those are built).  A dense one packs
+    its pivot histogram into an int of P 64-bit slots, added to a sum per placed cell offset.
+    Both pay per placed cell: sparse one Python addition per pivot hit, dense one P-slot big-int
+    addition.  The placed cells cancel, so a DFG goes dense when its leftover executions (which
+    bound its pivots hit) reach P / t: t x leftover >= P, t = _DENSE_RATIO.  t = 8 is measured:
+    in-process rotating replay of the benchmark's workloads (seeds 1 and 101, one Xeon core,
+    best of 15) took dse_sweep's 9 fabrics from about 55 ms at t = 1 to 35-39 ms, level with
+    t = 16, 32 and always dense, while map_heavy's 3 presets stayed at 35-39 ms (68-78 always
+    dense) and replay_long's at 29-33 for every t.  A leftover is under P, so no slot exceeds
+    len(trace) and no carry crosses slots (pack raises on a count >= 2^64).  Each sum is
+    unpacked once, one slice per pivot row, onto a 2 x rows by 2 x cols grid folded onto the
+    torus.  Cost: O(trace entries) + pivots hit (under P / t) x placed cells per sparse DFG +
+    one pack per dense DFG, one big-int addition per placed cell and one unpack per distinct
+    offset.  Memory: the 4 x cells grid + one 8P-byte int per distinct offset, at most
+    8 x cells^2 bytes, reached by DFGs of P / t leftover executions.
     """
     period = pivot_period(policy, dims)
     runs: dict[int, list[range]] = defaultdict(list)  # DFG -> its leftover pivot numbers
@@ -189,7 +197,7 @@ def replay_trace(
             per_pivot = {0: full[d]}
         else:  # a full period lands each placed cell once on every fabric cell
             uniform += full.get(d, 0) * len(offsets)
-            if sum(map(len, runs[d])) >= period:  # dense: a histogram over all P pivots
+            if _DENSE_RATIO * sum(map(len, runs[d])) >= period:  # dense: a histogram of P
                 diff = [0] * (period + 1)  # diff[P] only closes ranges
                 for r in runs[d]:
                     diff[r.start] += 1

@@ -15,16 +15,18 @@ Under FIXED_ORIGIN every execution sits at the origin, so trace order is
 irrelevant and the map has a closed form: each mapped DFG's summed repeats
 times its placed cells, with no replay at all (`fixed_origin_closed_form`).
 
-Under ROTATING, `dse.replay_trace` takes one of two paths per DFG: a sparse one
-while the DFG's leftover executions (each entry's repeats mod the period P) stay
-below P, and a dense one once they reach P.  The seeded scenarios draw both sides,
-and `undrawn_sides` checks that from each trace and its mapped DFGs, not from
-`replay_trace`.
+Under ROTATING, `dse.replay_trace` takes one of two paths per DFG, by its leftover
+executions n (each entry's repeats mod the period P): a sparse one while t x n < P,
+and a dense one once t x n >= P, for the ratio t = `dse._DENSE_RATIO`.  The seeded
+scenarios draw both sides, and dense DFGs below one period (P / t <= n < P) at the
+fabric sizes `dse` sweeps (P from 16 to 256); `undrawn_sides` checks that from each
+trace and its mapped DFGs, not from `replay_trace`.
 
 Run as a script, it needs neither pytest nor hypothesis: it compares both
 replays, checks the FIXED_ORIGIN closed form and every reported number
 against the exact oracle on fixed sets of seeded scenarios, and exits 1 on
-any mismatch or if either replay path is never drawn.
+any mismatch or if either replay path, or a dense DFG below one period, is
+never drawn.
 
     PYTHONPATH=src python tests/replay_oracle.py
 """
@@ -33,10 +35,11 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from cgralloc.aging import AgingParams
 from cgralloc.allocation import AllocationPolicy, Pivot, allocate
-from cgralloc.dse import map_workload, replay_trace, run_scenario_with_map
+from cgralloc.dse import _DENSE_RATIO, map_workload, replay_trace, run_scenario_with_map
 from cgralloc.mapper import FabricDims, VirtualConfiguration
 from cgralloc.metrics import UtilizationMap
 from cgralloc.workload import Dfg, GeneratorParams, Workload, generate_random_workload
@@ -45,6 +48,7 @@ EMPTY_DFG = Dfg(name="empty", num_inputs=0, ops=(), outputs=())
 # (cols, rows): a point, a column, a row, a grid, and the BE preset
 FABRICS = ((1, 1), (1, 5), (5, 1), (8, 2), (16, 2))
 EXACT_FABRICS = ((1, 1), (5, 1), (8, 2), (16, 2), (32, 8))  # up to the BE and BU presets
+DSE_FABRICS = tuple(product((8, 16, 32), (2, 4, 8)))  # the points of a `dse` sweep
 
 
 def replay_per_execution(
@@ -113,18 +117,41 @@ def dense_scenarios(seeds=range(25)):
             yield dims, Workload(dfgs, trace)
 
 
+def band_scenarios(seeds=range(25)):
+    """(dims, workload) on each fabric of DSE_FABRICS, for each seed, where leftovers stay
+    about one period or below.
+
+    One to three DFGs (one may be empty) run 2 to 6 entries of 1 to P / 4 repeats, some
+    after a full period, so mapped DFGs' leftover executions fall below the dense switch
+    or between it and P.
+    """
+    for seed in seeds:
+        rng = random.Random(2000 + seed)
+        for cols, rows in DSE_FABRICS:
+            dims = FabricDims(num_cols=cols, num_rows=rows)
+            params = GeneratorParams(num_dfgs=rng.randint(1, 3), ops_per_dfg=(1, 6),
+                                     memory_op_fraction=rng.choice((0.0, 0.3)), num_inputs=2)
+            dfgs = generate_random_workload(params, seed).dfgs + (EMPTY_DFG,)
+            trace = tuple((rng.randrange(len(dfgs)), rng.choice((0, dims.num_cells))
+                           + rng.randint(1, dims.num_cells // 4))
+                          for _ in range(rng.randint(2, 6)))
+            yield dims, Workload(dfgs, trace)
+
+
 def all_scenarios():
     yield from seeded_scenarios()
     yield from dense_scenarios()
+    yield from band_scenarios()
 
 
 def leftover_sides(workload: Workload, mapped: dict[int, VirtualConfiguration],
                    period: int) -> dict[str, int]:
-    """How many mapped DFGs of the trace fall on each side of the dense threshold.
+    """How many mapped DFGs of the trace fall on each side of the dense switch.
 
-    "sparse": leftover executions in 1..P-1; "dense": P or more; "dense with full periods":
-    dense, and some entry ran P or more repeats; "dense with a wrapped leftover": dense, and
-    some entry's leftover ran past the end of the period.
+    With n a DFG's leftover executions and t = _DENSE_RATIO: "sparse": n >= 1 and t x n < P;
+    "dense": t x n >= P; "dense below one period": dense with n < P; "dense with full
+    periods": dense, and some entry ran P or more repeats; "dense with a wrapped leftover":
+    dense, and some entry's leftover ran past the end of the period.
     """
     leftover, full, wraps, total = {}, set(), set(), 0
     for dfg_index, repeats in workload.trace:
@@ -137,25 +164,28 @@ def leftover_sides(workload: Workload, mapped: dict[int, VirtualConfiguration],
         if start + left > period:
             wraps.add(dfg_index)
         total += repeats
-    dense = {d for d, n in leftover.items() if n >= period}
-    return {"sparse": sum(1 for n in leftover.values() if 0 < n < period),
-            "dense": len(dense), "dense with full periods": len(dense & full),
+    dense = {d for d, n in leftover.items() if _DENSE_RATIO * n >= period}
+    return {"sparse": sum(1 for n in leftover.values() if n and _DENSE_RATIO * n < period),
+            "dense": len(dense),
+            "dense below one period": sum(leftover[d] < period for d in dense),
+            "dense with full periods": len(dense & full),
             "dense with a wrapped leftover": len(dense & wraps)}
 
 
 def undrawn_sides() -> list[str]:
     """One line per kind of DFG, or of scenario, that no seeded ROTATING scenario draws."""
-    drawn = dict.fromkeys(("sparse", "dense", "dense with full periods",
-                           "dense with a wrapped leftover"), 0)
-    all_sparse = 0  # scenarios whose mapped DFGs all stay below P
+    drawn = dict.fromkeys(("sparse", "dense", "dense below one period",
+                           "dense with full periods", "dense with a wrapped leftover"), 0)
+    all_sparse = 0  # scenarios whose mapped DFGs all stay below the switch
     for dims, workload in all_scenarios():
         mapped, _ = map_workload(workload, dims)
         sides = leftover_sides(workload, mapped, dims.num_cells)
         for side, n in sides.items():
             drawn[side] += n
         all_sparse += sides["sparse"] > 0 and not sides["dense"]
-    lines = [f"no seeded scenario draws a {side} DFG" for side, n in drawn.items() if n == 0]
-    return lines + ([] if all_sparse else ["no seeded scenario keeps every DFG below P"])
+    lines = [f"no seeded scenario draws a DFG that is {side}" for side, n in drawn.items()
+             if n == 0]
+    return lines + ([] if all_sparse else ["no seeded scenario keeps every DFG sparse"])
 
 
 def mismatches() -> list[str]:
@@ -264,7 +294,7 @@ def inexact_numbers() -> list[str]:
 
 if __name__ == "__main__":
     lines = mismatches() + undrawn_sides() + fixed_origin_mismatches() + inexact_numbers()
-    print("\n".join(lines) or "counted replay, on both its sparse and dense paths, matches "
-          "per-execution replay and the fixed-origin closed form, and every reported number "
-          "is exact")
+    print("\n".join(lines) or "counted replay, on its sparse and dense paths (dense below "
+          "one period included), matches per-execution replay and the fixed-origin closed "
+          "form, and every reported number is exact")
     sys.exit(1 if lines else 0)

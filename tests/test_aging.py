@@ -81,6 +81,17 @@ def test_delta_vt_domain_errors():
         delta_vt_raw(DEFAULTS, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("u", [True, False, None, "0.5", [0.5], 0.5j, math.nan])
+def test_utilization_of_a_wrong_type_is_a_value_error(u):
+    """Only an int, a float or a Fraction is a utilization; a bool is a flag."""
+    for call in (lambda: lifetime(DEFAULTS, u), lambda: delta_vt_raw(DEFAULTS, 1.0, u),
+                 lambda: delay_increase(DEFAULTS, 1.0, u),
+                 lambda: delay_curve(DEFAULTS, u, 1.0, 2)):
+        with pytest.raises(ValueError, match=r"^utilization .* outside \[0, 1\]$"):
+            call()
+    assert lifetime(DEFAULTS, Fraction(1, 2)) == lifetime(DEFAULTS, 0.5) == 6.0
+
+
 def test_delta_vt_monotone_in_each_argument():
     # finite differences at 10 sample points per axis
     t0, u0 = 5000.0, 0.5

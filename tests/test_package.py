@@ -9,7 +9,7 @@ import cgralloc
 
 REPO = Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
-LINE_CEILING = 1678  # ROADMAP's ceiling on src/cgralloc/*.py without __init__.py
+LINE_CEILING = 1672  # ROADMAP's ceiling on src/cgralloc/*.py without __init__.py
 
 
 def test_package_exports_only_the_entry_points():

@@ -140,17 +140,22 @@ def test_replay_builds_only_the_pivots_the_trace_hits(monkeypatch):
     monkeypatch.setattr(dse, "pivot_at", counting_pivot_at)
     dims = FabricDims(num_cols=64, num_rows=64)
     period, rows = dims.num_cells, dims.num_rows
+    switch = period // 8  # 512: a DFG goes dense at 8 x leftover executions >= P
     rotating, fixed = AllocationPolicy.ROTATING, AllocationPolicy.FIXED_ORIGIN
-    # a sparse DFG (leftovers below P) builds at most the pivots it hits; whole periods,
-    # which ROTATING adds without a pivot and FIXED_ORIGIN (period 1) counts at its one
-    # pivot; a dense DFG (leftovers reaching P, here P + 1 and P + 4 that wrap past the
-    # period end, the second after two full periods) builds one pivot per pivot row, though
-    # it hits all P; and a dense DFG 0 beside a sparse DFG 2 that hits 3 pivots
+    # a sparse DFG builds at most the pivots it hits; whole periods, which ROTATING adds
+    # without a pivot; a DFG one leftover below the switch (sparse) and at it (dense: one
+    # pivot per pivot row, though it hits 512), alone and after two full periods; DFG 0 at
+    # the switch, its leftover wrapping past the period end behind a dense DFG 2 of P - 3; a
+    # dense DFG 0 beside a sparse DFG 2 that hits 3 pivots; and FIXED_ORIGIN (period 1),
+    # which counts whole periods at its one pivot
     for trace, policy, most in ((((0, 3),), rotating, 3),
                                 (((0, period), (0, 5 * period)), rotating, 0),
-                                (((0, period - 1), (0, 2)), rotating, rows),
-                                (((0, 3 * period - 1), (0, 5)), rotating, rows),
-                                (((0, period - 1), (2, 3), (0, 2)), rotating, rows + 3),
+                                (((0, switch - 1),), rotating, switch - 1),
+                                (((0, switch),), rotating, rows),
+                                (((0, 2 * period + switch - 1),), rotating, switch - 1),
+                                (((0, 2 * period + switch),), rotating, rows),
+                                (((2, period - 3), (0, switch)), rotating, rows),
+                                (((0, switch - 1), (2, 3), (0, 1)), rotating, rows + 3),
                                 (((0, period), (0, 7)), fixed, 1)):
         built.clear()
         workload = _skipping_workload(trace)
